@@ -32,7 +32,8 @@ from .catalogue import GroupSpec, family_overrides
 from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
-from .permgroup import PermGroup, closed_subgroup, max_proper_subgroup, tuple_order
+from .permgroup import PermGroup, closed_subgroup, max_proper_subgroup
+from .permutation import Permutation, compose, tuple_order
 from . import rhoracle
 
 COMPUTED = "computed"
@@ -229,36 +230,39 @@ def _search_cyclic(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
     m = group.max_element_order(caps.enumeration)
     search.cyclic = m
     if m >= search.best():
-        witness = next(p for p in group.elements(caps.enumeration) if p.order() == m)
+        witness = group.elements_of_order(m, caps.enumeration)[0]
         search.witness = {"type": "cyclic", "order": m, "generators": [witness.cycle_string()]}
 
 
 def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
     """Largest dihedral subgroup 2*ord(x) via an inverting involution:
     t^2 = 1, t x t^-1 = x^-1, t outside <x>.  Up to conjugacy it suffices
-    to let x run over class representatives, largest order first."""
-    involutions = group.elements_of_order(2, caps.enumeration)
+    to let x run over class representatives, largest order first (ties by
+    image tuple); the classes of one order are partitioned only when the
+    search reaches that order."""
+    involutions = [t.images for t in group.elements_of_order(2, caps.enumeration)]
     if not involutions:
         search.dihedral = 0
         return
-    reps = sorted(
-        (r for r in group.class_representatives(caps.enumeration) if r.order() >= 2),
-        key=lambda r: (-r.order(), r.images),
-    )
-    for x in reps:
+
+    def representatives():
+        for m in sorted(set(group.element_orders(caps.enumeration)) - {1}, reverse=True):
+            yield from sorted((cls[0] for cls in group.classes_of_order(m, caps.enumeration)), key=lambda r: r.images)
+
+    for x in representatives():
         m = x.order()
         powers = {(x ** k).images for k in range(m)}
         x_inv_images = x.inverse().images
         for t in involutions:
-            if t.images in powers:
+            if t in powers:
                 continue
-            if (t * x * t).images == x_inv_images:
+            if compose(compose(t, x.images), t) == x_inv_images:
                 search.dihedral = 2 * m
                 if 2 * m >= search.best():
                     search.witness = {
                         "type": "dihedral",
                         "order": 2 * m,
-                        "generators": [x.cycle_string(), t.cycle_string()],
+                        "generators": [x.cycle_string(), Permutation(t).cycle_string()],
                     }
                 return
     search.dihedral = 0
@@ -267,12 +271,21 @@ def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> Non
 def _search_exceptional(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
     """Largest of A4/S4/A5 inside the group, by closing (involution,
     order-3 element) pairs -- each of the three is generated by such a
-    pair -- and matching the element-order fingerprint of the closure."""
-    invol_reps = [r for r in group.class_representatives(caps.enumeration) if r.order() == 2]
+    pair -- and matching the element-order fingerprint of the closure.
+
+    A pair (a, b) is closed only when ord(ab) is 3, 4 or 5.  With a^2 = b^3
+    = 1, <a, b> is a quotient of the (2, 3, k) triangle group, k = ord(ab):
+    k = 2 gives at most S3, and k >= 6 puts an element of order k in the
+    closure, which no fingerprint of A4, S4 or A5 has.  The skipped pairs
+    would all fail the fingerprint, so the first witness is unchanged.
+    """
+    invol_reps = [cls[0] for cls in group.classes_of_order(2, caps.enumeration)]
     threes = group.elements_of_order(3, caps.enumeration)
     search.exceptional = 0
     for a in invol_reps:
         for b in threes:
+            if tuple_order(compose(a.images, b.images)) not in (3, 4, 5):
+                continue
             sub = closed_subgroup(group.degree, (a, b), 61)
             if sub is None or len(sub) not in _EXCEPTIONAL_FINGERPRINTS:
                 continue

@@ -208,7 +208,10 @@ _TABLE_HEADER = ["p", "order", "cond1_max", "cond2_max", "cond3_max", "maxn", "b
 def _table_row(p: int, mode: str, caps: Caps) -> dict:
     spec = parse_group_spec(f"PSL2:{p}")
     group = build(spec)
-    report = max_certified_n(spec, group, mode, caps)
+    try:
+        report = max_certified_n(spec, group, mode, caps)
+    except CapExceeded:  # simplicity undecided within caps: this row only is unknown
+        return {"p": p, "order": group.order, **dict.fromkeys(_TABLE_HEADER[2:], "unknown")}
     fmt = lambda v: v if v is not None else "unknown"
     return {
         "p": p,
@@ -308,16 +311,28 @@ def _cmd_oracle(args, started) -> int:
         return 0
     if args.oracle_command == "rh":
         spec, group = _group(args)
-        verdict = None
-        for g in range(0, args.genus_max + 1):
-            v = rhoracle.acts_on_genus_le(group, g, caps)
-            if v.verdict == rhoracle.YES:
-                verdict = v
+        # ask at bounds 0, 2, 6, 14, ... (capped at --genus-max), so that the
+        # cost follows the minimal genus rather than the bound; a "no" at a
+        # bound covers every genus up to it
+        verdict = rhoracle.OracleVerdict(rhoracle.NO)  # negative --genus-max: no genus to search
+        known_no = -1
+        while known_no < args.genus_max:
+            bound = min(2 * known_no + 2, args.genus_max)
+            verdict = rhoracle.acts_on_genus_le(group, bound, caps)
+            if verdict.verdict != rhoracle.NO:
                 break
-            if v.verdict == rhoracle.UNKNOWN:
-                _emit(args, v.to_json(), [f"undecided: {v.reason}"], started)
-                return 1
-        if verdict is None:
+            known_no = bound
+        if verdict.verdict == rhoracle.YES and verdict.genus - 1 > known_no:
+            # signatures are searched in genus order, so every lower genus was
+            # searched without finding a vector; the genus is minimal unless a
+            # cap cut one of those searches short
+            below = rhoracle.acts_on_genus_le(group, verdict.genus - 1, caps)
+            if below.verdict == rhoracle.UNKNOWN:
+                verdict = below
+        if verdict.verdict == rhoracle.UNKNOWN:
+            _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
+            return 1
+        if verdict.verdict == rhoracle.NO:
             payload = {"verdict": "no", "genus_max": args.genus_max}
             _emit(args, payload, [f"no faithful action on genus <= {args.genus_max}"], started)
             return 1

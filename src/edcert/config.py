@@ -29,6 +29,8 @@ class Caps:
     vector_width: int = 12
 
     def with_enumeration(self, cap: int) -> "Caps":
+        if cap < 1:
+            raise ValidationError(f"enumeration cap must be positive, got {cap}")
         return replace(self, enumeration=cap)
 
 
@@ -44,6 +46,4 @@ def caps_from_environment() -> Caps:
         cap = int(raw)
     except ValueError:
         raise ValidationError(f"EDCERT_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"EDCERT_CAP must be positive, got {cap}")
     return DEFAULT_CAPS.with_enumeration(cap)

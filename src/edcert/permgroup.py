@@ -6,6 +6,14 @@ and reproducible bit for bit: generators are processed in the order given,
 orbits in breadth-first discovery order, and every search below iterates
 in a fixed order.  Groups are immutable after construction; all methods
 are pure and cache only values derived from the group itself.
+
+Element-level queries work one order at a time, resting on two facts:
+
+* conjugation preserves the order of an element, so every conjugacy class
+  lies inside one bucket of equal-order elements, and each bucket can be
+  partitioned into classes on its own (``classes_of_order``);
+* every nontrivial normal subgroup contains an element of prime order, so
+  the normal closures of the classes of prime order decide simplicity.
 """
 
 from __future__ import annotations
@@ -30,13 +38,14 @@ class EdcertInternalError(AssertionError):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int, degree: int):
         self.point = point
         self.gens: list[tuple[int, ...]] = []
-        # transversal[q] maps the base point to q
+        # transversal[q] maps the base point to q; inverses[q] is its inverse
         self.transversal: dict[int, tuple[int, ...]] = {point: identity_tuple(degree)}
+        self.inverses: dict[int, tuple[int, ...]] = dict(self.transversal)
 
 
 def _first_moved(p: Sequence[int]) -> int:
@@ -82,27 +91,31 @@ class StabilizerChain:
     def _rebuild_orbit(self, i: int) -> None:
         lvl = self.levels[i]
         transversal = {lvl.point: self._identity}
+        inverses = {lvl.point: self._identity}
+        gen_pairs = [(s, invert(s)) for s in lvl.gens]
         queue = [lvl.point]
         head = 0
         while head < len(queue):
             gamma = queue[head]
             head += 1
-            u = transversal[gamma]
-            for s in lvl.gens:
+            u, u_inv = transversal[gamma], inverses[gamma]
+            for s, s_inv in gen_pairs:
                 delta = s[gamma]
                 if delta not in transversal:
                     transversal[delta] = compose(u, s)
+                    inverses[delta] = compose(s_inv, u_inv)
                     queue.append(delta)
         lvl.transversal = transversal
+        lvl.inverses = inverses
 
     def _sift(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
         """Strip g against levels start.. ; returns (residue, stuck level)."""
         for i in range(start, len(self.levels)):
             lvl = self.levels[i]
-            u = lvl.transversal.get(g[lvl.point])
-            if u is None:
+            u_inv = lvl.inverses.get(g[lvl.point])
+            if u_inv is None:
                 return g, i
-            g = compose(g, invert(u))
+            g = compose(g, u_inv)
         return g, len(self.levels)
 
     def _complete(self, i: int) -> None:
@@ -116,8 +129,7 @@ class StabilizerChain:
         for gamma in list(lvl.transversal):
             u = lvl.transversal[gamma]
             for s in lvl.gens:
-                v = lvl.transversal[s[gamma]]
-                schreier = compose(compose(u, s), invert(v))
+                schreier = compose(compose(u, s), lvl.inverses[s[gamma]])
                 if schreier == self._identity:
                     continue
                 residue, j = self._sift(schreier, i + 1)
@@ -182,6 +194,8 @@ class PermGroup:
         self.order = self._chain.order()
         self._elements: tuple[Permutation, ...] | None = None
         self._orders: tuple[int, ...] | None = None
+        # order m -> (enumeration index of the representative, class) pairs
+        self._partitions: dict[int, tuple[tuple[int, tuple[Permutation, ...]], ...]] = {}
         self._classes: tuple[tuple[Permutation, ...], ...] | None = None
         self._simple: bool | None = None
 
@@ -253,34 +267,60 @@ class PermGroup:
 
     # -- conjugacy ----------------------------------------------------------
 
-    def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[Permutation, ...], ...]:
-        """Partition into conjugacy classes; each class leads with the first
-        member in enumeration order, which serves as its representative."""
+    def _partition(self, m: int, cap: int) -> tuple[tuple[int, tuple[Permutation, ...]], ...]:
+        """Classes of the order-m elements with their representatives' indices.
+
+        Conjugation preserves order, so the classes of the order-m bucket
+        are found without looking at any other element.  Each element is
+        conjugated once per generator.
+        """
         self._check_cap(cap)  # before the cache, so caps behave identically on every call
-        if self._classes is not None:
-            return self._classes
+        cached = self._partitions.get(m)
+        if cached is not None:
+            return cached
         els = self.elements(cap)
-        index = {p.images: i for i, p in enumerate(els)}
+        bucket = [i for i, o in enumerate(self.element_orders(cap)) if o == m]
+        position = {els[i].images: k for k, i in enumerate(bucket)}
         conj_pairs = [(g.images, invert(g.images)) for g in self.generators]
-        seen = [False] * len(els)
-        classes = []
-        for i, rep in enumerate(els):
-            if seen[i]:
+        seen = [False] * len(bucket)
+        out = []
+        for k, i in enumerate(bucket):
+            if seen[k]:
                 continue
-            seen[i] = True
-            members = [rep]
-            queue = [rep.images]
+            seen[k] = True
+            members = [els[i]]
+            queue = [els[i].images]
             while queue:
                 x = queue.pop()
                 for g, ginv in conj_pairs:
                     y = compose(compose(ginv, x), g)
-                    j = index[y]
+                    j = position[y]
                     if not seen[j]:
                         seen[j] = True
-                        members.append(els[j])
+                        members.append(els[bucket[j]])
                         queue.append(y)
-            classes.append(tuple(members))
-        self._classes = tuple(classes)
+            out.append((i, tuple(members)))
+        self._partitions[m] = tuple(out)
+        return self._partitions[m]
+
+    def classes_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[Permutation, ...], ...]:
+        """Conjugacy classes of the elements of order m, partitioned on first
+        request for each m; each class leads with its first member in
+        enumeration order, and the classes follow their leaders' order."""
+        return tuple(cls for _, cls in self._partition(m, cap))
+
+    def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[Permutation, ...], ...]:
+        """Partition into conjugacy classes; each class leads with the first
+        member in enumeration order, which serves as its representative.
+
+        Every class lies inside one bucket of equal-order elements, so this
+        merges the per-order partitions of ``classes_of_order``, sorted by
+        the enumeration index of each representative.
+        """
+        self._check_cap(cap)
+        if self._classes is None:
+            keyed = [pair for m in set(self.element_orders(cap)) for pair in self._partition(m, cap)]
+            self._classes = tuple(cls for _, cls in sorted(keyed, key=lambda pair: pair[0]))
         return self._classes
 
     def class_representatives(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[Permutation, ...]:
@@ -316,23 +356,25 @@ class PermGroup:
 
     def is_simple_nonabelian(self, cap: int = DEFAULT_CAPS.enumeration) -> bool:
         """True iff the group is nonabelian with no proper nontrivial normal
-        subgroup, decided by normal closures of conjugacy-class representatives."""
+        subgroup.
+
+        Every nontrivial normal subgroup contains an element of some prime
+        order q dividing |G|, and with it that element's whole class, so the
+        group is simple iff the normal closure of each representative of a
+        class of prime order is the whole group.
+        """
         self._check_cap(cap)
-        if self._simple is not None:
-            return self._simple
-        if self.order == 1 or self.is_abelian():
-            self._simple = False
-            return False
-        result = True
-        for cls in self.conjugacy_classes(cap):
-            rep = cls[0]
-            if rep.is_identity():
-                continue
-            if self.normal_closure([rep]).order != self.order:
-                result = False
-                break
-        self._simple = result
-        return result
+        if self._simple is None:
+            self._simple = (
+                self.order > 1
+                and not self.is_abelian()
+                and all(
+                    self.normal_closure([cls[0]]).order == self.order
+                    for q in prime_factors(self.order)
+                    for cls in self.classes_of_order(q, cap)
+                )
+            )
+        return self._simple
 
 
 # -- Sylow subgroups ----------------------------------------------------------

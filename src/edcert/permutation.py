@@ -7,6 +7,7 @@ of most permutation-group software.  Points are always 0-based.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -14,7 +15,9 @@ from .errors import ValidationError
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Raw image-tuple composition, p first then q."""
-    return tuple(map(q.__getitem__, p))
+    if len(p) > 1:
+        return itemgetter(*p)(q)  # one C-level gather, several times faster than map
+    return tuple(q[i] for i in p)  # itemgetter of a single index returns a bare item
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:

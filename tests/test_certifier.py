@@ -1,3 +1,4 @@
+from collections import Counter
 from math import factorial, isqrt
 
 import pytest
@@ -15,9 +16,14 @@ from edcert.certifier import (
     cond2_mobius_subgroup,
     cond3_no_small_genus_action,
     max_certified_n,
+    _MobiusSearch,
+    _search_dihedral,
+    _search_exceptional,
 )
 from edcert.config import Caps
 from edcert.errors import NotSimple, ValidationError
+from edcert.permgroup import closed_subgroup
+from edcert.permutation import Permutation
 
 
 def crt(group_of, text, n, mode=COMPUTED, caps=Caps()):
@@ -93,6 +99,65 @@ def test_cond2_dihedral_and_exceptional_stages(group_of):
     )
     assert exhaustive.detail["best_order"] == 24
     assert exhaustive.detail["exceptional_kind"] == "S4"
+
+
+MOBIUS_GROUPS = [
+    "A:5", "A:6", "A:7", "S:5", "PSL2:7", "PSL2:11", "PSL2:13",
+    "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)",  # PGL(2,7)
+]
+FINGERPRINTS = {
+    12: ("A4", Counter({1: 1, 2: 3, 3: 8})),
+    24: ("S4", Counter({1: 1, 2: 9, 3: 8, 4: 6})),
+    60: ("A5", Counter({1: 1, 2: 15, 3: 20, 5: 24})),
+}
+
+
+def exceptional_by_closing_every_pair(group):
+    """Reference: close every (involution representative, order-3 element)
+    pair, with no filter on ord(ab)."""
+    best, kind, witness = 0, None, {}
+    invols = [r for r in group.class_representatives() if r.order() == 2]
+    for a in invols:
+        for b in group.elements_of_order(3):
+            sub = closed_subgroup(group.degree, (a, b), 61)
+            if sub is None or len(sub) not in FINGERPRINTS:
+                continue
+            name, fingerprint = FINGERPRINTS[len(sub)]
+            if Counter(Permutation(x).order() for x in sub) == fingerprint and len(sub) > best:
+                best, kind = len(sub), name
+                witness = {"type": name, "order": best, "generators": [a.cycle_string(), b.cycle_string()]}
+                if best == 60:
+                    return best, kind, witness
+    return best, kind, witness
+
+
+def dihedral_by_scanning_every_class(group):
+    """Reference: every class representative, largest order first, against
+    every involution, with Permutation arithmetic."""
+    involutions = group.elements_of_order(2)
+    reps = sorted((r for r in group.class_representatives() if r.order() >= 2), key=lambda r: (-r.order(), r.images))
+    for x in reps if involutions else ():
+        powers = {(x ** k).images for k in range(x.order())}
+        for t in involutions:
+            if t.images not in powers and t * x * t == x.inverse():
+                return 2 * x.order(), [x.cycle_string(), t.cycle_string()]
+    return 0, None
+
+
+@pytest.mark.parametrize("text", MOBIUS_GROUPS)
+def test_exceptional_search_equals_closing_every_pair(group_of, text):
+    search = _MobiusSearch()
+    _search_exceptional(group_of(text), Caps(), search)
+    assert (search.exceptional, search.exceptional_kind, search.witness) == exceptional_by_closing_every_pair(group_of(text))
+
+
+@pytest.mark.parametrize("text", MOBIUS_GROUPS + ["C:7", "D:10", "S:4"])
+def test_dihedral_search_equals_scanning_every_class(group_of, text):
+    search = _MobiusSearch()
+    _search_dihedral(group_of(text), Caps(), search)
+    order, generators = dihedral_by_scanning_every_class(group_of(text))
+    assert search.dihedral == order
+    assert search.witness.get("generators") == generators
 
 
 def test_cond2_refutes_tiny_group(group_of):

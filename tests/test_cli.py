@@ -2,7 +2,12 @@ import csv
 import io
 import json
 
+import pytest
+
+from edcert import cli, rhoracle
+from edcert.catalogue import build, parse_group_spec
 from edcert.cli import main
+from edcert.config import Caps
 
 
 def run(capsys, *argv):
@@ -73,6 +78,17 @@ def test_table_csv_contract(capsys):
     assert int(table[7][1]) == 168
 
 
+def test_computed_table_over_cap_rows_are_unknown(capsys):
+    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "53", "--pmax", "61",
+                       "--mode", "computed", "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [r[0] for r in rows] == ["53", "59", "61"]  # primes only; 4 lines with the header
+    assert rows[0][5] != "unknown"
+    assert rows[1] == ["59", "102660"] + ["unknown"] * 5
+    assert rows[2] == ["61", "113460"] + ["unknown"] * 5
+
+
 def test_table_rejects_small_pmin(capsys):
     code, _, err = run(capsys, "table", "--family", "PSL2", "--pmin", "5", "--pmax", "7")
     assert code == 2
@@ -119,6 +135,64 @@ def test_oracle_rh(capsys):
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "2")
     assert code == 1
     assert envelope["payload"]["verdict"] == "no"
+
+
+def _oracle_rh_by_genus(text, genus_max, caps):
+    """Reference: (exit code, payload) of `oracle rh` asked one genus at a time."""
+    group = build(parse_group_spec(text))
+    for g in range(genus_max + 1):
+        v = rhoracle.acts_on_genus_le(group, g, caps)
+        if v.verdict == rhoracle.YES:
+            return 0, v.to_json()
+        if v.verdict == rhoracle.UNKNOWN:
+            return 1, v.to_json()
+    return 1, {"verdict": "no", "genus_max": genus_max}
+
+
+@pytest.mark.parametrize(
+    "text, genus_max, caps",
+    [
+        ("A:5", 10, Caps()),
+        ("PSL2:7", 10, Caps()),
+        ("PSL2:7", 2, Caps()),
+        ("A:6", 10, Caps()),
+        ("C:6", 10, Caps()),
+        ("C:6", -1, Caps()),  # no genus to search: "no" without asking the oracle
+        # width 3 leaves the genus-1 datum (0; 2,2,2,2) unsearched below a witness
+        ("PSL2:7", 10, Caps(vector_width=3)),
+        ("A:6", 10, Caps(vector_width=3)),
+        # bounds far above the minimal genus
+        ("PSL2:7", 1000, Caps()),
+        ("A:6", 1000, Caps()),
+        ("PSL2:7", 1000, Caps(vector_width=3)),
+    ],
+)
+def test_oracle_rh_matches_per_genus_search(capsys, monkeypatch, text, genus_max, caps):
+    monkeypatch.setattr(cli, "caps_from_environment", lambda: caps)
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", text, "--genus-max", str(genus_max))
+    assert (code, envelope["payload"]) == _oracle_rh_by_genus(text, genus_max, caps)
+
+
+def test_oracle_rh_cost_follows_minimal_genus(capsys, monkeypatch):
+    asked = []
+    search = rhoracle.acts_on_genus_le
+
+    def recording(group, genus, caps):
+        asked.append(genus)
+        return search(group, genus, caps)
+
+    monkeypatch.setattr(rhoracle, "acts_on_genus_le", recording)
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:5", "--genus-max", "100000")
+    assert code == 0 and envelope["payload"]["genus"] == 0
+    assert asked == [0]
+    asked.clear()
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "100000")
+    assert code == 0 and envelope["payload"]["genus"] == 3
+    assert asked == [0, 2, 6]  # genus 2 already answered no
+    asked.clear()
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:6", "--genus-max", "100000")
+    assert code == 0 and envelope["payload"]["genus"] == 10
+    assert asked == [0, 2, 6, 14, 9]  # doubling bounds, then the genus below the witness
 
 
 def test_oracle_bounds_h_n(capsys):
@@ -215,3 +289,10 @@ def test_environment_cap_must_be_positive(capsys, monkeypatch):
     monkeypatch.setenv("EDCERT_CAP", "0")
     code, _, err = run(capsys, "certify", "--group", "A:5", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_flag_must_be_positive(capsys, cap):
+    code, _, err = run(capsys, "certify", "--group", "A:5", "--n", "2", "--cap", cap)
+    assert code == 2
+    assert "must be positive" in err

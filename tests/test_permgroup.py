@@ -14,7 +14,7 @@ from edcert.permgroup import (
     prime_factors,
     sylow_report,
 )
-from edcert.permutation import Permutation, compose, identity_tuple
+from edcert.permutation import Permutation, compose, identity_tuple, invert
 
 
 def brute_elements(group):
@@ -281,6 +281,59 @@ def test_closed_subgroup_limit():
 def test_chain_order_equals_brute_closure_on_random_groups(gens):
     g = PermGroup([Permutation(x) for x in gens])
     assert g.order == len(brute_elements(g))
+
+
+def brute_classes(group):
+    """Independent class partition: {g^-1 x g : g in G} for each x not yet
+    covered, taken in enumeration order, so x is the class representative."""
+    pairs = [(invert(g.images), g.images) for g in group.elements()]
+    covered: set = set()
+    out = []
+    for x in group.elements():
+        if x.images in covered:
+            continue
+        cls = {tuple(g[x.images[i]] for i in ginv) for ginv, g in pairs}
+        covered |= cls
+        out.append((x, cls))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.permutations(list(range(6))), min_size=1, max_size=3))
+def test_conjugacy_classes_equal_brute_force_on_random_groups(gens):
+    g = PermGroup([Permutation(x) for x in gens])
+    classes = g.conjugacy_classes()
+    reference = brute_classes(g)
+    assert [cls[0] for cls in classes] == [x for x, _ in reference]
+    assert [{p.images for p in cls} for cls in classes] == [members for _, members in reference]
+    assert all(len(cls) == len(set(cls)) for cls in classes)
+    orders = set(g.element_orders())
+    for m in orders | {max(orders) + 1}:
+        by_order = g.classes_of_order(m)
+        assert by_order == tuple(cls for cls in classes if cls[0].order() == m)
+        assert all(p.order() == m for cls in by_order for p in cls)
+
+
+PGL2_7 = "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)"
+C2_4_C5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)(2 3 11 7 13)(4 6 5 14 9)"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A:5", "A:6", "A:7", "PSL2:7", "PSL2:11", "PSL2:13",
+     "A:4", "S:4", "S:5", "D:5", "D:10", "C:7", PGL2_7, C2_4_C5,
+     "perm:7:(0 1 2 3 4 5 6),(1 2 4)(3 6 5)"],  # C7:C3, whose order-3 elements generate it
+)
+def test_simplicity_agrees_with_sympy(group_of, text):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = group_of(text)
+    theirs = combinatorics.PermutationGroup([combinatorics.Permutation(list(g.images)) for g in group.generators])
+    # sympy's own classes and normal closures, over every nontrivial class
+    reps = [next(iter(cls)) for cls in theirs.conjugacy_classes()]
+    simple = theirs.order() > 1 and all(
+        theirs.normal_closure(r).order() == theirs.order() for r in reps if not r.is_Identity
+    )
+    assert group.is_simple_nonabelian() == (simple and not theirs.is_abelian)
 
 
 def test_normal_closure_rejects_outside_seeds(group_of):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,6 +70,15 @@ def test_raw_helpers_agree_with_objects():
     assert compose(p.images, q.images) == (p * q).images
     assert invert(p.images) == p.inverse().images
     assert identity_tuple(5) == Permutation.identity(5).images
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 6, 54])
+def test_compose_is_pointwise_p_then_q(degree):
+    rng = random.Random(degree)
+    p, q = list(range(degree)), list(range(degree))
+    rng.shuffle(p)
+    rng.shuffle(q)
+    assert compose(p, q) == tuple(q[p[i]] for i in range(degree))  # a tuple at every degree
 
 
 def test_immutability():
