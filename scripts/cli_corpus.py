@@ -1,0 +1,72 @@
+#!/usr/bin/env python3
+"""Run a fixed corpus of CLI commands and record each exit code and output.
+
+Usage: PYTHONPATH=src python3 scripts/cli_corpus.py OUT.txt
+
+Every command runs in-process through ``edcert.cli.main``; JSON commands
+run with ``--no-timing``, so two checkouts that behave the same write the
+same file byte for byte (compare them with ``cmp`` or ``diff``).  The corpus
+covers ``certify`` at ten values of n and ``maxn`` in all three modes on 17
+groups, the PSL2 table 7..61 in all three modes, ``oracle rh``, the ``rh``
+branch-data table and both paths to the ``h_n`` table.
+"""
+
+import contextlib
+import io
+import sys
+
+from edcert.cli import main
+
+GROUPS = [
+    "A:5", "A:6", "A:7", "A:8", "A:9",
+    "PSL2:7", "PSL2:11", "PSL2:13", "PSL2:17", "PSL2:23", "PSL2:29", "PSL2:41", "PSL2:59", "PSL2:199",
+    "perm:5:(0 1 2 3 4),(0 1 2)", "S:4", "C:7", "D:6",
+]
+NS = [2, 3, 4, 5, 6, 7, 9, 10, 14, 24]
+MODES = ["computed", "hybrid", "paper-formula"]
+JSON = ["--json", "--no-timing"]
+
+
+def commands():
+    for group in GROUPS:
+        for mode in MODES:
+            for n in NS:
+                yield ["certify", "--group", group, "--n", str(n), "--mode", mode, *JSON]
+            yield ["maxn", "--group", group, "--mode", mode, *JSON]
+    for mode in MODES:
+        yield ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "61", "--mode", mode, "--csv"]
+    for group in ["A:5", "A:6", "PSL2:7", "PSL2:11", "PSL2:13", "C:6", "S:4"]:
+        for genus_max in (-1, 2, 10, 26, 100):
+            yield ["oracle", "rh", "--group", group, "--genus-max", str(genus_max), *JSON]
+    for group, genus_max in [("A:5", 40), ("A:6", 40), ("PSL2:7", 60), ("PSL2:11", 40), ("PSL2:13", 30),
+                             ("A:7", 60), ("C:6", 20), ("S:4", 30)]:
+        yield ["rh", "--group", group, "--genus-max", str(genus_max), *JSON]
+    yield ["certify", "--group", "PSL2:7", "--n", "40", *JSON]
+    for n in (2, 6, 12):
+        yield ["bounds", "h_n", "--n", str(n), *JSON]
+        yield ["oracle", "bounds", "h_n", "--n", str(n), *JSON]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(path: str) -> int:
+    count = 0
+    with open(path, "w", newline="") as fh:
+        for argv in commands():
+            code, out, err = run(argv)
+            fh.write(f"### {' '.join(argv)}\nexit {code}\n{out}")
+            if err:
+                fh.write(f"stderr: {err}")
+            count += 1
+    return count
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    print(f"{record(sys.argv[1])} commands")

@@ -162,8 +162,9 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
 
     Methods, in order: divisibility (a simple group with an index-k
     subgroup embeds in the alternating group of degree k, so |G| must
-    divide k!/2), literature constants (hybrid mode), brute-force subgroup
-    search (the oracle, for |G| within the subgroup-search cap).
+    divide k!/2), then d(G) from `_min_proper_index`: literature constants
+    (hybrid and paper_formula modes) or brute-force subgroup search (the
+    oracle, for |G| within the subgroup-search cap).
     """
     order = group.order
     detail: dict = {"order": order, "n": n}
@@ -182,19 +183,16 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
     if certified:
         return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
 
-    if mode in (HYBRID, PAPER_FORMULA):
-        constants = family_overrides(spec)
-        if constants is not None and constants.min_proper_index is not None:
-            d = constants.min_proper_index
-            detail["min_proper_index"] = d
-            detail["provenance"] = constants.provenance
-            verdict = CERTIFIED if d > n else REFUTED
-            return ConditionReport(COND_INDEX, verdict, "literature_override", detail)
-
-    if order <= caps.subgroup_search:
-        best, witness = max_proper_subgroup(group, caps.subgroup_search)
-        d = order // best
-        detail["min_proper_index"] = d
+    found = _min_proper_index(spec, group, mode, caps)
+    if found is None:
+        detail["note"] = "divisibility inconclusive and group exceeds the subgroup-search cap"
+        return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
+    method, d, facts = found
+    detail["min_proper_index"] = d
+    if method == "literature_override":
+        detail["provenance"] = facts
+    else:
+        best, witness = facts
         detail["max_proper_subgroup_order"] = best
         if d <= n:
             detail["witness_subgroup"] = {
@@ -202,11 +200,25 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
                 "order": best,
                 "generators": [w.cycle_string() for w in witness],
             }
-            return ConditionReport(COND_INDEX, REFUTED, "brute_force", detail)
-        return ConditionReport(COND_INDEX, CERTIFIED, "brute_force", detail)
+    return ConditionReport(COND_INDEX, CERTIFIED if d > n else REFUTED, method, detail)
 
-    detail["note"] = "divisibility inconclusive and group exceeds the subgroup-search cap"
-    return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
+
+def _min_proper_index(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) -> tuple[str, int, object] | None:
+    """d(G), the least index of a proper subgroup, as (method, d, facts).
+
+    The literature constant in hybrid and paper_formula modes (facts: its
+    provenance), else the brute-force search within the subgroup-search cap
+    (facts: the largest proper subgroup order and its generators); None
+    beyond both.
+    """
+    if mode in (HYBRID, PAPER_FORMULA):
+        constants = family_overrides(spec)
+        if constants is not None and constants.min_proper_index is not None:
+            return "literature_override", constants.min_proper_index, constants.provenance
+    if group.order > caps.subgroup_search:
+        return None
+    best, witness = max_proper_subgroup(group, caps.subgroup_search)
+    return "brute_force", group.order // best, (best, witness)
 
 
 # -- condition 2: a large Moebius subgroup -------------------------------------
@@ -539,67 +551,33 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         "admits n equal to the minimal degree itself"
     ]
     details: dict = {}
-    constants = family_overrides(spec)
 
-    # condition 1 maximum
+    # condition 1 maximum: the strict modes stop one below d(G)
     cond1_max: int | None = None
-    if mode == PAPER_FORMULA:
-        if constants is not None and constants.min_proper_index is not None:
-            cond1_max = constants.min_proper_index
-            details["cond1"] = {"method": "literature_override", "min_proper_index": cond1_max}
-        elif order <= caps.subgroup_search:
-            best, _ = max_proper_subgroup(group, caps.subgroup_search)
-            cond1_max = order // best
-            details["cond1"] = {"method": "brute_force", "min_proper_index": cond1_max}
-    else:
-        if mode == HYBRID and constants is not None and constants.min_proper_index is not None:
-            cond1_max = constants.min_proper_index - 1
-            details["cond1"] = {"method": "literature_override", "min_proper_index": cond1_max + 1}
-        elif order <= caps.subgroup_search:
-            best, _ = max_proper_subgroup(group, caps.subgroup_search)
-            cond1_max = order // best - 1
-            details["cond1"] = {"method": "brute_force", "min_proper_index": cond1_max + 1}
-        else:
-            # largest n the divisibility certificate reaches: the first k
-            # with |G| | k!/2 cannot be ruled out
-            k = 2
-            while factorial(k) // 2 % order != 0:
-                k += 1
-            cond1_max = k - 1
-            details["cond1"] = {"method": "divisibility", "first_admissible_embedding_degree": k}
+    found = _min_proper_index(spec, group, mode, caps)
+    if found is not None:
+        method, d, _ = found
+        cond1_max = d if mode == PAPER_FORMULA else d - 1
+        details["cond1"] = {"method": method, "min_proper_index": d}
+    elif mode != PAPER_FORMULA:
+        # largest n the divisibility certificate reaches: the first k
+        # with |G| | k!/2 cannot be ruled out
+        k = 2
+        while factorial(k) // 2 % order != 0:
+            k += 1
+        cond1_max = k - 1
+        details["cond1"] = {"method": "divisibility", "first_admissible_embedding_degree": k}
 
-    # condition 2 maximum
+    # condition 2 maximum: the largest Moebius subgroup the decider finds
     cond2_max: int | None = None
-    if mode == PAPER_FORMULA:
-        if constants is not None and constants.max_element_order is not None:
-            cond2_max = constants.max_element_order - 1
-            details["cond2"] = {"method": "literature_override", "cyclic_max": cond2_max + 1}
+    report = cond2_mobius_subgroup(spec, group, 1, mode, caps, exhaustive=True)
+    best = report.detail.get("best_order")
+    if best:
+        cond2_max = best - 1
+        if mode == PAPER_FORMULA:
+            details["cond2"] = {"method": report.method, "cyclic_max": best}
         else:
-            try:
-                cond2_max = group.max_element_order(caps.enumeration) - 1
-                details["cond2"] = {"method": "cyclic_search", "cyclic_max": cond2_max + 1}
-            except CapExceeded:
-                cond2_max = None
-    else:
-        try:
-            report = cond2_mobius_subgroup(spec, group, 1, mode, caps, exhaustive=True)
-            best = report.detail.get("best_order")
-            if best:
-                cond2_max = best - 1
-                details["cond2"] = {
-                    "method": report.method,
-                    "best_order": best,
-                    "witness": report.detail.get("witness"),
-                }
-        except CapExceeded:
-            cond2_max = None
-        if cond2_max is None and mode == HYBRID and constants is not None and constants.max_element_order is not None:
-            cond2_max = constants.max_element_order - 1
-            details["cond2"] = {
-                "method": "literature_override",
-                "cyclic_max": cond2_max + 1,
-                "note": "cyclic witness only; larger Moebius subgroups may exist",
-            }
+            details["cond2"] = {"method": report.method, "best_order": best, "witness": report.detail["witness"]}
 
     # condition 3 maximum
     floor = hurwitz_min_genus(order)
@@ -616,15 +594,9 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         # one oracle step beyond the floor keeps the summary comparable to
         # the closed form; certify() applies the oracle at full strength
         probe = cond3_max + 1
-        if riemann_genus_cap(probe) >= floor:
-            verdict = rhoracle.acts_on_genus_le(group, riemann_genus_cap(probe), caps)
-            if verdict.verdict == rhoracle.NO:
-                cond3_max = probe
-                details["cond3"] = {
-                    "method": "rh_oracle",
-                    "hurwitz_floor": floor,
-                    "oracle_refined_to": probe,
-                }
+        if cond3_no_small_genus_action(spec, group, probe, mode, caps, simple=True).verdict == CERTIFIED:
+            cond3_max = probe
+            details["cond3"] = {"method": "rh_oracle", "hurwitz_floor": floor, "oracle_refined_to": probe}
 
     known = {
         "cond1": cond1_max,

@@ -65,6 +65,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "perm:<deg>:<cycles>,... e.g. perm:4:(0 1 2 3),(0 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    h_n = argparse.ArgumentParser(add_help=False)  # `bounds h_n` and its alias `oracle bounds h_n`
+    h_n.add_argument("--n", type=int, required=True)
+    _add_common(h_n, mode=False)
 
     p = sub.add_parser("certify", help="certify one (group, n) pair")
     p.add_argument("--group", required=True)
@@ -100,9 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--n1", "--g1", "--n2", "--g2"):
         b.add_argument(flag, type=int, required=True)
     _add_common(b, mode=False)
-    b = which.add_parser("h_n", help="tower genus bound over the divisors of n")
-    b.add_argument("--n", type=int, required=True)
-    _add_common(b, mode=False)
+    which.add_parser("h_n", parents=[h_n], help="tower genus bound over the divisors of n")
     b = which.add_parser("genus-cap", help="(n-1)^2")
     b.add_argument("--n", type=int, required=True)
     _add_common(b, mode=False)
@@ -131,9 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(o, mode=False)
     o = which.add_parser("bounds", help="bound tables")
     inner = o.add_subparsers(dest="bounds_command", required=True)
-    i = inner.add_parser("h_n", help="tower genus bound table for one n")
-    i.add_argument("--n", type=int, required=True)
-    _add_common(i, mode=False)
+    inner.add_parser("h_n", parents=[h_n], help="tower genus bound over the divisors of n")
 
     return parser
 
@@ -199,7 +198,7 @@ def _cmd_maxn(args, started) -> int:
         f"  cond1_max={report.cond1_max}  cond2_max={report.cond2_max}  cond3_max={report.cond3_max}",
     ]
     _emit(args, report.to_json(), lines, started, mode)
-    return 0
+    return 0 if report.certified_max_n is not None else 1
 
 
 _TABLE_HEADER = ["p", "order", "cond1_max", "cond2_max", "cond3_max", "maxn", "binding"]
@@ -311,24 +310,9 @@ def _cmd_oracle(args, started) -> int:
         return 0
     if args.oracle_command == "rh":
         spec, group = _group(args)
-        # ask at bounds 0, 2, 6, 14, ... (capped at --genus-max), so that the
-        # cost follows the minimal genus rather than the bound; a "no" at a
-        # bound covers every genus up to it
-        verdict = rhoracle.OracleVerdict(rhoracle.NO)  # negative --genus-max: no genus to search
-        known_no = -1
-        while known_no < args.genus_max:
-            bound = min(2 * known_no + 2, args.genus_max)
-            verdict = rhoracle.acts_on_genus_le(group, bound, caps)
-            if verdict.verdict != rhoracle.NO:
-                break
-            known_no = bound
-        if verdict.verdict == rhoracle.YES and verdict.genus - 1 > known_no:
-            # signatures are searched in genus order, so every lower genus was
-            # searched without finding a vector; the genus is minimal unless a
-            # cap cut one of those searches short
-            below = rhoracle.acts_on_genus_le(group, verdict.genus - 1, caps)
-            if below.verdict == rhoracle.UNKNOWN:
-                verdict = below
+        verdict = rhoracle.acts_on_genus_le(group, args.genus_max, caps)
+        if verdict.capped_below:  # a witness, but its genus may not be the least
+            verdict = rhoracle.OracleVerdict(rhoracle.UNKNOWN, reason=rhoracle.CAPPED)
         if verdict.verdict == rhoracle.UNKNOWN:
             _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
             return 1

@@ -238,6 +238,7 @@ class PermGroup:
         return self._elements
 
     def element_orders(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[int, ...]:
+        self._check_cap(cap)  # before the cache, so caps behave identically on every call
         if self._orders is None:
             self._orders = tuple(tuple_order(p.images) for p in self.elements(cap))
         return self._orders

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CAPS, Caps
+from .curvebounds import hurwitz_min_genus
 from .errors import CapExceeded, WidthExceeded
 from .permgroup import PermGroup, StabilizerChain
 from .permutation import Permutation
@@ -27,6 +28,7 @@ from .permutation import Permutation
 YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
+CAPPED = "some branch data exceeded search caps"
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,7 @@ class OracleVerdict:
     signature: Signature | None = None
     vector: GeneratingVector | None = None
     reason: str = ""
+    capped_below: bool = False  # a yes: a datum of lower genus was cut short by a cap
 
     def to_json(self) -> dict:
         return {
@@ -283,31 +286,55 @@ def acts_on_genus_le(group: PermGroup, genus: int, caps: Caps = DEFAULT_CAPS) ->
 
     Requires a nonabelian simple group (there nontrivial means faithful);
     anything else, or any cap overrun, degrades to `unknown`, never to a
-    wrong verdict.
+    wrong verdict.  Branch data are listed at the bounds 0, 2, 6, 14, ...
+    (capped at g) and each datum is searched once, in the genus order of a
+    single listing, so the cost follows the least genus with a witness
+    rather than g; past the vector-search cap the first datum answers
+    `unknown`.  A `yes` has the least genus unless `capped_below`.
     """
+    if genus < 0:
+        return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
     try:
         simple = group.is_simple_nonabelian(caps.enumeration)
     except CapExceeded:
         return OracleVerdict(UNKNOWN, reason="simplicity undecided within enumeration cap")
     if not simple:
         return OracleVerdict(UNKNOWN, reason="oracle requires a nonabelian simple group")
-    try:
-        sigs = enumerate_signatures(group, genus, caps)
-    except CapExceeded:
-        return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
-    if not sigs:
+    floor = hurwitz_min_genus(group.order)
+    searched = -1  # every datum of genus <= searched has been searched
+    capped_genus = None  # genus of the first datum the width cap cut short
+    listed = False
+    while searched < genus:
+        bound = min(2 * searched + 2, genus)
+        sigs = []
+        # every datum of genus >= 2 has genus >= the Hurwitz floor, so once
+        # genus 1 is searched a bound below the floor lists nothing new
+        if searched < 1 or bound >= floor:
+            try:
+                sigs = enumerate_signatures(group, bound, caps)
+            except CapExceeded:
+                return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
+        for g, sig in sigs:
+            if g <= searched:
+                continue
+            listed = True
+            try:
+                vec = find_generating_vector(group, sig, caps)
+            except CapExceeded:
+                # the search cap bounds |G| alone, so it cuts every datum short
+                return OracleVerdict(UNKNOWN, reason=CAPPED)
+            except WidthExceeded:
+                if capped_genus is None:
+                    capped_genus = g
+                continue
+            if vec is not None:
+                if not validate_vector(group, sig, vec):
+                    raise AssertionError(f"search produced an invalid vector for {sig.label()}")
+                below = capped_genus is not None and capped_genus < g
+                return OracleVerdict(YES, genus=g, signature=sig, vector=vec, capped_below=below)
+        searched = bound
+    if capped_genus is not None:
+        return OracleVerdict(UNKNOWN, reason=CAPPED)
+    if not listed:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
-    incomplete = False
-    for g, sig in sigs:
-        try:
-            vec = find_generating_vector(group, sig, caps)
-        except (CapExceeded, WidthExceeded):
-            incomplete = True
-            continue
-        if vec is not None:
-            if not validate_vector(group, sig, vec):
-                raise AssertionError(f"search produced an invalid vector for {sig.label()}")
-            return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
-    if incomplete:
-        return OracleVerdict(UNKNOWN, reason="some branch data exceeded search caps")
     return OracleVerdict(NO, reason=f"all branch data up to genus {genus} exhausted")

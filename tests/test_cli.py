@@ -62,6 +62,14 @@ def test_maxn_values(capsys):
     assert envelope["payload"]["binding"]
 
 
+@pytest.mark.parametrize("argv", [["--group", "A:9", "--mode", "hybrid"],
+                                  ["--group", "A:7", "--mode", "hybrid", "--cap", "100"]])
+def test_maxn_unknown_exits_one(capsys, argv):
+    code, envelope = run_json(capsys, "maxn", *argv)
+    assert code == 1
+    assert envelope["payload"]["maxn"] is None and envelope["payload"]["binding"] == "unknown"
+
+
 def test_maxn_non_simple_is_input_error(capsys):
     code, _, err = run(capsys, "maxn", "--group", "S:4")
     assert code == 2
@@ -173,26 +181,52 @@ def test_oracle_rh_matches_per_genus_search(capsys, monkeypatch, text, genus_max
     assert (code, envelope["payload"]) == _oracle_rh_by_genus(text, genus_max, caps)
 
 
-def test_oracle_rh_cost_follows_minimal_genus(capsys, monkeypatch):
+def _record_listing_bounds(monkeypatch):
     asked = []
-    search = rhoracle.acts_on_genus_le
+    listing = rhoracle.enumerate_signatures
 
-    def recording(group, genus, caps):
-        asked.append(genus)
-        return search(group, genus, caps)
+    def recording(group, genus_max, caps):
+        asked.append(genus_max)
+        return listing(group, genus_max, caps)
 
-    monkeypatch.setattr(rhoracle, "acts_on_genus_le", recording)
+    monkeypatch.setattr(rhoracle, "enumerate_signatures", recording)
+    return asked
+
+
+def test_oracle_rh_cost_follows_minimal_genus(capsys, monkeypatch):
+    asked = _record_listing_bounds(monkeypatch)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:5", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 0
     assert asked == [0]
     asked.clear()
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 3
-    assert asked == [0, 2, 6]  # genus 2 already answered no
+    assert asked == [0, 2, 6]
     asked.clear()
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:6", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 10
-    assert asked == [0, 2, 6, 14, 9]  # doubling bounds, then the genus below the witness
+    assert asked == [0, 2, 6, 14]
+
+
+def test_oracle_rh_stops_at_the_vector_search_cap(capsys, monkeypatch):
+    # |PSL2(13)| = 1092 is within the listing cap but beyond the search cap,
+    # so the first datum listed (genus 1) already decides "unknown"
+    asked = _record_listing_bounds(monkeypatch)
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:13", "--genus-max", "100000")
+    assert code == 1
+    assert envelope["payload"]["verdict"] == "unknown"
+    assert envelope["payload"]["reason"] == rhoracle.CAPPED
+    assert asked == [0, 2]
+
+
+def test_certify_large_n_stops_at_the_minimal_genus(capsys, monkeypatch):
+    asked = _record_listing_bounds(monkeypatch)
+    code, envelope = run_json(capsys, "certify", "--group", "A:6", "--n", "166")
+    assert code == 1 and envelope["payload"]["overall"] == "refuted"
+    genus = envelope["payload"]["conditions"][2]
+    assert (genus["verdict"], genus["method"]) == ("refuted", "rh_oracle")
+    assert genus["detail"]["witness"]["genus"] == 10
+    assert max(asked) <= 14
 
 
 def test_oracle_bounds_h_n(capsys):

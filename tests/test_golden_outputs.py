@@ -1,8 +1,12 @@
-"""Byte-for-byte regression of hybrid-mode outputs recorded in tests/data.
+"""Byte-for-byte regression of CLI outputs recorded in tests/data.
 
-The files were written by an engine that partitioned the whole group into
-conjugacy classes and closed every (involution, order-3) pair, so they pin
-the witnesses the per-order partition and the ord(ab) filter must keep.
+The hybrid files were written by an engine that partitioned the whole group
+into conjugacy classes and closed every (involution, order-3) pair, so they
+pin the witnesses the per-order partition and the ord(ab) filter must keep.
+The computed and paper-formula files were written while `maxn` still
+computed its per-condition maxima apart from the condition deciders and
+the genus oracle listed every branch datum up to the requested genus; they
+pin every method `maxn` and `certify` report.
 """
 
 from pathlib import Path
@@ -12,17 +16,29 @@ import pytest
 from edcert.cli import main
 
 DATA = Path(__file__).parent / "data"
+JSON = ["--json", "--no-timing"]
 
 CASES = [
     ("table_psl2_7_31_hybrid.csv",
-     ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "31", "--mode", "hybrid", "--csv"]),
+     ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "31", "--mode", "hybrid", "--csv"], 0),
 ] + [
-    (f"maxn_psl2_{p}_hybrid.json", ["maxn", "--group", f"PSL2:{p}", "--mode", "hybrid", "--json", "--no-timing"])
+    (f"maxn_psl2_{p}_hybrid.json", ["maxn", "--group", f"PSL2:{p}", "--mode", "hybrid", *JSON], 0)
     for p in (23, 29, 41)  # S4, A5 and dihedral witnesses
+] + [
+    # literature constants, the rh_oracle refinement and the brute-force search
+    (f"maxn_{tag}_{mode.replace('-', '_')}.json", ["maxn", "--group", group, "--mode", mode, *JSON], 0)
+    for group, tag in (("A:7", "a7"), ("PSL2:11", "psl2_11"), ("perm:5:(0 1 2 3 4),(0 1 2)", "perm5_a5"))
+    for mode in ("computed", "paper-formula")
+] + [
+    ("certify_a5_n5.json", ["certify", "--group", "A:5", "--n", "5", *JSON], 1),  # witness_subgroup
+    ("certify_psl2_17_n5_paper_formula.json",
+     ["certify", "--group", "PSL2:17", "--n", "5", "--mode", "paper-formula", *JSON], 0),  # non_strict Hurwitz
+    ("certify_psl2_11_n6.json", ["certify", "--group", "PSL2:11", "--n", "6", *JSON], 0),  # rh_oracle
+    ("certify_psl2_7_n40.json", ["certify", "--group", "PSL2:7", "--n", "40", *JSON], 1),  # witness far below the cap
 ]
 
 
-@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
-def test_output_is_byte_identical(capsys, name, argv):
-    assert main(argv) == 0
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[name for name, _, _ in CASES])
+def test_output_is_byte_identical(capsys, name, argv, code):
+    assert main(argv) == code
     assert capsys.readouterr().out.encode() == (DATA / name).read_bytes()  # the CSV ends lines with CRLF

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edcert.catalogue import build, parse_group_spec
 from edcert.errors import CapExceeded, NotDividing, ValidationError
 from edcert.permgroup import (
     PermGroup,
@@ -211,6 +212,14 @@ def test_cap_exceeded(group_of):
         group_of("A:7").elements(cap=100)
     with pytest.raises(CapExceeded):
         group_of("A:7").is_simple_nonabelian(cap=100)
+
+
+def test_cap_is_checked_after_orders_are_cached():
+    group = build(parse_group_spec("A:6"))
+    assert group.max_element_order() == 5
+    for query in (group.elements, group.element_orders, group.max_element_order):
+        with pytest.raises(CapExceeded):
+            query(cap=10)
 
 
 def test_sylow_reports_for_a7(group_of):
