@@ -33,7 +33,7 @@ from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
 from .permgroup import PermGroup, closed_subgroup, max_proper_subgroup
-from .permutation import Permutation, compose, tuple_order
+from .permutation import compose, cycle_string, invert, power, tuple_order
 from . import rhoracle
 
 COMPUTED = "computed"
@@ -198,7 +198,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
             detail["witness_subgroup"] = {
                 "index": d,
                 "order": best,
-                "generators": [w.cycle_string() for w in witness],
+                "generators": [cycle_string(w) for w in witness],
             }
     return ConditionReport(COND_INDEX, CERTIFIED if d > n else REFUTED, method, detail)
 
@@ -243,7 +243,7 @@ def _search_cyclic(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
     search.cyclic = m
     if m >= search.best():
         witness = group.elements_of_order(m, caps.enumeration)[0]
-        search.witness = {"type": "cyclic", "order": m, "generators": [witness.cycle_string()]}
+        search.witness = {"type": "cyclic", "order": m, "generators": [cycle_string(witness)]}
 
 
 def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
@@ -252,29 +252,29 @@ def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> Non
     to let x run over class representatives, largest order first (ties by
     image tuple); the classes of one order are partitioned only when the
     search reaches that order."""
-    involutions = [t.images for t in group.elements_of_order(2, caps.enumeration)]
+    involutions = group.elements_of_order(2, caps.enumeration)
     if not involutions:
         search.dihedral = 0
         return
 
     def representatives():
         for m in sorted(set(group.element_orders(caps.enumeration)) - {1}, reverse=True):
-            yield from sorted((cls[0] for cls in group.classes_of_order(m, caps.enumeration)), key=lambda r: r.images)
+            yield from sorted(cls[0] for cls in group.classes_of_order(m, caps.enumeration))
 
     for x in representatives():
-        m = x.order()
-        powers = {(x ** k).images for k in range(m)}
-        x_inv_images = x.inverse().images
+        m = tuple_order(x)
+        powers = {power(x, k) for k in range(m)}
+        x_inv = invert(x)
         for t in involutions:
             if t in powers:
                 continue
-            if compose(compose(t, x.images), t) == x_inv_images:
+            if compose(compose(t, x), t) == x_inv:
                 search.dihedral = 2 * m
                 if 2 * m >= search.best():
                     search.witness = {
                         "type": "dihedral",
                         "order": 2 * m,
-                        "generators": [x.cycle_string(), Permutation(t).cycle_string()],
+                        "generators": [cycle_string(x), cycle_string(t)],
                     }
                 return
     search.dihedral = 0
@@ -296,7 +296,7 @@ def _search_exceptional(group: PermGroup, caps: Caps, search: _MobiusSearch) -> 
     search.exceptional = 0
     for a in invol_reps:
         for b in threes:
-            if tuple_order(compose(a.images, b.images)) not in (3, 4, 5):
+            if tuple_order(compose(a, b)) not in (3, 4, 5):
                 continue
             sub = closed_subgroup(group.degree, (a, b), 61)
             if sub is None or len(sub) not in _EXCEPTIONAL_FINGERPRINTS:
@@ -311,7 +311,7 @@ def _search_exceptional(group: PermGroup, caps: Caps, search: _MobiusSearch) -> 
                     search.witness = {
                         "type": kind,
                         "order": len(sub),
-                        "generators": [a.cycle_string(), b.cycle_string()],
+                        "generators": [cycle_string(a), cycle_string(b)],
                     }
                 if len(sub) == 60:
                     return

@@ -153,6 +153,11 @@ def _emit(args, payload, text_lines: list[str], started: float, mode: str | None
         body = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     else:
         body = "\n".join(text_lines) + "\n"
+    _write(args, body)
+
+
+def _write(args, body: str) -> None:
+    """Write the output to stdout and, with --out, to that file."""
     sys.stdout.write(body)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -242,11 +247,7 @@ def _cmd_table(args, started) -> int:
         writer.writerow(_TABLE_HEADER)
         for row in rows:
             writer.writerow([row[k] for k in _TABLE_HEADER])
-        body = buf.getvalue()
-        sys.stdout.write(body)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(body)
+        _write(args, buf.getvalue())
         return 0
 
     lines = ["  ".join(f"{h:>10s}" for h in _TABLE_HEADER)]
@@ -285,7 +286,7 @@ def _cmd_rh(args, started) -> int:
         try:
             vec = rhoracle.find_generating_vector(group, sig, caps)
             searched = True
-        except (CapExceeded, EdcertError):
+        except EdcertError:
             vec, searched = None, False
         entry = {
             "genus": g,

@@ -27,8 +27,10 @@ from .errors import CapExceeded, NotDividing, ValidationError
 from .permutation import (
     Permutation,
     compose,
+    cycle_string,
     identity_tuple,
     invert,
+    power,
     tuple_order,
 )
 
@@ -153,14 +155,11 @@ class StabilizerChain:
     def orbit_sizes(self) -> tuple[int, ...]:
         return tuple(len(lvl.transversal) for lvl in self.levels)
 
-    def base(self) -> tuple[int, ...]:
-        return tuple(lvl.point for lvl in self.levels)
-
     def contains(self, g: Sequence[int]) -> bool:
         residue, _ = self._sift(tuple(g), 0)
         return residue == self._identity
 
-    def elements_raw(self) -> list[tuple[int, ...]]:
+    def elements(self) -> list[tuple[int, ...]]:
         """All elements, in the deterministic transversal-product order."""
         elems = [self._identity]
         for lvl in reversed(self.levels):
@@ -176,44 +175,43 @@ class PermGroup:
     """An immutable permutation group of fixed degree.
 
     The trivial group is written ``PermGroup((), degree=d)``; otherwise the
-    degree is taken from the generators.
+    degree is taken from the generators.  Generators may be given as
+    ``Permutation`` objects or image sequences and are validated once here;
+    every element the group hands out or takes is an image tuple.
     """
 
     def __init__(self, generators: Iterable[Permutation | Sequence[int]], degree: int | None = None):
-        gens = tuple(g if isinstance(g, Permutation) else Permutation(g) for g in generators)
+        gens = tuple((g if isinstance(g, Permutation) else Permutation(g)).images for g in generators)
         if degree is None:
             if not gens:
                 raise ValidationError("degree is required for an empty generating set")
-            degree = gens[0].degree
+            degree = len(gens[0])
         for g in gens:
-            if g.degree != degree:
+            if len(g) != degree:
                 raise ValidationError("generators must share one degree")
         self.generators = gens
         self.degree = degree
-        self._chain = StabilizerChain([g.images for g in gens], degree)
+        self._chain = StabilizerChain(gens, degree)
         self.order = self._chain.order()
-        self._elements: tuple[Permutation, ...] | None = None
+        self._elements: tuple[tuple[int, ...], ...] | None = None
         self._orders: tuple[int, ...] | None = None
         # order m -> (enumeration index of the representative, class) pairs
-        self._partitions: dict[int, tuple[tuple[int, tuple[Permutation, ...]], ...]] = {}
-        self._classes: tuple[tuple[Permutation, ...], ...] | None = None
+        self._partitions: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
+        self._classes: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._simple: bool | None = None
 
     # -- basic structure ---------------------------------------------------
 
-    def base(self) -> tuple[int, ...]:
-        return self._chain.base()
-
     def orbit_sizes(self) -> tuple[int, ...]:
         return self._chain.orbit_sizes()
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p.degree == self.degree and self._chain.contains(p.images)
+    def __contains__(self, p: tuple[int, ...]) -> bool:
+        return len(p) == self.degree and self._chain.contains(p)
 
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+    def identity(self) -> tuple[int, ...]:
+        return identity_tuple(self.degree)
 
-    def subgroup(self, generators: Iterable[Permutation]) -> "PermGroup":
+    def subgroup(self, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
         return PermGroup(tuple(generators), degree=self.degree)
 
     def _check_cap(self, cap: int) -> None:
@@ -226,21 +224,16 @@ class PermGroup:
 
     # -- element-level queries (capped) -------------------------------------
 
-    def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[Permutation, ...]:
+    def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
         self._check_cap(cap)
         if self._elements is None:
-            out = []
-            for images in self._chain.elements_raw():
-                p = Permutation.__new__(Permutation)
-                object.__setattr__(p, "images", images)
-                out.append(p)
-            self._elements = tuple(out)
+            self._elements = tuple(self._chain.elements())
         return self._elements
 
     def element_orders(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[int, ...]:
         self._check_cap(cap)  # before the cache, so caps behave identically on every call
         if self._orders is None:
-            self._orders = tuple(tuple_order(p.images) for p in self.elements(cap))
+            self._orders = tuple(map(tuple_order, self.elements(cap)))
         return self._orders
 
     def max_element_order(self, cap: int = DEFAULT_CAPS.enumeration) -> int:
@@ -249,7 +242,7 @@ class PermGroup:
     def has_element_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> bool:
         return m in set(self.element_orders(cap))
 
-    def elements_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[Permutation, ...]:
+    def elements_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
         els = self.elements(cap)
         orders = self.element_orders(cap)
         return tuple(p for p, o in zip(els, orders) if o == m)
@@ -262,13 +255,11 @@ class PermGroup:
 
     def is_abelian(self) -> bool:
         gens = self.generators
-        return all(
-            (a * b).images == (b * a).images for i, a in enumerate(gens) for b in gens[i + 1:]
-        )
+        return all(compose(a, b) == compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
 
     # -- conjugacy ----------------------------------------------------------
 
-    def _partition(self, m: int, cap: int) -> tuple[tuple[int, tuple[Permutation, ...]], ...]:
+    def _partition(self, m: int, cap: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """Classes of the order-m elements with their representatives' indices.
 
         Conjugation preserves order, so the classes of the order-m bucket
@@ -281,8 +272,8 @@ class PermGroup:
             return cached
         els = self.elements(cap)
         bucket = [i for i, o in enumerate(self.element_orders(cap)) if o == m]
-        position = {els[i].images: k for k, i in enumerate(bucket)}
-        conj_pairs = [(g.images, invert(g.images)) for g in self.generators]
+        position = {els[i]: k for k, i in enumerate(bucket)}
+        conj_pairs = [(g, invert(g)) for g in self.generators]
         seen = [False] * len(bucket)
         out = []
         for k, i in enumerate(bucket):
@@ -290,7 +281,7 @@ class PermGroup:
                 continue
             seen[k] = True
             members = [els[i]]
-            queue = [els[i].images]
+            queue = [els[i]]
             while queue:
                 x = queue.pop()
                 for g, ginv in conj_pairs:
@@ -298,19 +289,19 @@ class PermGroup:
                     j = position[y]
                     if not seen[j]:
                         seen[j] = True
-                        members.append(els[bucket[j]])
+                        members.append(els[bucket[j]])  # the stored tuple, not y: no second copy per element
                         queue.append(y)
             out.append((i, tuple(members)))
         self._partitions[m] = tuple(out)
         return self._partitions[m]
 
-    def classes_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[Permutation, ...], ...]:
+    def classes_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Conjugacy classes of the elements of order m, partitioned on first
         request for each m; each class leads with its first member in
         enumeration order, and the classes follow their leaders' order."""
         return tuple(cls for _, cls in self._partition(m, cap))
 
-    def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[Permutation, ...], ...]:
+    def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Partition into conjugacy classes; each class leads with the first
         member in enumeration order, which serves as its representative.
 
@@ -324,35 +315,33 @@ class PermGroup:
             self._classes = tuple(cls for _, cls in sorted(keyed, key=lambda pair: pair[0]))
         return self._classes
 
-    def class_representatives(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[Permutation, ...]:
+    def class_representatives(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
         return tuple(cls[0] for cls in self.conjugacy_classes(cap))
 
     # -- normal structure ----------------------------------------------------
 
-    def normal_closure(self, seeds: Iterable[Permutation]) -> "PermGroup":
+    def normal_closure(self, seeds: Iterable[tuple[int, ...]]) -> "PermGroup":
         """Smallest normal subgroup containing the seeds.
 
         Closes the seed set under conjugation by the group generators,
         regenerating the chain whenever a conjugate falls outside the
         subgroup found so far.
         """
-        seeds = list(seeds)
-        for s in seeds:
+        queue = list(seeds)
+        for s in queue:
             if s not in self:
                 raise ValidationError("normal_closure seeds must lie in the group")
-        closure_gens: list[Permutation] = []
+        closure_gens: list[tuple[int, ...]] = []
         sub = StabilizerChain((), self.degree)
-        conj_pairs = [(g.images, invert(g.images)) for g in self.generators]
-        queue = [s for s in seeds if not s.is_identity()]
+        conj_pairs = [(g, invert(g)) for g in self.generators]
         while queue:
             x = queue.pop(0)
-            if sub.contains(x.images):
+            if sub.contains(x):
                 continue
             closure_gens.append(x)
-            sub = StabilizerChain([g.images for g in closure_gens], self.degree)
+            sub = StabilizerChain(closure_gens, self.degree)
             for g, ginv in conj_pairs:
-                y = Permutation(compose(compose(ginv, x.images), g))
-                queue.append(y)
+                queue.append(compose(compose(ginv, x), g))
         return PermGroup(closure_gens, degree=self.degree)
 
     def is_simple_nonabelian(self, cap: int = DEFAULT_CAPS.enumeration) -> bool:
@@ -394,7 +383,7 @@ class SylowReport:
     order: int
     shape: str
     rank: int | None
-    generators: tuple[Permutation, ...]
+    generators: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
         return {
@@ -403,7 +392,7 @@ class SylowReport:
             "order": self.order,
             "shape": self.shape,
             "rank": self.rank,
-            "generators": [g.cycle_string() for g in self.generators],
+            "generators": [cycle_string(g) for g in self.generators],
         }
 
 
@@ -457,10 +446,10 @@ def _classify_p_group(sub: PermGroup, p: int, exponent: int) -> tuple[str, int |
         for x, ox in zip(els, orders):
             if ox != half:
                 continue
-            powers = {(x ** k).images for k in range(half)}
-            x_inv = x.inverse()
+            powers = {power(x, k) for k in range(half)}
+            x_inv = invert(x)
             for t, ot in zip(els, orders):
-                if ot == 2 and t.images not in powers and (t * x * t).images == x_inv.images:
+                if ot == 2 and t not in powers and compose(compose(t, x), t) == x_inv:
                     return "dihedral", None
     return "other", None
 
@@ -487,7 +476,7 @@ def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration) 
     els = group.elements(cap)
     orders = group.element_orders(cap)
 
-    seed = next(g ** (o // p) for g, o in zip(els, orders) if o % p == 0)
+    seed = next(power(g, o // p) for g, o in zip(els, orders) if o % p == 0)
     sub_gens = [seed]
     sub = group.subgroup(sub_gens)
     while sub.order < target:
@@ -497,8 +486,8 @@ def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration) 
                 continue
             if g in sub:
                 continue
-            ginv = g.inverse()
-            if all((ginv * s * g) in sub for s in sub_gens):
+            ginv = invert(g)
+            if all(compose(compose(ginv, s), g) in sub for s in sub_gens):
                 extension = g
                 break
         if extension is None:  # cannot happen for p | |G|; guard against misuse
@@ -520,14 +509,13 @@ def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration) 
 # -- brute-force subgroup search ----------------------------------------------
 
 
-def closed_subgroup(degree: int, seeds: Sequence[Permutation], limit: int) -> frozenset[tuple[int, ...]] | None:
+def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -> frozenset[tuple[int, ...]] | None:
     """Element set of ⟨seeds⟩, or None as soon as it exceeds `limit` elements."""
-    seed_imgs = [s.images for s in seeds]
     elems = {identity_tuple(degree)}
     queue = list(elems)
     while queue:
         x = queue.pop()
-        for s in seed_imgs:
+        for s in seeds:
             y = compose(x, s)
             if y not in elems:
                 if len(elems) >= limit:
@@ -539,7 +527,7 @@ def closed_subgroup(degree: int, seeds: Sequence[Permutation], limit: int) -> fr
 
 def max_proper_subgroup(
     group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search
-) -> tuple[int, tuple[Permutation, ...]]:
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Order and generators of a proper subgroup of maximal order.
 
     Exhausts subgroups generated by a conjugacy-class representative plus one
@@ -554,14 +542,15 @@ def max_proper_subgroup(
     if n > cap:
         raise CapExceeded(f"order {n} exceeds the subgroup-search cap {cap}", needed=n, cap=cap)
 
-    els = [e for e in group.elements(cap=n) if not e.is_identity()]
-    reps = [r for r in group.class_representatives(cap=n) if not r.is_identity()]
+    identity = group.identity()
+    els = [e for e in group.elements(cap=n) if e != identity]
+    reps = [r for r in group.class_representatives(cap=n) if r != identity]
     limit = n // 2 + 1  # a proper subgroup has at most n/2 elements
     best = 1
-    witness: tuple[Permutation, ...] = ()
+    witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:
-        if best < rep.order() < n:
-            best = rep.order()
+        if best < tuple_order(rep) < n:
+            best = tuple_order(rep)
             witness = (rep,)
     for rep in reps:
         for b in els:

@@ -1,5 +1,9 @@
 """Permutations of {0, ..., deg-1} stored as dense image tuples.
 
+The engine computes on the image tuples themselves with the kernels below;
+``Permutation`` is the validated value type for the edges of the package,
+where specs are parsed and witnesses are checked again.
+
 Composition is left to right: ``(p * q)(x) == q(p(x))``, the convention
 of most permutation-group software.  Points are always 0-based.
 """
@@ -48,6 +52,38 @@ def tuple_order(p: Sequence[int]) -> int:
     return out
 
 
+def power(p: Sequence[int], k: int) -> tuple[int, ...]:
+    """p composed with itself k times (k < 0: the inverse, -k times)."""
+    if k < 0:
+        p, k = invert(p), -k
+    result = identity_tuple(len(p))
+    while k:
+        if k & 1:
+            result = compose(result, p)
+        p = compose(p, p)
+        k >>= 1
+    return result
+
+
+def cycle_string(p: Sequence[int]) -> str:
+    """Nontrivial cycles, each starting at its smallest point, e.g. "(0 1 2)(3 4)";
+    "()" for the identity."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
+            continue
+        cycle = [start]
+        seen[start] = True
+        j = p[start]
+        while j != start:
+            seen[j] = True
+            cycle.append(j)
+            j = p[j]
+        out.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(out) or "()"
+
+
 class Permutation:
     """An immutable permutation with hashing, powers and cycle output."""
 
@@ -91,28 +127,13 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValidationError("cannot compose permutations of different degrees")
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", compose(self.images, other.images))
-        return p
+        return Permutation(compose(self.images, other.images))
 
     def inverse(self) -> "Permutation":
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", invert(self.images))
-        return p
+        return Permutation(invert(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = identity_tuple(self.degree)
-        base = self.images
-        while k:
-            if k & 1:
-                result = compose(result, base)
-            base = compose(base, base)
-            k >>= 1
-        p = Permutation.__new__(Permutation)
-        object.__setattr__(p, "images", result)
-        return p
+        return Permutation(power(self.images, k))
 
     def order(self) -> int:
         return tuple_order(self.images)
@@ -120,29 +141,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cycle = [start]
-            j = self.images[start]
-            seen[start] = True
-            while j != start:
-                seen[j] = True
-                cycle.append(j)
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return out
-
     def cycle_string(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
+        return cycle_string(self.images)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -23,7 +23,7 @@ from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus
 from .errors import CapExceeded, WidthExceeded
 from .permgroup import PermGroup, StabilizerChain
-from .permutation import Permutation
+from .permutation import Permutation, compose, invert, tuple_order
 
 YES = "yes"
 NO = "no"
@@ -167,7 +167,7 @@ def validate_vector(group: PermGroup, sig: Signature, vec: GeneratingVector) -> 
         return False
     everything = [p for ab in vec.hyperbolic for p in ab] + list(vec.elliptic)
     for p in everything:
-        if p not in group:
+        if p.images not in group:
             return False
     chain = StabilizerChain([p.images for p in everything], group.degree)
     return chain.order() == group.order
@@ -202,7 +202,7 @@ def find_generating_vector(
 
     els = group.elements(caps.oracle_search)
     orders = group.element_orders(caps.oracle_search)
-    by_order: dict[int, list[Permutation]] = {}
+    by_order: dict[int, list[tuple[int, ...]]] = {}
     for p, o in zip(els, orders):
         by_order.setdefault(o, []).append(p)
     for m in periods:
@@ -214,52 +214,52 @@ def find_generating_vector(
     target = group.order
     degree = group.degree
 
-    def generates(parts: list[Permutation]) -> bool:
-        chain = StabilizerChain([p.images for p in parts], degree)
-        return chain.order() == target
+    def generates(parts: list[tuple[int, ...]]) -> bool:
+        return StabilizerChain(parts, degree).order() == target
 
-    hyperbolic: list[Permutation] = []
-    elliptic: list[Permutation] = []
+    hyperbolic: list[tuple[int, ...]] = []
+    elliptic: list[tuple[int, ...]] = []
 
     def candidates(slot_order, first_slot):
         if first_slot:
-            return [p for p in reps if slot_order is None or p.order() == slot_order]
+            return [p for p in reps if slot_order is None or tuple_order(p) == slot_order]
         if slot_order is None:
             return els
         return by_order[slot_order]
 
-    def search_elliptic(i: int, prefix: Permutation) -> GeneratingVector | None:
+    def found_vector(ell: list[tuple[int, ...]]) -> GeneratingVector:
+        """The witness, as validated Permutations for the independent re-check."""
+        hyp = [Permutation(p) for p in hyperbolic]
+        return GeneratingVector(
+            hyperbolic=tuple(zip(hyp[0::2], hyp[1::2])),
+            elliptic=tuple(Permutation(p) for p in ell),
+        )
+
+    def search_elliptic(i: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
         if i == r - 1 and r >= 1:
-            last = prefix.inverse()
-            if last.order() != periods[-1]:
+            last = invert(prefix)
+            if tuple_order(last) != periods[-1]:
                 return None
-            parts = hyperbolic + elliptic + [last]
-            if not generates(parts):
+            if not generates(hyperbolic + elliptic + [last]):
                 return None
-            return GeneratingVector(
-                hyperbolic=tuple(zip(hyperbolic[0::2], hyperbolic[1::2])),
-                elliptic=tuple(elliptic + [last]),
-            )
+            return found_vector(elliptic + [last])
         if i == r:  # r == 0: product of commutators alone must be trivial
-            if not prefix.is_identity():
+            if prefix != identity:
                 return None
             parts = hyperbolic + elliptic
             if not parts or not generates(parts):
                 return None
-            return GeneratingVector(
-                hyperbolic=tuple(zip(hyperbolic[0::2], hyperbolic[1::2])),
-                elliptic=tuple(elliptic),
-            )
+            return found_vector(elliptic)
         first_slot = (h == 0 and i == 0)
         for c in candidates(periods[i], first_slot):
             elliptic.append(c)
-            found = search_elliptic(i + 1, prefix * c)
+            found = search_elliptic(i + 1, compose(prefix, c))
             if found:
                 return found
             elliptic.pop()
         return None
 
-    def search_hyperbolic(j: int, prefix: Permutation) -> GeneratingVector | None:
+    def search_hyperbolic(j: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
         if j == 2 * h:
             return search_elliptic(0, prefix)
         first_slot = (j == 0)
@@ -267,8 +267,8 @@ def find_generating_vector(
             hyperbolic.append(x)
             if j % 2 == 1:
                 a, b = hyperbolic[-2], hyperbolic[-1]
-                commutator = a * b * a.inverse() * b.inverse()
-                found = search_hyperbolic(j + 1, prefix * commutator)
+                commutator = compose(compose(compose(a, b), invert(a)), invert(b))
+                found = search_hyperbolic(j + 1, compose(prefix, commutator))
             else:
                 found = search_hyperbolic(j + 1, prefix)
             if found:

@@ -116,10 +116,10 @@ def exceptional_by_closing_every_pair(group):
     """Reference: close every (involution representative, order-3 element)
     pair, with no filter on ord(ab)."""
     best, kind, witness = 0, None, {}
-    invols = [r for r in group.class_representatives() if r.order() == 2]
+    invols = [r for r in map(Permutation, group.class_representatives()) if r.order() == 2]
     for a in invols:
-        for b in group.elements_of_order(3):
-            sub = closed_subgroup(group.degree, (a, b), 61)
+        for b in map(Permutation, group.elements_of_order(3)):
+            sub = closed_subgroup(group.degree, (a.images, b.images), 61)
             if sub is None or len(sub) not in FINGERPRINTS:
                 continue
             name, fingerprint = FINGERPRINTS[len(sub)]
@@ -134,8 +134,9 @@ def exceptional_by_closing_every_pair(group):
 def dihedral_by_scanning_every_class(group):
     """Reference: every class representative, largest order first, against
     every involution, with Permutation arithmetic."""
-    involutions = group.elements_of_order(2)
-    reps = sorted((r for r in group.class_representatives() if r.order() >= 2), key=lambda r: (-r.order(), r.images))
+    involutions = [Permutation(t) for t in group.elements_of_order(2)]
+    reps = sorted((r for r in map(Permutation, group.class_representatives()) if r.order() >= 2),
+                  key=lambda r: (-r.order(), r.images))
     for x in reps if involutions else ():
         powers = {(x ** k).images for k in range(x.order())}
         for t in involutions:

@@ -20,7 +20,7 @@ from edcert.permutation import Permutation, compose, identity_tuple, invert
 
 def brute_elements(group):
     """Independent element closure by plain set BFS over raw tuples."""
-    gens = [g.images for g in group.generators]
+    gens = group.generators
     elems = {identity_tuple(group.degree)}
     queue = list(elems)
     while queue:
@@ -36,7 +36,7 @@ def brute_elements(group):
 def test_trivial_group_has_order_one():
     g = PermGroup((), degree=1)
     assert g.order == 1
-    assert Permutation.identity(1) in g
+    assert Permutation.identity(1).images in g
 
 
 def test_empty_generators_need_degree():
@@ -69,12 +69,12 @@ def test_membership_of_random_generator_words(group_of):
     rng = random.Random(7)
     for text in ("A:5", "PSL2:7", "D:7"):
         g = group_of(text)
-        gens = g.generators
+        gens = [Permutation(s) for s in g.generators]
         for _ in range(100):
             word = Permutation.identity(g.degree)
             for _ in range(rng.randint(1, 12)):
                 word = word * rng.choice(gens)
-            assert word in g
+            assert word.images in g
 
 
 def test_membership_rejects_order_incompatible_permutations(group_of):
@@ -92,7 +92,7 @@ def test_membership_rejects_order_incompatible_permutations(group_of):
             if g.order % p.order() == 0:
                 continue
             found += 1
-            assert p not in g
+            assert p.images not in g
         assert found == 100
 
 
@@ -149,7 +149,7 @@ def test_has_element_of_order(group_of):
 def brute_normal_closure_order(group, seed):
     """Independent oracle: close the conjugacy class of `seed` under products."""
     everything = brute_elements(group)
-    cls = {compose(compose(invert_t(h), seed.images), h) for h in everything}
+    cls = {compose(compose(invert_t(h), seed), h) for h in everything}
     closure = set(cls) | {identity_tuple(group.degree)}
     queue = list(closure)
     while queue:
@@ -171,21 +171,21 @@ def invert_t(p):
 
 def test_normal_closure_examples(group_of):
     a4 = group_of("A:4")
-    double = Permutation.from_cycles([[0, 1], [2, 3]], 4)
+    double = Permutation.from_cycles([[0, 1], [2, 3]], 4).images
     closure = a4.normal_closure([double])
     assert closure.order == 4 == brute_normal_closure_order(a4, double)
 
     a5 = group_of("A:5")
-    three = Permutation.from_cycles([[0, 1, 2]], 5)
+    three = Permutation.from_cycles([[0, 1, 2]], 5).images
     assert a5.normal_closure([three]).order == 60
 
-    assert a5.normal_closure([Permutation.identity(5)]).order == 1
+    assert a5.normal_closure([Permutation.identity(5).images]).order == 1
 
 
 def test_a5_simplicity_against_all_element_closures(group_of):
     # the stated oracle: every one of the 59 nontrivial elements has full closure
     a5 = group_of("A:5")
-    nontrivial = [p for p in a5.elements() if not p.is_identity()]
+    nontrivial = [p for p in a5.elements() if not Permutation(p).is_identity()]
     assert len(nontrivial) == 59
     assert all(brute_normal_closure_order(a5, p) == 60 for p in nontrivial)
     assert a5.is_simple_nonabelian()
@@ -197,6 +197,23 @@ def test_simplicity_examples(group_of):
     assert not group_of("S:5").is_simple_nonabelian()
     assert group_of("A:6").is_simple_nonabelian()
     assert group_of("PSL2:11").is_simple_nonabelian()
+
+
+@pytest.mark.parametrize("text", ["C:1", "S:4", "A:5", "D:6", "PSL2:7"])
+def test_engine_elements_are_the_stored_tuples(group_of, text):
+    # classes hold the tuples of elements(), not copies, so they cost no memory of their own
+    g = group_of(text)
+    stored = {id(p) for p in g.elements()}
+    orders = set(g.element_orders())
+    values = [
+        *g.elements(),
+        *(p for m in orders for p in g.elements_of_order(m)),
+        *(p for m in orders for cls in g.classes_of_order(m) for p in cls),
+        *(p for cls in g.conjugacy_classes() for p in cls),
+        *g.class_representatives(),
+    ]
+    assert all(type(p) is tuple for p in values)
+    assert all(id(p) in stored for p in values)
 
 
 def test_conjugacy_classes_partition(group_of):
@@ -277,8 +294,8 @@ def test_max_proper_subgroup_witness_is_a_subgroup(group_of):
 
 def test_closed_subgroup_limit():
     a5_gens = (
-        Permutation.from_cycles([[0, 1, 2, 3, 4]], 5),
-        Permutation.from_cycles([[0, 1, 2]], 5),
+        Permutation.from_cycles([[0, 1, 2, 3, 4]], 5).images,
+        Permutation.from_cycles([[0, 1, 2]], 5).images,
     )
     assert closed_subgroup(5, a5_gens, 30) is None
     full = closed_subgroup(5, a5_gens, 61)
@@ -295,13 +312,13 @@ def test_chain_order_equals_brute_closure_on_random_groups(gens):
 def brute_classes(group):
     """Independent class partition: {g^-1 x g : g in G} for each x not yet
     covered, taken in enumeration order, so x is the class representative."""
-    pairs = [(invert(g.images), g.images) for g in group.elements()]
+    pairs = [(invert(g), g) for g in group.elements()]
     covered: set = set()
     out = []
     for x in group.elements():
-        if x.images in covered:
+        if x in covered:
             continue
-        cls = {tuple(g[x.images[i]] for i in ginv) for ginv, g in pairs}
+        cls = {tuple(g[x[i]] for i in ginv) for ginv, g in pairs}
         covered |= cls
         out.append((x, cls))
     return out
@@ -314,13 +331,13 @@ def test_conjugacy_classes_equal_brute_force_on_random_groups(gens):
     classes = g.conjugacy_classes()
     reference = brute_classes(g)
     assert [cls[0] for cls in classes] == [x for x, _ in reference]
-    assert [{p.images for p in cls} for cls in classes] == [members for _, members in reference]
+    assert [set(cls) for cls in classes] == [members for _, members in reference]
     assert all(len(cls) == len(set(cls)) for cls in classes)
     orders = set(g.element_orders())
     for m in orders | {max(orders) + 1}:
         by_order = g.classes_of_order(m)
-        assert by_order == tuple(cls for cls in classes if cls[0].order() == m)
-        assert all(p.order() == m for cls in by_order for p in cls)
+        assert by_order == tuple(cls for cls in classes if Permutation(cls[0]).order() == m)
+        assert all(Permutation(p).order() == m for cls in by_order for p in cls)
 
 
 PGL2_7 = "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)"
@@ -336,7 +353,7 @@ C2_4_C5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)
 def test_simplicity_agrees_with_sympy(group_of, text):
     combinatorics = pytest.importorskip("sympy.combinatorics")
     group = group_of(text)
-    theirs = combinatorics.PermutationGroup([combinatorics.Permutation(list(g.images)) for g in group.generators])
+    theirs = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in group.generators])
     # sympy's own classes and normal closures, over every nontrivial class
     reps = [next(iter(cls)) for cls in theirs.conjugacy_classes()]
     simple = theirs.order() > 1 and all(
@@ -347,7 +364,7 @@ def test_simplicity_agrees_with_sympy(group_of, text):
 
 def test_normal_closure_rejects_outside_seeds(group_of):
     with pytest.raises(ValidationError):
-        group_of("A:4").normal_closure([Permutation.from_cycles([[0, 1]], 4)])
+        group_of("A:4").normal_closure([Permutation.from_cycles([[0, 1]], 4).images])
 
 
 def test_sylow_rejects_non_prime(group_of):

@@ -1,11 +1,20 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from edcert.errors import ValidationError
-from edcert.permutation import Permutation, compose, identity_tuple, invert, tuple_order
+from edcert.permutation import (
+    Permutation,
+    compose,
+    cycle_string,
+    identity_tuple,
+    invert,
+    power,
+    tuple_order,
+)
 
 perms7 = st.permutations(list(range(7))).map(Permutation)
 
@@ -79,6 +88,32 @@ def test_compose_is_pointwise_p_then_q(degree):
     rng.shuffle(p)
     rng.shuffle(q)
     assert compose(p, q) == tuple(q[p[i]] for i in range(degree))  # a tuple at every degree
+
+
+KERNEL_DEGREES = [0, 1, 2, 6]  # degree 1 is the single-index edge of compose
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+@given(data=st.data())
+def test_power_is_repeated_compose(degree, data):
+    p = tuple(data.draw(st.permutations(list(range(degree)))))
+    expected = identity_tuple(degree)
+    for k in range(2 * tuple_order(p) + 1):
+        assert power(p, k) == expected
+        expected = compose(expected, p)
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+@given(data=st.data())
+def test_cycle_string_round_trips_through_from_cycles(degree, data):
+    p = tuple(data.draw(st.permutations(list(range(degree)))))
+    cycles = [[int(x) for x in body.split()] for body in re.findall(r"\(([^)]*)\)", cycle_string(p))]
+    assert Permutation.from_cycles(cycles, degree).images == p
+
+
+@pytest.mark.parametrize("degree", KERNEL_DEGREES)
+def test_cycle_string_of_identity(degree):
+    assert cycle_string(identity_tuple(degree)) == "()"
 
 
 def test_immutability():

@@ -4,6 +4,7 @@ import pytest
 
 from edcert.config import Caps
 from edcert.errors import CapExceeded, WidthExceeded
+from edcert.permutation import Permutation
 from edcert.rhoracle import (
     NO,
     UNKNOWN,
@@ -87,7 +88,7 @@ def test_vector_validation_rejects_tampering(group_of):
     a5 = group_of("A:5")
     sig = Signature(0, (2, 3, 5))
     vec = find_generating_vector(a5, sig)
-    broken = GeneratingVector(hyperbolic=(), elliptic=vec.elliptic[:2] + (a5.identity(),))
+    broken = GeneratingVector(hyperbolic=(), elliptic=vec.elliptic[:2] + (Permutation.identity(5),))
     assert not validate_vector(a5, sig, broken)
     wrong_sig = Signature(0, (2, 3, 3))
     assert not validate_vector(a5, wrong_sig, vec)
