@@ -9,7 +9,7 @@ same file byte for byte (compare them with ``cmp`` or ``diff``).  The corpus
 covers ``certify`` at ten values of n and ``maxn`` in all three modes on 18
 groups, the PSL2 table 7..61 in all three modes, ``oracle rh``, the ``rh``
 branch-data table, both paths to the ``h_n`` table, and ``compare`` and
-``oracle min-index`` (the Sylow and subgroup searches) on 14 groups.
+``oracle min-index`` (the Sylow and subgroup searches) on 16 groups.
 """
 
 import contextlib
@@ -26,9 +26,11 @@ GROUPS = [
 NS = [2, 3, 4, 5, 6, 7, 9, 10, 14, 24]
 PGL2_7 = "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)"
 C2_4_C5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)(2 3 11 7 13)(4 6 5 14 9)"
+C2_3_S3 = "perm:9:(0 1),(2 3),(4 5),(6 7 8),(6 7)"
+AGL1_8 = "perm:8:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5)"
 SEARCH_GROUPS = [
     "A:5", "A:6", "A:7", "PSL2:7", "PSL2:11", "PSL2:13", "S:4", "S:5", "C:12", "D:6", "D:10",
-    "perm:5:(0 1 2 3 4),(0 1 2)", PGL2_7, C2_4_C5,
+    "perm:5:(0 1 2 3 4),(0 1 2)", PGL2_7, C2_4_C5, C2_3_S3, AGL1_8,
 ]
 MODES = ["computed", "hybrid", "paper-formula"]
 JSON = ["--json", "--no-timing"]

@@ -32,7 +32,7 @@ from .catalogue import GroupSpec, family_overrides
 from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
-from .permgroup import PermGroup, closed_subgroup, max_proper_subgroup
+from .permgroup import PermGroup, closed_subgroup, first_embedding_degree, max_proper_subgroup
 from .permutation import compose, cycle_string, invert, power, tuple_order
 from . import rhoracle
 
@@ -170,22 +170,20 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
     detail: dict = {"order": order, "n": n}
 
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
-    checks = []
-    certified = True
-    for k in range(2, n + 1):
-        half = factorial(k) // 2
-        divides = half % order == 0
-        checks.append({"k": k, "half_factorial": half, "divides": divides})
-        if divides:
-            certified = False
-            break
-    detail["divisibility_checks"] = checks
-    if certified:
+    k0 = first_embedding_degree(order)
+    detail["divisibility_checks"] = [
+        {"k": k, "half_factorial": factorial(k) // 2, "divides": k == k0} for k in range(2, min(n, k0) + 1)
+    ]
+    if n < k0:
         return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
 
     found = _min_proper_index(spec, group, mode, caps)
     if found is None:
-        detail["note"] = "divisibility inconclusive and group exceeds the subgroup-search cap"
+        why = (
+            "group exceeds the subgroup-search cap" if order > caps.subgroup_search
+            else "the k!/2 bound does not prove the searched index"
+        )
+        detail["note"] = f"divisibility inconclusive and {why}"
         return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
     method, d, facts = found
     detail["min_proper_index"] = d
@@ -208,8 +206,9 @@ def _min_proper_index(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) 
 
     The literature constant in hybrid and paper_formula modes (facts: its
     provenance), else the brute-force search within the subgroup-search cap
-    (facts: the largest proper subgroup order and its generators); None
-    beyond both.
+    (facts: the largest proper subgroup order and its generators), kept
+    only when it equals `first_embedding_degree(|G|)`, the k!/2 lower bound
+    on d(G) for the simple groups condition 1 asks about; None otherwise.
     """
     if mode in (HYBRID, PAPER_FORMULA):
         constants = family_overrides(spec)
@@ -218,7 +217,8 @@ def _min_proper_index(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) 
     if group.order > caps.subgroup_search:
         return None
     best, witness = max_proper_subgroup(group, caps.subgroup_search)
-    return "brute_force", group.order // best, (best, witness)
+    d = group.order // best
+    return ("brute_force", d, (best, witness)) if d == first_embedding_degree(group.order) else None
 
 
 # -- condition 2: a large Moebius subgroup -------------------------------------
@@ -330,22 +330,18 @@ def cond2_mobius_subgroup(
     detail: dict = {"n": n, "required_order": n + 1}
     search = _MobiusSearch()
 
-    if mode == PAPER_FORMULA:
-        report = _cond2_cyclic_only(spec, group, n, caps, detail)
-        if report is not None:
-            return report
-
     try:
+        if mode == PAPER_FORMULA:
+            return _cond2_cyclic_only(spec, group, n, caps, detail)
         _search_cyclic(group, caps, search)
         if exhaustive or search.best() <= n:
             _search_dihedral(group, caps, search)
         if exhaustive or search.best() <= n:
             _search_exceptional(group, caps, search)
     except CapExceeded:
-        if mode in (HYBRID, PAPER_FORMULA):
-            report = _cond2_cyclic_only(spec, group, n, caps, detail)
-            if report is not None:
-                return report
+        constants = family_overrides(spec)
+        if mode == HYBRID and constants is not None and constants.max_element_order is not None:
+            return _cond2_cyclic_only(spec, group, n, caps, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"
         return ConditionReport(COND_MOBIUS, UNKNOWN, None, detail)
 
@@ -366,26 +362,17 @@ def cond2_mobius_subgroup(
     return ConditionReport(COND_MOBIUS, REFUTED, "exceptional_search", detail)
 
 
-def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport | None:
-    """Cyclic witness from family constants (paper-formula and hybrid fallback)."""
+def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport:
+    """Cyclic witness from family constants (paper-formula and hybrid fallback),
+    else from the largest element order; raises CapExceeded beyond the cap."""
     constants = family_overrides(spec)
     if constants is None or constants.max_element_order is None:
-        try:
-            m = group.max_element_order(caps.enumeration)
-        except CapExceeded:
-            return None
-        detail["cyclic_max"] = m
-        verdict = CERTIFIED if m > n else REFUTED
-        return ConditionReport(
-            COND_MOBIUS, verdict, "cyclic_search", dict(detail, best_order=m, witness={"type": "cyclic", "order": m})
-        )
-    m = constants.max_element_order
-    detail["cyclic_max"] = m
-    detail["provenance"] = constants.provenance
-    verdict = CERTIFIED if m > n else REFUTED
-    return ConditionReport(
-        COND_MOBIUS, verdict, "literature_override", dict(detail, best_order=m, witness={"type": "cyclic", "order": m})
-    )
+        method, m = "cyclic_search", group.max_element_order(caps.enumeration)
+    else:
+        method, m = "literature_override", constants.max_element_order
+        detail["provenance"] = constants.provenance
+    detail.update(cyclic_max=m, best_order=m, witness={"type": "cyclic", "order": m})
+    return ConditionReport(COND_MOBIUS, CERTIFIED if m > n else REFUTED, method, detail)
 
 
 # -- condition 3: no action on curves of small genus ---------------------------
@@ -522,11 +509,6 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     )
 
 
-def _floor_sqrt_fraction(num: int, den: int) -> int:
-    """floor(sqrt(num/den)) in exact integer arithmetic."""
-    return isqrt(num * den) // den
-
-
 def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Per-condition maxima and the largest n certified by all three.
 
@@ -562,9 +544,7 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
     elif mode != PAPER_FORMULA:
         # largest n the divisibility certificate reaches: the first k
         # with |G| | k!/2 cannot be ruled out
-        k = 2
-        while factorial(k) // 2 % order != 0:
-            k += 1
+        k = first_embedding_degree(order)
         cond1_max = k - 1
         details["cond1"] = {"method": "divisibility", "first_admissible_embedding_degree": k}
 
@@ -586,7 +566,7 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         details["cond3"] = {"method": "genus_le1_rule", "note": "order-60 simple group is the icosahedral Moebius group"}
     elif mode == PAPER_FORMULA:
         # n <= 1 + floor(sqrt(1 + |G|/84)), non-strict as printed
-        cond3_max = 1 + _floor_sqrt_fraction(84 + order, 84)
+        cond3_max = 1 + isqrt((84 + order) // 84)  # floor(sqrt(x)) = isqrt(floor(x))
         details["cond3"] = {"method": "hurwitz", "reading": "non_strict", "hurwitz_floor": floor}
     else:
         cond3_max = 1 + isqrt(floor - 1)  # largest n with (n-1)^2 < floor

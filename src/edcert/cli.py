@@ -278,10 +278,9 @@ def _cmd_compare(args, started) -> int:
 
 def _cmd_rh(args, started) -> int:
     caps = _caps(args)
-    spec, group = _group(args)
+    _, group = _group(args)
     sigs = rhoracle.enumerate_signatures(group, args.genus_max, caps)
     table = []
-    lines = [f"{spec.canonical()}  order {group.order}  branch data up to genus {args.genus_max}:"]
     for g, sig in sigs:
         try:
             vec = rhoracle.find_generating_vector(group, sig, caps)
@@ -296,9 +295,7 @@ def _cmd_rh(args, started) -> int:
             "vector": vec.to_json() if vec else None,
         }
         table.append(entry)
-        mark = "witness" if vec else ("no vector" if searched else "not searched")
-        lines.append(f"  genus {g:>3d}  {sig.label():24s} {mark}")
-    _emit(args, table, lines, started)
+    _emit(args, table, [], started)  # rh always emits JSON
     return 0
 
 
@@ -307,8 +304,11 @@ def _cmd_oracle(args, started) -> int:
     if args.oracle_command == "min-index":
         spec, group = _group(args)
         index = min_proper_subgroup_index(group, caps.subgroup_search)
-        _emit(args, {"group": spec.canonical(), "min_index": index}, [f"min proper-subgroup index: {index}"], started)
-        return 0
+        payload = {"group": spec.canonical(), "min_index": index}
+        if index is None:
+            payload["reason"] = "neither the derived-subgroup test nor the k!/2 embedding bound decides d(G)"
+        _emit(args, payload, [f"min proper-subgroup index: {'unknown' if index is None else index}"], started)
+        return 0 if index is not None else 1
     if args.oracle_command == "rh":
         spec, group = _group(args)
         verdict = rhoracle.acts_on_genus_le(group, args.genus_max, caps)

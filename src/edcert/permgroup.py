@@ -19,7 +19,7 @@ Element-level queries work one order at a time, resting on two facts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS
@@ -528,13 +528,12 @@ def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -
 def max_proper_subgroup(
     group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Order and generators of a proper subgroup of maximal order.
+    """Order and generators of the largest proper subgroup a search finds.
 
-    Exhausts subgroups generated by a conjugacy-class representative plus one
-    further element (plus a third generator when |G| <= 60).  Up to
-    conjugation this covers every 2-generated subgroup, hence every maximal
-    subgroup of the nonabelian simple groups within the cap, which are the
-    groups the certifier feeds to this oracle.
+    Searches the subgroups generated by a conjugacy-class representative
+    plus one further element, the cyclic ones included.  The witness is
+    always a proper subgroup, so |G| / order bounds d(G) from above; the
+    search alone does not prove that bound exact.
     """
     n = group.order
     if n == 1:
@@ -549,35 +548,51 @@ def max_proper_subgroup(
     best = 1
     witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:
-        if best < tuple_order(rep) < n:
-            best = tuple_order(rep)
-            witness = (rep,)
-    for rep in reps:
         for b in els:
             sub = closed_subgroup(group.degree, (rep, b), limit)
             if sub is not None and len(sub) > best:
                 best = len(sub)
                 witness = (rep, b)
-    if n <= 60:
-        for rep in reps:
-            for i, b in enumerate(els):
-                for c in els[i + 1:]:
-                    sub = closed_subgroup(group.degree, (rep, b, c), limit)
-                    if sub is not None and len(sub) > best:
-                        best = len(sub)
-                        witness = (rep, b, c)
     return best, witness
 
 
-def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search) -> int:
-    """Minimal index of a proper subgroup, by exhaustive generated-subgroup
-    search (abelian groups short-circuit to their smallest prime divisor)."""
+def first_embedding_degree(order: int) -> int:
+    """Least k >= 2 with `order` dividing k!/2.
+
+    A nonabelian simple group with a subgroup of index k acts faithfully on
+    its k cosets by even permutations, so it embeds in A_k and its order
+    divides k!/2: this k is a lower bound on d(G) for such a group.
+    """
+    k, rest = 2, order  # rest: the part of order that does not divide k!/2 = 3 * 4 * ... * k
+    while rest > 1:
+        k += 1
+        rest //= gcd(rest, k)
+    return k
+
+
+def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search) -> int | None:
+    """d(G), the least index of a proper subgroup, or None when unproven.
+
+    Let p be the least prime dividing |G|.  No index below p divides |G|, a
+    subgroup of index p is normal with quotient C_p and so contains the
+    derived subgroup G', and the abelian G/G' has a subgroup of index p
+    whenever p divides |G : G'|: then d(G) = p.  Otherwise, for G
+    nonabelian simple only, the subgroup search bounds d(G) from above, and
+    the bound is returned when `first_embedding_degree` proves it least.
+    """
     n = group.order
     if n == 1:
         raise ValidationError("the trivial group has no proper subgroup")
     if n > cap:
         raise CapExceeded(f"order {n} exceeds the subgroup-search cap {cap}", needed=n, cap=cap)
-    if group.is_abelian():
-        return prime_factors(n)[0]
+    p = prime_factors(n)[0]
+    gens = group.generators
+    # G' is the normal closure of the commutators of the generators
+    commutators = [compose(compose(invert(a), invert(b)), compose(a, b)) for i, a in enumerate(gens) for b in gens[:i]]
+    if n // group.normal_closure(commutators).order % p == 0:
+        return p
+    if not group.is_simple_nonabelian(cap):
+        return None
     best, _ = max_proper_subgroup(group, cap)
-    return n // best
+    d = n // best
+    return d if d == first_embedding_degree(n) else None

@@ -135,6 +135,15 @@ def test_oracle_min_index(capsys):
     assert code == 1  # over the subgroup-search cap
 
 
+def test_oracle_min_index_unknown_exits_1(capsys):
+    # C2^4:C5: its translations have index 5, which the subgroup search misses
+    c2_4_c5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)(2 3 11 7 13)(4 6 5 14 9)"
+    code, envelope = run_json(capsys, "oracle", "min-index", "--group", c2_4_c5)
+    assert code == 1
+    assert envelope["payload"]["min_index"] is None
+    assert envelope["payload"]["reason"]
+
+
 def test_oracle_rh(capsys):
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "3")
     assert code == 0

@@ -1,8 +1,8 @@
 import random
-from math import lcm
+from math import factorial, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from edcert.catalogue import build, parse_group_spec
@@ -10,6 +10,7 @@ from edcert.errors import CapExceeded, NotDividing, ValidationError
 from edcert.permgroup import (
     PermGroup,
     closed_subgroup,
+    first_embedding_degree,
     max_proper_subgroup,
     min_proper_subgroup_index,
     prime_factors,
@@ -375,3 +376,76 @@ def test_sylow_rejects_non_prime(group_of):
 def test_min_index_rejects_trivial():
     with pytest.raises(ValidationError):
         min_proper_subgroup_index(PermGroup((), degree=1))
+
+
+AGL1_8 = "perm:8:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5)"
+C2_3_S3 = "perm:9:(0 1),(2 3),(4 5),(6 7 8),(6 7)"
+
+
+def test_min_index_is_unknown_without_a_proof(group_of):
+    # neither group is simple and 2 does not divide |G : G'| (5 and 7), so
+    # nothing proves an index: d is 5 and 7, the translation subgroups, and
+    # the pair search answers 16 on C2^4:C5
+    assert min_proper_subgroup_index(group_of(C2_4_C5)) is None
+    assert min_proper_subgroup_index(group_of(AGL1_8)) is None
+
+
+def test_min_index_from_the_derived_subgroup(group_of):
+    assert min_proper_subgroup_index(group_of(C2_3_S3)) == 2
+
+
+def test_first_embedding_degree_matches_the_factorial_loop():
+    for order in range(1, 3001):
+        k, half = 2, factorial(2) // 2
+        while half % order:
+            k += 1
+            half *= k  # k!/2
+        assert first_embedding_degree(order) == k, order
+
+
+def brute_min_index(group):
+    """d(G) from every proper subgroup.  Each subgroup is a join of cyclic
+    subgroups, so adjoining one element at a time, starting from the cyclic
+    subgroups and keeping the proper results, reaches all of them."""
+    els = group.elements()
+    n = len(els)
+    position = {x: i for i, x in enumerate(els)}
+    table = [[position[compose(a, b)] for b in els] for a in els]
+    identity = position[identity_tuple(group.degree)]
+
+    def closure(gens):
+        members, queue = {identity}, [identity]
+        while queue:
+            row = table[queue.pop()]
+            for g in gens:
+                if row[g] not in members:
+                    members.add(row[g])
+                    queue.append(row[g])
+        return frozenset(members)
+
+    proper: dict = {}  # proper subgroup -> a generating tuple
+    queue = []
+
+    def keep(gens):
+        sub = closure(gens)
+        if len(sub) < n and sub not in proper:
+            proper[sub] = gens
+            queue.append(sub)
+
+    for g in range(n):
+        keep((g,))
+    while queue:
+        h = queue.pop()
+        for g in range(n):
+            if g not in h:
+                keep(proper[h] + (g,))
+    return n // max(map(len, proper), default=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)))
+def test_min_index_is_right_or_unknown_on_random_groups(gens):
+    g = PermGroup([Permutation(x) for x in gens])
+    assume(g.order > 1)
+    index = min_proper_subgroup_index(g)
+    assert index is None or index == brute_min_index(g)
