@@ -164,10 +164,18 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
     subgroup embeds in the alternating group of degree k, so |G| must
     divide k!/2), then d(G) from `_min_proper_index`: literature constants
     (hybrid and paper_formula modes) or brute-force subgroup search (the
-    oracle, for |G| within the subgroup-search cap).
+    oracle, for |G| within the subgroup-search cap).  Both rest on G being
+    nonabelian simple: raises NotSimple when `decide_simplicity` says it is
+    not, and answers `unknown` when simplicity is undecided.
     """
     order = group.order
     detail: dict = {"order": order, "n": n}
+    simple, _ = decide_simplicity(spec, group, mode, caps)
+    if simple is False:
+        raise NotSimple("condition 1 requires a nonabelian simple group")
+    if simple is None:
+        detail["note"] = "simplicity undecided within caps"
+        return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
 
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
     k0 = first_embedding_degree(order)
@@ -325,7 +333,9 @@ def cond2_mobius_subgroup(
     Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
     stopping at the first stage that certifies (unless `exhaustive`, which
     runs all three to find the true maximum).  Refutation is sound because
-    each stage is exhaustive up to conjugacy for its subgroup type.
+    each stage is exhaustive up to conjugacy for its subgroup type.  The
+    paper-formula mode, and the hybrid fallback beyond the enumeration cap,
+    consider cyclic subgroups only and so never refute.
     """
     detail: dict = {"n": n, "required_order": n + 1}
     search = _MobiusSearch()
@@ -364,7 +374,12 @@ def cond2_mobius_subgroup(
 
 def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport:
     """Cyclic witness from family constants (paper-formula and hybrid fallback),
-    else from the largest element order; raises CapExceeded beyond the cap."""
+    else from the largest element order; raises CapExceeded beyond the cap.
+
+    A cyclic subgroup of order m > n certifies.  m <= n refutes nothing: a
+    dihedral or exceptional subgroup may still be larger (PSL2(7) has
+    largest element order 7 but contains S4), so the answer is `unknown`.
+    """
     constants = family_overrides(spec)
     if constants is None or constants.max_element_order is None:
         method, m = "cyclic_search", group.max_element_order(caps.enumeration)
@@ -372,7 +387,10 @@ def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport:
         method, m = "literature_override", constants.max_element_order
         detail["provenance"] = constants.provenance
     detail.update(cyclic_max=m, best_order=m, witness={"type": "cyclic", "order": m})
-    return ConditionReport(COND_MOBIUS, CERTIFIED if m > n else REFUTED, method, detail)
+    if m > n:
+        return ConditionReport(COND_MOBIUS, CERTIFIED, method, detail)
+    detail["note"] = "only cyclic subgroups were considered"
+    return ConditionReport(COND_MOBIUS, UNKNOWN, method, detail)  # method: where cyclic_max came from
 
 
 # -- condition 3: no action on curves of small genus ---------------------------

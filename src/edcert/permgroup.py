@@ -14,12 +14,18 @@ Element-level queries work one order at a time, resting on two facts:
   partitioned into classes on its own (``classes_of_order``);
 * every nontrivial normal subgroup contains an element of prime order, so
   the normal closures of the classes of prime order decide simplicity.
+
+Simplicity is first tried from the chain alone, before any element is
+enumerated: the derived subgroup, the order of the alternating group, and
+Iwasawa's criterion for 2-transitive groups (Iwasawa, Proc. Imp. Acad.
+Tokyo 17, 1941; Dixon & Mortimer, Permutation Groups, GTM 163, 7.2).  The
+class-by-class test runs only when none of them applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS
@@ -199,6 +205,7 @@ class PermGroup:
         self._partitions: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
         self._classes: tuple[tuple[tuple[int, ...], ...], ...] | None = None
         self._simple: bool | None = None
+        self._derived: PermGroup | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -344,27 +351,71 @@ class PermGroup:
                 queue.append(compose(compose(ginv, x), g))
         return PermGroup(closure_gens, degree=self.degree)
 
+    def derived_subgroup(self) -> "PermGroup":
+        """G', the normal closure of the commutators of the generators."""
+        if self._derived is None:
+            gens = self.generators
+            self._derived = self.normal_closure(
+                compose(compose(invert(a), invert(b)), compose(a, b)) for i, a in enumerate(gens) for b in gens[:i]
+            )
+        return self._derived
+
     def is_simple_nonabelian(self, cap: int = DEFAULT_CAPS.enumeration) -> bool:
         """True iff the group is nonabelian with no proper nontrivial normal
         subgroup.
 
-        Every nontrivial normal subgroup contains an element of some prime
-        order q dividing |G|, and with it that element's whole class, so the
-        group is simple iff the normal closure of each representative of a
-        class of prime order is the whole group.
+        `_simplicity_from_chain` decides most groups without enumerating an
+        element.  Otherwise: every nontrivial normal subgroup contains an
+        element of some prime order q dividing |G|, and with it that
+        element's whole class, so the group is simple iff the normal closure
+        of each representative of a class of prime order is the whole group.
+        The cap applies either way.
         """
         self._check_cap(cap)
         if self._simple is None:
-            self._simple = (
-                self.order > 1
-                and not self.is_abelian()
-                and all(
+            simple = self._simplicity_from_chain()
+            if simple is None:
+                simple = all(
                     self.normal_closure([cls[0]]).order == self.order
                     for q in prime_factors(self.order)
                     for cls in self.classes_of_order(q, cap)
                 )
-            )
+            self._simple = simple
         return self._simple
+
+    def _simplicity_from_chain(self) -> bool | None:
+        """Nonabelian simplicity from chain-only facts, or None.
+
+        * A group of order d!/2 on d >= 5 points is the alternating group
+          A_d, the only subgroup of index 2 in S_d, and is simple.
+        * An abelian group, or one whose derived subgroup is proper, is not.
+        * Iwasawa's criterion: let G be perfect and 2-transitive (the chain's
+          orbits begin d, d - 1), H the stabilizer of the first base point
+          and K != 1 the first abelian term of H's derived series, normal in
+          H.  If the normal closure of K is G, then G is simple: a normal
+          N != 1 of the primitive G is transitive, so G = NH, every
+          conjugate of K lies in NK, G = NK, and G/N, a quotient of the
+          abelian K, is trivial because G is perfect.
+
+        None when the series reaches a perfect term, K = 1, the closure of K
+        is proper, or G is not 2-transitive.
+        """
+        d = self.degree
+        if d >= 5 and self.order == factorial(d) // 2:
+            return True
+        if self.is_abelian() or self.derived_subgroup().order < self.order:
+            return False
+        if self.orbit_sizes()[:2] != (d, d - 1):
+            return None
+        k = PermGroup(self._chain.levels[1].gens, degree=d)
+        while not k.is_abelian():
+            derived = k.derived_subgroup()
+            if derived.order == k.order:
+                return None
+            k = derived
+        if k.order > 1 and self.normal_closure(k.generators).order == self.order:
+            return True
+        return None
 
 
 # -- Sylow subgroups ----------------------------------------------------------
@@ -531,9 +582,11 @@ def max_proper_subgroup(
     """Order and generators of the largest proper subgroup a search finds.
 
     Searches the subgroups generated by a conjugacy-class representative
-    plus one further element, the cyclic ones included.  The witness is
-    always a proper subgroup, so |G| / order bounds d(G) from above; the
-    search alone does not prove that bound exact.
+    plus one further element, the cyclic ones included.  An element lying
+    in a subgroup already closed for the same representative is skipped:
+    the pair would generate a subgroup of that one, which cannot beat the
+    best found.  The witness is always a proper subgroup, so |G| / order
+    bounds d(G) from above; the search alone does not prove that bound exact.
     """
     n = group.order
     if n == 1:
@@ -548,9 +601,15 @@ def max_proper_subgroup(
     best = 1
     witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:
+        covered: set[tuple[int, ...]] = set()  # union of the subgroups closed for rep
         for b in els:
+            if b in covered:
+                continue
             sub = closed_subgroup(group.degree, (rep, b), limit)
-            if sub is not None and len(sub) > best:
+            if sub is None:
+                continue
+            covered |= sub
+            if len(sub) > best:
                 best = len(sub)
                 witness = (rep, b)
     return best, witness
@@ -586,10 +645,7 @@ def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup
     if n > cap:
         raise CapExceeded(f"order {n} exceeds the subgroup-search cap {cap}", needed=n, cap=cap)
     p = prime_factors(n)[0]
-    gens = group.generators
-    # G' is the normal closure of the commutators of the generators
-    commutators = [compose(compose(invert(a), invert(b)), compose(a, b)) for i, a in enumerate(gens) for b in gens[:i]]
-    if n // group.normal_closure(commutators).order % p == 0:
+    if n // group.derived_subgroup().order % p == 0:
         return p
     if not group.is_simple_nonabelian(cap):
         return None

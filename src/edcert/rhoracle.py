@@ -110,7 +110,8 @@ def enumerate_signatures(
     the Riemann-Hurwitz identity with periods drawn from element orders.
 
     Output is sorted by (genus, quotient genus, periods) and duplicate-free;
-    periods are canonical ascending tuples.
+    periods are canonical ascending tuples.  The oracle enumeration cap
+    bounds both |G| and the number of data listed.
     """
     if group.order > caps.oracle_enumeration:
         raise CapExceeded(
@@ -132,6 +133,13 @@ def enumerate_signatures(
             g2 = order * (2 * h - 2 + total) + 2
             if g2 % 2 == 0 and 0 <= g2 // 2 <= genus_max:
                 results.append((int(g2 // 2), Signature(h, partial)))
+                if len(results) > caps.oracle_enumeration:
+                    raise CapExceeded(
+                        f"more than {caps.oracle_enumeration} branch data up to genus {genus_max}"
+                        " (the oracle enumeration cap)",
+                        needed=len(results),
+                        cap=caps.oracle_enumeration,
+                    )
 
         def extend(partial: tuple[int, ...], total: Fraction, start: int) -> None:
             emit(h, partial, total)
@@ -294,6 +302,8 @@ def acts_on_genus_le(group: PermGroup, genus: int, caps: Caps = DEFAULT_CAPS) ->
     """
     if genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
+    if group.order > caps.oracle_enumeration:
+        return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
     try:
         simple = group.is_simple_nonabelian(caps.enumeration)
     except CapExceeded:
@@ -313,7 +323,7 @@ def acts_on_genus_le(group: PermGroup, genus: int, caps: Caps = DEFAULT_CAPS) ->
             try:
                 sigs = enumerate_signatures(group, bound, caps)
             except CapExceeded:
-                return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
+                return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
         for g, sig in sigs:
             if g <= searched:
                 continue

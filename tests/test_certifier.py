@@ -2,8 +2,10 @@ from collections import Counter
 from math import factorial, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edcert.catalogue import parse_group_spec
+from edcert.catalogue import build, parse_group_spec
 from edcert.certifier import (
     CERTIFIED,
     COMPUTED,
@@ -23,7 +25,7 @@ from edcert.certifier import (
 from edcert.config import Caps
 from edcert.errors import NotSimple, ValidationError
 from edcert.permgroup import closed_subgroup
-from edcert.permutation import Permutation
+from edcert.permutation import Permutation, cycle_string
 
 
 def crt(group_of, text, n, mode=COMPUTED, caps=Caps()):
@@ -81,6 +83,14 @@ def test_cond1_literature_override_in_hybrid(group_of):
     # computed mode has no fallback once divisibility fails on a big group
     report = cond1_no_small_index(spec, g, 199, COMPUTED, Caps())
     assert report.verdict == UNKNOWN
+
+
+@pytest.mark.parametrize("mode", [COMPUTED, HYBRID])
+def test_cond1_refuses_non_simple_groups(group_of, mode):
+    # 24 divides no k!/2 for k <= 3, yet A4 has index 2 in S4: the k!/2
+    # certificate holds for simple groups only
+    with pytest.raises(NotSimple):
+        cond1_no_small_index(parse_group_spec("S:4"), group_of("S:4"), 3, mode, Caps())
 
 
 # -- condition 2 -----------------------------------------------------------------
@@ -168,6 +178,49 @@ def test_dihedral_search_equals_scanning_every_class(group_of, text):
     order, generators = dihedral_by_scanning_every_class(group_of(text))
     assert search.dihedral == order
     assert search.witness.get("generators") == generators
+
+
+@pytest.mark.parametrize(
+    "text, n, mode, cyclic_max",
+    [("PSL2:59", 59, HYBRID, 59),  # beyond the enumeration cap; contains A5 and D60
+     ("PSL2:61", 100, HYBRID, 61),  # contains D122, as 61 = 1 mod 4
+     ("PSL2:7", 7, PAPER_FORMULA, 7)],  # contains S4
+)
+def test_cyclic_only_search_does_not_refute(group_of, text, n, mode, cyclic_max):
+    report = crt(group_of, text, n, mode).condition("mobius_subgroup")
+    assert report.verdict == UNKNOWN
+    assert report.detail["note"] == "only cyclic subgroups were considered"
+    assert report.detail["best_order"] == cyclic_max
+
+
+def test_maxn_keeps_the_cyclic_bound_beyond_the_cap(group_of):
+    assert bound(group_of, "PSL2:59", HYBRID).cond2_max == 58
+
+
+def assert_mobius_refutations_are_exhaustive(text, ns):
+    """Every mobius_subgroup refutation, in any mode, agrees with the
+    exhaustive computed search, and so does every certification."""
+    spec = parse_group_spec(text)
+    group = build(spec)
+    best = cond2_mobius_subgroup(spec, group, 1, COMPUTED, Caps(), exhaustive=True).detail["best_order"]
+    for mode in (COMPUTED, HYBRID, PAPER_FORMULA):
+        for n in ns:
+            verdict = cond2_mobius_subgroup(spec, group, n, mode, Caps()).verdict
+            assert verdict != REFUTED or best <= n, (text, mode, n)
+            assert verdict != CERTIFIED or best > n, (text, mode, n)
+
+
+@pytest.mark.parametrize("text", ["A:5", "A:6", "PSL2:7", "PSL2:11", "PSL2:13", "S:4", "C:7", "D:6"])
+def test_mobius_refutations_agree_with_the_exhaustive_search(text):
+    assert_mobius_refutations_are_exhaustive(text, range(2, 62))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)))
+def test_mobius_refutations_agree_on_random_groups(gens):
+    degree = len(gens[0])
+    text = f"perm:{degree}:" + ",".join(cycle_string(tuple(g)) for g in gens)
+    assert_mobius_refutations_are_exhaustive(text, range(2, 26))
 
 
 def test_cond2_refutes_tiny_group(group_of):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -321,6 +322,16 @@ def test_rh_over_cap_exits_one(capsys):
     code, _, err = run(capsys, "rh", "--group", "PSL2:31", "--genus-max", "2")
     assert code == 1
     assert "cap" in err
+
+
+def test_rh_listing_stops_at_the_enumeration_cap(capsys):
+    # C:6 has 926,088 branch data up to genus 200, more than the cap of 10,000;
+    # the listing stops at the cap instead of running for minutes
+    started = time.perf_counter()
+    code, _, err = run(capsys, "rh", "--group", "C:6", "--genus-max", "200")
+    assert code == 1
+    assert "more than 10000 branch data" in err
+    assert time.perf_counter() - started < 10
 
 
 def test_oracle_rh_undecided_exits_one(capsys):

@@ -343,13 +343,22 @@ def test_conjugacy_classes_equal_brute_force_on_random_groups(gens):
 
 PGL2_7 = "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)"
 C2_4_C5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)(2 3 11 7 13)(4 6 5 14 9)"
+A5_X_A5 = "perm:10:(0 1 2 3 4),(0 1 2),(5 6 7 8 9),(5 6 7)"
+# ASL(2,5) on the 25 points x + 5y of F_5^2: a translation and two generators
+# of SL(2,5); 2-transitive and perfect, but the translations are normal
+ASL2_5 = (
+    "perm:25:(0 1 2 3 4)(5 6 7 8 9)(10 11 12 13 14)(15 16 17 18 19)(20 21 22 23 24),"
+    "(5 6 7 8 9)(10 12 14 11 13)(15 18 16 19 17)(20 24 23 22 21),"
+    "(1 5 4 20)(2 10 3 15)(6 9 24 21)(7 14 23 16)(8 19 22 11)(12 13 18 17)"
+)
 
 
 @pytest.mark.parametrize(
     "text",
     ["A:5", "A:6", "A:7", "PSL2:7", "PSL2:11", "PSL2:13",
      "A:4", "S:4", "S:5", "D:5", "D:10", "C:7", PGL2_7, C2_4_C5,
-     "perm:7:(0 1 2 3 4 5 6),(1 2 4)(3 6 5)"],  # C7:C3, whose order-3 elements generate it
+     "perm:7:(0 1 2 3 4 5 6),(1 2 4)(3 6 5)",  # C7:C3, whose order-3 elements generate it
+     A5_X_A5, ASL2_5],  # perfect, not simple: the chain decides neither
 )
 def test_simplicity_agrees_with_sympy(group_of, text):
     combinatorics = pytest.importorskip("sympy.combinatorics")
@@ -361,6 +370,20 @@ def test_simplicity_agrees_with_sympy(group_of, text):
         theirs.normal_closure(r).order() == theirs.order() for r in reps if not r.is_Identity
     )
     assert group.is_simple_nonabelian() == (simple and not theirs.is_abelian)
+
+
+@pytest.mark.parametrize("text", [A5_X_A5, ASL2_5])
+def test_perfect_non_simple_groups_fall_back_to_the_class_check(group_of, text):
+    group = group_of(text)
+    assert group._simplicity_from_chain() is None
+    assert not group.is_simple_nonabelian()
+
+
+@pytest.mark.parametrize("text", ["PSL2:53", "A:8"])  # Iwasawa's criterion; the order of A_8
+def test_chain_decides_simplicity_without_enumerating(text):
+    group = build(parse_group_spec(text))  # a fresh group: no cached elements
+    assert group.is_simple_nonabelian()
+    assert group._elements is None
 
 
 def test_normal_closure_rejects_outside_seeds(group_of):

@@ -146,6 +146,19 @@ def test_oracle_requires_simple_groups(group_of):
     assert acts_on_genus_le(group_of("S:4"), 1).verdict == UNKNOWN
 
 
+def test_oracle_checks_the_enumeration_cap_before_simplicity(group_of):
+    verdict = acts_on_genus_le(group_of("S:4"), 1, Caps(oracle_enumeration=10))
+    assert (verdict.verdict, verdict.reason) == (UNKNOWN, "group exceeds the signature enumeration cap")
+
+
+def test_enumeration_cap_bounds_the_number_of_data(group_of):
+    c6 = group_of("C:6")
+    assert len(enumerate_signatures(c6, 20, Caps(oracle_enumeration=444))) == 444
+    with pytest.raises(CapExceeded) as raised:
+        enumerate_signatures(c6, 20, Caps(oracle_enumeration=443))
+    assert (raised.value.needed, raised.value.cap) == (444, 443)
+
+
 def test_unrealizable_fraction_genus_returns_none(group_of):
     # 2g - 2 = 2 * (-2 + 3/2) = -1 has no integer solution
     sig = Signature(0, (2, 2, 2))
