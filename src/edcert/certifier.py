@@ -58,10 +58,16 @@ _EXCEPTIONAL_FINGERPRINTS = {
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """One decider's answer.  Asked at an n, `verdict` is the verdict there.
+    Asked without one, the decider certifies every n in 2..certified_up_to
+    (None: no range is known within caps) and `verdict` is its verdict at
+    certified_up_to + 1, where `unknown` means the range may reach further."""
+
     condition: str
     verdict: str  # certified / refuted / unknown
     method: str | None
     detail: dict
+    certified_up_to: int | None = None  # set only when asked without an n
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +163,7 @@ def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) 
 # -- condition 1: no proper subgroup of small index ----------------------------
 
 
-def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, caps: Caps) -> ConditionReport:
+def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps) -> ConditionReport:
     """Certify that every proper subgroup has index > n.
 
     Methods, in order: divisibility (a simple group with an index-k
@@ -167,6 +173,12 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
     oracle, for |G| within the subgroup-search cap).  Both rest on G being
     nonabelian simple: raises NotSimple when `decide_simplicity` says it is
     not, and answers `unknown` when simplicity is undecided.
+
+    Without an n the range is d(G) - 1 from the literature constant, else
+    k0 - 1 from divisibility alone, k0 = `first_embedding_degree(|G|)`: a
+    search index counts only when it equals k0, so the search could only
+    refute at k0.  Asked for the range, the search runs in paper_formula
+    mode only, whose closed form prints d(G) itself.
     """
     order = group.order
     detail: dict = {"order": order, "n": n}
@@ -179,6 +191,13 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
 
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
     k0 = first_embedding_degree(order)
+    if n is None:
+        found = _min_proper_index(spec, group, mode, caps, search=mode == PAPER_FORMULA)
+        if found is None:
+            detail = {"first_admissible_embedding_degree": k0}
+            return ConditionReport(COND_INDEX, UNKNOWN, "divisibility", detail, k0 - 1)
+        method, d, _ = found
+        return ConditionReport(COND_INDEX, REFUTED, method, {"min_proper_index": d}, d - 1)
     detail["divisibility_checks"] = [
         {"k": k, "half_factorial": factorial(k) // 2, "divides": k == k0} for k in range(2, min(n, k0) + 1)
     ]
@@ -209,20 +228,23 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int, mode: str, c
     return ConditionReport(COND_INDEX, CERTIFIED if d > n else REFUTED, method, detail)
 
 
-def _min_proper_index(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) -> tuple[str, int, object] | None:
+def _min_proper_index(
+    spec: GroupSpec, group: PermGroup, mode: str, caps: Caps, search: bool = True
+) -> tuple[str, int, object] | None:
     """d(G), the least index of a proper subgroup, as (method, d, facts).
 
     The literature constant in hybrid and paper_formula modes (facts: its
-    provenance), else the brute-force search within the subgroup-search cap
-    (facts: the largest proper subgroup order and its generators), kept
-    only when it equals `first_embedding_degree(|G|)`, the k!/2 lower bound
-    on d(G) for the simple groups condition 1 asks about; None otherwise.
+    provenance), else, if `search`, the brute-force search within the
+    subgroup-search cap (facts: the largest proper subgroup order and its
+    generators), kept only when it equals `first_embedding_degree(|G|)`,
+    the k!/2 lower bound on d(G) for the simple groups condition 1 asks
+    about; None otherwise.
     """
     if mode in (HYBRID, PAPER_FORMULA):
         constants = family_overrides(spec)
         if constants is not None and constants.min_proper_index is not None:
             return "literature_override", constants.min_proper_index, constants.provenance
-    if group.order > caps.subgroup_search:
+    if not search or group.order > caps.subgroup_search:
         return None
     best, witness = max_proper_subgroup(group, caps.subgroup_search)
     d = group.order // best
@@ -326,7 +348,7 @@ def _search_exceptional(group: PermGroup, caps: Caps, search: _MobiusSearch) -> 
 
 
 def cond2_mobius_subgroup(
-    spec: GroupSpec, group: PermGroup, n: int, mode: str, caps: Caps, exhaustive: bool = False
+    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps, exhaustive: bool = False
 ) -> ConditionReport:
     """Certify a Moebius subgroup of order > n.
 
@@ -335,14 +357,16 @@ def cond2_mobius_subgroup(
     runs all three to find the true maximum).  Refutation is sound because
     each stage is exhaustive up to conjugacy for its subgroup type.  The
     paper-formula mode, and the hybrid fallback beyond the enumeration cap,
-    consider cyclic subgroups only and so never refute.
+    consider cyclic subgroups only and so never refute.  Without an n all
+    three stages run, and the range is the largest order found minus one.
     """
-    detail: dict = {"n": n, "required_order": n + 1}
+    detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
     search = _MobiusSearch()
+    exhaustive = exhaustive or n is None
 
     try:
         if mode == PAPER_FORMULA:
-            return _cond2_cyclic_only(spec, group, n, caps, detail)
+            return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
         _search_cyclic(group, caps, search)
         if exhaustive or search.best() <= n:
             _search_dihedral(group, caps, search)
@@ -351,28 +375,24 @@ def cond2_mobius_subgroup(
     except CapExceeded:
         constants = family_overrides(spec)
         if mode == HYBRID and constants is not None and constants.max_element_order is not None:
-            return _cond2_cyclic_only(spec, group, n, caps, detail)
+            return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"
         return ConditionReport(COND_MOBIUS, UNKNOWN, None, detail)
 
-    detail["cyclic_max"] = search.cyclic
-    detail["dihedral_max"] = search.dihedral
-    detail["exceptional_max"] = search.exceptional
-    detail["exceptional_kind"] = search.exceptional_kind
     best = search.best()
-    detail["best_order"] = best
-    detail["witness"] = search.witness
+    kind = search.witness.get("type")
+    method = {"cyclic": "cyclic_search", "dihedral": "dihedral_search"}.get(kind, "exceptional_search")
+    if n is None:
+        return ConditionReport(COND_MOBIUS, REFUTED, method, {"best_order": best, "witness": search.witness}, best - 1)
+    detail.update(cyclic_max=search.cyclic, dihedral_max=search.dihedral, exceptional_max=search.exceptional,
+                  exceptional_kind=search.exceptional_kind, best_order=best, witness=search.witness)
     if best > n:
-        method = {
-            "cyclic": "cyclic_search",
-            "dihedral": "dihedral_search",
-        }.get(search.witness.get("type"), "exceptional_search")
         return ConditionReport(COND_MOBIUS, CERTIFIED, method, detail)
     # every stage ran before a refutation, so the deepest one is the method
     return ConditionReport(COND_MOBIUS, REFUTED, "exceptional_search", detail)
 
 
-def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport:
+def _cond2_cyclic_only(spec, group, n, mode, caps, detail) -> ConditionReport:
     """Cyclic witness from family constants (paper-formula and hybrid fallback),
     else from the largest element order; raises CapExceeded beyond the cap.
 
@@ -387,6 +407,9 @@ def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport:
         method, m = "literature_override", constants.max_element_order
         detail["provenance"] = constants.provenance
     detail.update(cyclic_max=m, best_order=m, witness={"type": "cyclic", "order": m})
+    if n is None:  # the closed form prints the cyclic maximum; hybrid reads it as the best order
+        summary = {"cyclic_max": m} if mode == PAPER_FORMULA else {"best_order": m, "witness": detail["witness"]}
+        return ConditionReport(COND_MOBIUS, UNKNOWN, method, summary, m - 1)
     if m > n:
         return ConditionReport(COND_MOBIUS, CERTIFIED, method, detail)
     detail["note"] = "only cyclic subgroups were considered"
@@ -397,7 +420,7 @@ def _cond2_cyclic_only(spec, group, n, caps, detail) -> ConditionReport:
 
 
 def cond3_no_small_genus_action(
-    spec: GroupSpec, group: PermGroup, n: int, mode: str, caps: Caps, simple: bool | None = None
+    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps, simple: bool | None = None
 ) -> ConditionReport:
     """Certify no nontrivial action on any smooth curve of genus <= (n-1)^2.
 
@@ -411,10 +434,15 @@ def cond3_no_small_genus_action(
         the paper-formula mode certifies at equality, as printed); if the
         floor leaves a gap, the branch-data oracle decides it exactly when
         the group is within its caps.
+
+    Without an n the oracle is asked once, with no genus bound: its least
+    genus g_min with an action gives the range, the largest n with
+    (n-1)^2 < g_min.  Where it cannot answer, the Hurwitz floor does.
     """
     order = group.order
-    cap_genus = riemann_genus_cap(n)
-    detail: dict = {"n": n, "genus_cap": cap_genus, "order": order}
+    detail: dict = {"n": n, "order": order}
+    if n is not None:
+        detail["genus_cap"] = cap_genus = riemann_genus_cap(n)
 
     if simple is None:
         simple, how = decide_simplicity(spec, group, mode, caps)
@@ -427,32 +455,41 @@ def cond3_no_small_genus_action(
         return ConditionReport(COND_GENUS, UNKNOWN, None, detail)
 
     is_icosahedral = order == 60  # the unique nonabelian simple group of order 60
+    icosahedral_note = "order-60 simple group is the icosahedral Moebius group"
+    floor = hurwitz_min_genus(order)
+    if n is None:
+        if is_icosahedral:
+            return ConditionReport(COND_GENUS, REFUTED, "genus_le1_rule", {"note": icosahedral_note}, 1)
+        if mode == PAPER_FORMULA:  # n <= 1 + floor(sqrt(1 + |G|/84)), non-strict as printed
+            detail = {"reading": "non_strict", "hurwitz_floor": floor}
+            return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail, 1 + isqrt((84 + order) // 84))
+        verdict = rhoracle.acts_on_genus_le(group, None, caps)
+        if verdict.verdict == rhoracle.YES and not verdict.capped_below:
+            detail = {"hurwitz_floor": floor, "min_genus": verdict.genus}
+            return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail, 1 + isqrt(verdict.genus - 1))
+        detail = {"reading": "strict", "hurwitz_floor": floor}
+        return ConditionReport(COND_GENUS, UNKNOWN, "hurwitz", detail, 1 + isqrt(floor - 1))
+
     detail["genus_le1_rule"] = {"simple_nonabelian": True, "excluded": not is_icosahedral}
     if is_icosahedral:
         verdict = rhoracle.acts_on_genus_le(group, 0, caps)
         if verdict.verdict == rhoracle.YES:
-            detail["witness"] = {
-                "genus": verdict.genus,
-                "signature": verdict.signature.label(),
-                "vector": verdict.vector.to_json(),
-            }
+            detail["witness"] = _genus_witness(verdict)
             return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail)
-        detail["note"] = "order-60 simple group is the icosahedral Moebius group"
+        detail["note"] = icosahedral_note
         return ConditionReport(COND_GENUS, REFUTED, "genus_le1_rule", detail)
 
-    floor = hurwitz_min_genus(order)
     detail["hurwitz_floor"] = floor
     if cap_genus < 2:
         return ConditionReport(COND_GENUS, CERTIFIED, "genus_le1_rule", detail)
 
-    strict_ok = cap_genus < floor
     if mode == PAPER_FORMULA:
         # non-strict reading: 84 * ((n-1)^2 - 1) <= |G| still certifies
         if 84 * (cap_genus - 1) <= order:
             detail["hurwitz_reading"] = "non_strict"
             return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
         return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail)
-    if strict_ok:
+    if cap_genus < floor:
         return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
 
     # Hurwitz leaves the genus range [floor, (n-1)^2] open; ask the oracle.
@@ -461,14 +498,14 @@ def cond3_no_small_genus_action(
     if verdict.verdict == rhoracle.NO:
         return ConditionReport(COND_GENUS, CERTIFIED, "rh_oracle", detail)
     if verdict.verdict == rhoracle.YES:
-        detail["witness"] = {
-            "genus": verdict.genus,
-            "signature": verdict.signature.label(),
-            "vector": verdict.vector.to_json(),
-        }
+        detail["witness"] = _genus_witness(verdict)
         return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail)
     detail["note"] = f"genera {floor}..{cap_genus} undecided within oracle caps"
     return ConditionReport(COND_GENUS, UNKNOWN, None, detail)
+
+
+def _genus_witness(verdict: rhoracle.OracleVerdict) -> dict:
+    return {"genus": verdict.genus, "signature": verdict.signature.label(), "vector": verdict.vector.to_json()}
 
 
 # -- composition ----------------------------------------------------------------
@@ -530,18 +567,19 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
 def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, caps: Caps = DEFAULT_CAPS) -> BoundReport:
     """Per-condition maxima and the largest n certified by all three.
 
-    In paper_formula mode this reproduces the published closed form
-    min{d(G), maxcyc - 1, 1 + floor(sqrt(1 + |G|/84))} exactly as printed
-    (the first term counts index exactly d(G) as allowed, where the strict
-    reading of condition 1 would stop at d(G) - 1; strict is what the
-    computed and hybrid modes implement).
+    Each maximum is the range its decider certifies when asked without an
+    n, so `certify` certifies a condition at n exactly when n is at most
+    its maximum.  The one exception is the paper_formula reading of
+    condition 1: the published closed form
+    min{d(G), maxcyc - 1, 1 + floor(sqrt(1 + |G|/84))} counts index exactly
+    d(G) as allowed, where the strict reading, which `certify` implements
+    in every mode, stops at d(G) - 1.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    order = group.order
     simple, how = decide_simplicity(spec, group, mode, caps)
     if simple is None:
-        raise CapExceeded(f"simplicity of order-{order} group undecided within caps")
+        raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps")
     if not simple:
         raise NotSimple("max_certified_n requires a nonabelian simple group")
 
@@ -550,57 +588,15 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         "paper_formula mode reproduces the published closed form, which "
         "admits n equal to the minimal degree itself"
     ]
-    details: dict = {}
-
-    # condition 1 maximum: the strict modes stop one below d(G)
-    cond1_max: int | None = None
-    found = _min_proper_index(spec, group, mode, caps)
-    if found is not None:
-        method, d, _ = found
-        cond1_max = d if mode == PAPER_FORMULA else d - 1
-        details["cond1"] = {"method": method, "min_proper_index": d}
-    elif mode != PAPER_FORMULA:
-        # largest n the divisibility certificate reaches: the first k
-        # with |G| | k!/2 cannot be ruled out
-        k = first_embedding_degree(order)
-        cond1_max = k - 1
-        details["cond1"] = {"method": "divisibility", "first_admissible_embedding_degree": k}
-
-    # condition 2 maximum: the largest Moebius subgroup the decider finds
-    cond2_max: int | None = None
-    report = cond2_mobius_subgroup(spec, group, 1, mode, caps, exhaustive=True)
-    best = report.detail.get("best_order")
-    if best:
-        cond2_max = best - 1
-        if mode == PAPER_FORMULA:
-            details["cond2"] = {"method": report.method, "cyclic_max": best}
-        else:
-            details["cond2"] = {"method": report.method, "best_order": best, "witness": report.detail["witness"]}
-
-    # condition 3 maximum
-    floor = hurwitz_min_genus(order)
-    if order == 60:
-        cond3_max = 1  # the icosahedral group acts on the line; no n >= 2 certifiable
-        details["cond3"] = {"method": "genus_le1_rule", "note": "order-60 simple group is the icosahedral Moebius group"}
-    elif mode == PAPER_FORMULA:
-        # n <= 1 + floor(sqrt(1 + |G|/84)), non-strict as printed
-        cond3_max = 1 + isqrt((84 + order) // 84)  # floor(sqrt(x)) = isqrt(floor(x))
-        details["cond3"] = {"method": "hurwitz", "reading": "non_strict", "hurwitz_floor": floor}
-    else:
-        cond3_max = 1 + isqrt(floor - 1)  # largest n with (n-1)^2 < floor
-        details["cond3"] = {"method": "hurwitz", "reading": "strict", "hurwitz_floor": floor}
-        # one oracle step beyond the floor keeps the summary comparable to
-        # the closed form; certify() applies the oracle at full strength
-        probe = cond3_max + 1
-        if cond3_no_small_genus_action(spec, group, probe, mode, caps, simple=True).verdict == CERTIFIED:
-            cond3_max = probe
-            details["cond3"] = {"method": "rh_oracle", "hurwitz_floor": floor, "oracle_refined_to": probe}
-
-    known = {
-        "cond1": cond1_max,
-        "cond2": cond2_max,
-        "cond3": cond3_max,
+    reports = {
+        "cond1": cond1_no_small_index(spec, group, None, mode, caps),
+        "cond2": cond2_mobius_subgroup(spec, group, None, mode, caps),
+        "cond3": cond3_no_small_genus_action(spec, group, None, mode, caps, simple=True),
     }
+    known = {name: r.certified_up_to for name, r in reports.items()}
+    if mode == PAPER_FORMULA:
+        known["cond1"] = reports["cond1"].detail.get("min_proper_index")
+    details = {name: {"method": r.method, **r.detail} for name, r in reports.items() if known[name] is not None}
     if any(v is None for v in known.values()):
         certified = None
         binding = "unknown"
@@ -612,9 +608,9 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
     return BoundReport(
         group=spec.canonical(),
         mode=mode,
-        cond1_max=cond1_max,
-        cond2_max=cond2_max,
-        cond3_max=cond3_max,
+        cond1_max=known["cond1"],
+        cond2_max=known["cond2"],
+        cond3_max=known["cond3"],
         certified_max_n=certified,
         binding=binding,
         constants=dict(_caps_constants(group, caps), simplicity={"value": simple, "method": how}),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalogue import GroupSpec
-from .certifier import CERTIFIED, COMPUTED, Certificate, certify
+from .certifier import CERTIFIED, COMPUTED, certify
 from .config import DEFAULT_CAPS, Caps
 from .permgroup import PermGroup, SylowReport, prime_factors, sylow_report
 
@@ -92,7 +92,6 @@ def compare_rhs(
     group: PermGroup,
     n: int,
     caps: Caps = DEFAULT_CAPS,
-    certificate: Certificate | None = None,
 ) -> CompareReport:
     """Per-prime baseline bounds, their aggregate, and the strictness flag.
 
@@ -124,8 +123,7 @@ def compare_rhs(
     if rhs is None and bounds:
         notes.append("some Sylow shape is outside the three rules; baseline unknown")
 
-    if certificate is None:
-        certificate = certify(spec, group, n, COMPUTED, caps)
+    certificate = certify(spec, group, n, COMPUTED, caps)
     strict = certificate.overall == CERTIFIED and rhs is not None and rhs <= 1
     return CompareReport(
         group=spec.canonical(),

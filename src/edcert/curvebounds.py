@@ -92,6 +92,8 @@ def gonality_obstruction(
     injected because deciders of different strength exist (genus<=1 rule,
     Hurwitz floor, exhaustive branch-data search) and the certifier chooses.
     """
+    if order < 1:
+        raise ValidationError(f"need order >= 1, got {order}")
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if n % order == 0:

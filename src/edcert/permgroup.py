@@ -597,7 +597,7 @@ def max_proper_subgroup(
     identity = group.identity()
     els = [e for e in group.elements(cap=n) if e != identity]
     reps = [r for r in group.class_representatives(cap=n) if r != identity]
-    limit = n // 2 + 1  # a proper subgroup has at most n/2 elements
+    limit = n // 2  # a proper subgroup has at most n/2 elements
     best = 1
     witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:

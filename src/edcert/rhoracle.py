@@ -289,7 +289,7 @@ def find_generating_vector(
     return search_hyperbolic(0, identity)
 
 
-def acts_on_genus_le(group: PermGroup, genus: int, caps: Caps = DEFAULT_CAPS) -> OracleVerdict:
+def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_CAPS) -> OracleVerdict:
     """Does the group act nontrivially on some smooth curve of genus <= g?
 
     Requires a nonabelian simple group (there nontrivial means faithful);
@@ -298,9 +298,10 @@ def acts_on_genus_le(group: PermGroup, genus: int, caps: Caps = DEFAULT_CAPS) ->
     (capped at g) and each datum is searched once, in the genus order of a
     single listing, so the cost follows the least genus with a witness
     rather than g; past the vector-search cap the first datum answers
-    `unknown`.  A `yes` has the least genus unless `capped_below`.
+    `unknown`.  A `yes` has the least genus unless `capped_below`.  With g
+    None there is no bound: the answer is that least genus, or `unknown`.
     """
-    if genus < 0:
+    if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
     if group.order > caps.oracle_enumeration:
         return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
@@ -314,8 +315,8 @@ def acts_on_genus_le(group: PermGroup, genus: int, caps: Caps = DEFAULT_CAPS) ->
     searched = -1  # every datum of genus <= searched has been searched
     capped_genus = None  # genus of the first datum the width cap cut short
     listed = False
-    while searched < genus:
-        bound = min(2 * searched + 2, genus)
+    while genus is None or searched < genus:
+        bound = 2 * searched + 2 if genus is None else min(2 * searched + 2, genus)
         sigs = []
         # every datum of genus >= 2 has genus >= the Hurwitz floor, so once
         # genus 1 is searched a bound below the floor lists nothing new

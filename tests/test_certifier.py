@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edcert import certifier
 from edcert.catalogue import build, parse_group_spec
 from edcert.certifier import (
     CERTIFIED,
@@ -328,7 +329,7 @@ def test_maxn_computed_values(group_of):
     assert "cond1" in a7.binding and "cond3" in a7.binding
 
     assert bound(group_of, "PSL2:7").certified_max_n == 2
-    assert bound(group_of, "PSL2:11").certified_max_n == 4  # one oracle step past the floor
+    assert bound(group_of, "PSL2:11").certified_max_n == 6  # minimal genus 26 = 5^2 + 1
     assert bound(group_of, "PSL2:13").certified_max_n == 4
 
 
@@ -342,12 +343,13 @@ def test_maxn_paper_formula_values(group_of):
 
 
 def test_maxn_computed_brackets_paper_formula(group_of):
-    # on the small PSL2 groups the strict pipeline may certify at most one
-    # more than the closed form, and never less
+    # on the small PSL2 groups the strict pipeline never certifies less than
+    # the closed form, and its maximum is tight: one more is not certified
     for p in (7, 11, 13):
         paper = bound(group_of, f"PSL2:{p}", PAPER_FORMULA).certified_max_n
         computed = bound(group_of, f"PSL2:{p}").certified_max_n
-        assert paper <= computed <= paper + 1
+        assert paper <= computed
+        assert crt(group_of, f"PSL2:{p}", computed + 1).overall != CERTIFIED
 
 
 def test_maxn_certifies_what_it_reports(group_of):
@@ -363,6 +365,44 @@ def test_maxn_respects_per_condition_minima(group_of):
         assert all(v is not None for v in known)
         assert report.certified_max_n == min(known)
         assert all(report.certified_max_n <= v for v in known)
+
+
+SWEEP_NS = [2, 3, 4, 5, 6, 7, 9, 10, 14, 24]
+SWEEP_GROUPS = ["A:5", "A:6", "A:7", "PSL2:7", "PSL2:11", "PSL2:13", "PSL2:17", "perm:5:(0 1 2 3 4),(0 1 2)"]
+
+
+@pytest.mark.parametrize(
+    "text, mode",
+    [(text, mode) for text in SWEEP_GROUPS for mode in (COMPUTED, HYBRID, PAPER_FORMULA)]
+    + [("PSL2:59", HYBRID), ("PSL2:199", HYBRID)],
+)
+def test_certify_agrees_with_the_maxn_maxima(group_of, text, mode):
+    """Each condition is certified at n exactly when n is at most its maxn
+    maximum (below it, for the paper-formula reading of condition 1, which
+    prints d(G) itself), and so is the whole certificate."""
+    report = bound(group_of, text, mode)
+    maxima = dict(zip(("no_small_index", "mobius_subgroup", "no_small_genus_action"),
+                      (report.cond1_max, report.cond2_max, report.cond3_max)))
+    if mode == PAPER_FORMULA and maxima["no_small_index"] is not None:
+        maxima["no_small_index"] -= 1
+    for n in SWEEP_NS:
+        cert = crt(group_of, text, n, mode)
+        for condition, top in maxima.items():
+            if top is not None:
+                assert (cert.condition(condition).verdict == CERTIFIED) == (n <= top), (condition, n)
+        if report.certified_max_n is not None:
+            assert (cert.overall == CERTIFIED) == (n <= report.certified_max_n), n
+
+
+@pytest.mark.parametrize("mode", [COMPUTED, HYBRID])
+@pytest.mark.parametrize("text", ["A:5", "A:6", "PSL2:7", "perm:5:(0 1 2 3 4),(0 1 2)"])
+def test_maxn_runs_no_subgroup_search(group_of, monkeypatch, text, mode):
+    def refuse(*args, **kwargs):
+        raise AssertionError("maxn ran the subgroup search")
+
+    monkeypatch.setattr(certifier, "max_proper_subgroup", refuse)
+    report = bound(group_of, text, mode)
+    assert report.details["cond1"]["method"] in ("divisibility", "literature_override")
 
 
 def test_maxn_icosahedral_group_stops_at_one(group_of):

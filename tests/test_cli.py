@@ -267,6 +267,12 @@ def test_bounds_gonality(capsys):
     assert code == 1 and envelope["payload"]["verdict"] == "not_obstructed"
 
 
+
+def test_bounds_gonality_rejects_order_zero(capsys):
+    code, _, err = run(capsys, "bounds", "gonality", "--order", "0", "--n", "2", "--action-verdict", "no")
+    assert code == 2
+    assert "order" in err
+
 def test_cap_flag_degrades_certify(capsys):
     code, envelope = run_json(capsys, "certify", "--group", "PSL2:19", "--n", "2", "--cap", "100")
     assert code == 1

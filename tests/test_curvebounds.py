@@ -120,6 +120,12 @@ def test_gonality_obstruction_routes():
     assert gonality_obstruction(60, 2, lambda cap: "yes") == NOT_OBSTRUCTED
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_gonality_obstruction_rejects_orders_below_one(order):
+    with pytest.raises(ValidationError):
+        gonality_obstruction(order, 2, lambda cap: "no")
+
+
 def test_gonality_obstruction_with_real_deciders(group_of):
     from edcert.rhoracle import acts_on_genus_le
 

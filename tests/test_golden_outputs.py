@@ -3,10 +3,15 @@
 The hybrid files were written by an engine that partitioned the whole group
 into conjugacy classes and closed every (involution, order-3) pair, so they
 pin the witnesses the per-order partition and the ord(ab) filter must keep.
-The computed and paper-formula files were written while `maxn` still
+The computed and paper-formula files were first written while `maxn`
 computed its per-condition maxima apart from the condition deciders and
-the genus oracle listed every branch datum up to the requested genus; they
-pin every method `maxn` and `certify` report.
+the genus oracle listed every branch datum up to the requested genus.
+Since `maxn` reads each maximum from the decider `certify` runs, three
+files were re-recorded: PSL2:11's condition-3 maximum rose from 4 to 6 (the
+oracle's minimal genus, 26) in `maxn_psl2_11_computed.json` and in the
+p = 11 row of the hybrid table, and the computed perm A5 reads condition 1
+by divisibility instead of the subgroup search.  The files pin every
+method `maxn` and `certify` report.
 """
 
 from pathlib import Path
@@ -25,7 +30,7 @@ CASES = [
     (f"maxn_psl2_{p}_hybrid.json", ["maxn", "--group", f"PSL2:{p}", "--mode", "hybrid", *JSON], 0)
     for p in (23, 29, 41)  # S4, A5 and dihedral witnesses
 ] + [
-    # literature constants, the rh_oracle refinement and the brute-force search
+    # literature constants, the oracle's minimal genus, divisibility and the brute-force search
     (f"maxn_{tag}_{mode.replace('-', '_')}.json", ["maxn", "--group", group, "--mode", mode, *JSON], 0)
     for group, tag in (("A:7", "a7"), ("PSL2:11", "psl2_11"), ("perm:5:(0 1 2 3 4),(0 1 2)", "perm5_a5"))
     for mode in ("computed", "paper-formula")

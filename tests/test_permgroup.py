@@ -293,6 +293,12 @@ def test_max_proper_subgroup_witness_is_a_subgroup(group_of):
     assert all(w in g for w in witness)
 
 
+def test_max_proper_subgroup_is_proper_on_a_group_of_order_two(group_of):
+    # a closure of n // 2 + 1 elements would admit the whole group here
+    best, witness = max_proper_subgroup(group_of("C:2"))
+    assert (best, witness) == (1, ())
+
+
 def test_closed_subgroup_limit():
     a5_gens = (
         Permutation.from_cycles([[0, 1, 2, 3, 4]], 5).images,
