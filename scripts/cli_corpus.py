@@ -7,7 +7,8 @@ Every command runs in-process through ``edcert.cli.main``; JSON commands
 run with ``--no-timing``, so two checkouts that behave the same write the
 same file byte for byte (compare them with ``cmp`` or ``diff``).  The corpus
 covers ``certify`` at ten values of n and ``maxn`` in all three modes on 18
-groups, ``maxn`` on PSL(3,2) in its degree-7 action, the PSL2 table 7..61
+groups, ``maxn`` on PSL(3,2) in its degree-7 action, hybrid ``maxn`` on the
+six PSL2(p), 7 <= p <= 53, that the 18 groups leave out, the PSL2 table 7..61
 in all three modes, ``oracle rh``, the ``rh`` branch-data table, both paths
 to the ``h_n`` table, the other four ``bounds`` calculators on one valid and
 one invalid input each, and ``compare`` and ``oracle min-index`` (the Sylow
@@ -26,6 +27,7 @@ GROUPS = [
     "PSL2:7", "PSL2:11", "PSL2:13", "PSL2:17", "PSL2:23", "PSL2:29", "PSL2:41", "PSL2:59", "PSL2:199",
     "perm:5:(0 1 2 3 4),(0 1 2)", "S:4", "C:7", "D:6",
 ]
+HYBRID_ONLY_PRIMES = [19, 31, 37, 43, 47, 53]
 NS = [2, 3, 4, 5, 6, 7, 9, 10, 14, 24]
 PGL2_7 = "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)"
 C2_4_C5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)(2 3 11 7 13)(4 6 5 14 9)"
@@ -48,6 +50,8 @@ def commands():
             yield ["maxn", "--group", group, "--mode", mode, *JSON]
     for mode in MODES:
         yield ["maxn", "--group", PSL3_2, "--mode", mode, *JSON]
+    for p in HYBRID_ONLY_PRIMES:
+        yield ["maxn", "--group", f"PSL2:{p}", "--mode", "hybrid", *JSON]
     for mode in MODES:
         yield ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "61", "--mode", mode, "--csv"]
     for group in ["A:5", "A:6", "PSL2:7", "PSL2:11", "PSL2:13", "C:6", "S:4"]:

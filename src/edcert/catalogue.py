@@ -206,10 +206,16 @@ class FamilyConstants:
     computed mode stays fully self-contained.  min_proper_index for PSL2(p)
     is Galois's minimal-degree result (p for p in {5,7,11}, else p+1);
     max_element_order p is the classical element-order list of PSL2(p).
+    max_mobius_order is the largest finite Moebius subgroup of PSL2(p) by
+    Dickson's list of its subgroups (Huppert, Endliche Gruppen I, II.8.27;
+    see `_psl2_max_mobius_order`).  Hybrid mode uses it only to stop the
+    condition-2 witness search: the order it prints is always the order of
+    a witness it has checked, never this constant.
     """
 
     min_proper_index: int | None = None
     max_element_order: int | None = None
+    max_mobius_order: int | None = None
     simple_nonabelian: bool | None = None
     provenance: str = "literature"
 
@@ -217,9 +223,31 @@ class FamilyConstants:
         return {
             "min_proper_index": self.min_proper_index,
             "max_element_order": self.max_element_order,
+            "max_mobius_order": self.max_mobius_order,
             "simple_nonabelian": self.simple_nonabelian,
             "provenance": self.provenance,
         }
+
+
+MOBIUS_BOUND_PROVENANCE = "literature: Dickson's list of the subgroups of PSL2(q) (Huppert, Endliche Gruppen I, II.8.27)"
+
+
+def _psl2_max_mobius_order(p: int) -> int:
+    """Order of the largest finite Moebius subgroup of PSL2(p), p >= 5 prime.
+
+    Dickson's list: the dihedral groups of order p + 1 (always) and 2p
+    (p = 1 mod 4), A5 (p = +-1 mod 10, and PSL2(5) = A5 itself), S4
+    (p = +-1 mod 8) and A4 (always); the cyclic subgroups, of order at
+    most p, never beat the dihedral group of order p + 1.
+    """
+    candidates = [p + 1, 12]
+    if p % 4 == 1:
+        candidates.append(2 * p)
+    if p % 10 in (1, 9) or p == 5:
+        candidates.append(60)
+    if p % 8 in (1, 7):
+        candidates.append(24)
+    return max(candidates)
 
 
 def family_overrides(spec: GroupSpec) -> FamilyConstants | None:
@@ -230,6 +258,7 @@ def family_overrides(spec: GroupSpec) -> FamilyConstants | None:
         return FamilyConstants(
             min_proper_index=p if p in (5, 7, 11) else p + 1,
             max_element_order=p,
+            max_mobius_order=_psl2_max_mobius_order(p),
             simple_nonabelian=True,
             provenance="literature: Galois's minimal-degree theorem; element orders of PSL2(p)",
         )

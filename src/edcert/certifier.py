@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import factorial, isqrt
 
-from .catalogue import GroupSpec, family_overrides
+from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
 from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
@@ -54,6 +54,12 @@ _EXCEPTIONAL_FINGERPRINTS = {
     24: ("S4", Counter({1: 1, 2: 9, 3: 8, 4: 6})),
     60: ("A5", Counter({1: 1, 2: 15, 3: 20, 5: 24})),
 }
+# k -> order of the (2, 3, k) triangle group: A4, S4, A5 bound <a, b> with ord(ab) = k
+_TRIANGLE_ORDERS = {3: 12, 4: 24, 5: 60}
+# Words in the hybrid witness search's pool.  180 is the least multiple of
+# ten at which the search reaches Dickson's bound on every PSL2(p) within
+# the enumeration cap (7 <= p <= 53; p = 53 needs its D_106).
+_WITNESS_WORDS = 256
 
 
 @dataclass(frozen=True)
@@ -268,12 +274,34 @@ class _MobiusSearch:
         return max(x for x in (self.cyclic or 0, self.dihedral or 0, self.exceptional or 0))
 
 
+def _witness(kind: str, order: int, *generators: tuple[int, ...]) -> dict:
+    return {"type": kind, "order": order, "generators": [cycle_string(g) for g in generators]}
+
+
+def _exceptional(degree: int, a: tuple[int, ...], b: tuple[int, ...], beat: int = 0) -> tuple[str, int] | None:
+    """(kind, order) when <a, b> is A4, S4 or A5 of order > `beat`, for an
+    involution a and an element b of order 3; None otherwise.
+
+    The pair is closed only when ord(ab) is 3, 4 or 5.  With a^2 = b^3 = 1,
+    <a, b> is a quotient of the (2, 3, k) triangle group, k = ord(ab):
+    k = 2 gives at most S3, and k >= 6 puts an element of order k in the
+    closure, which no fingerprint of A4, S4 or A5 has.  For k = 3, 4, 5 the
+    triangle group is A4, S4, A5, so the closure cannot beat its order.
+    """
+    if _TRIANGLE_ORDERS.get(tuple_order(compose(a, b)), 0) <= beat:
+        return None
+    sub = closed_subgroup(degree, (a, b), 61)
+    if sub is None or len(sub) not in _EXCEPTIONAL_FINGERPRINTS:
+        return None
+    kind, fingerprint = _EXCEPTIONAL_FINGERPRINTS[len(sub)]
+    return (kind, len(sub)) if Counter(tuple_order(x) for x in sub) == fingerprint else None
+
+
 def _search_cyclic(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
     m = group.max_element_order(caps.enumeration)
     search.cyclic = m
     if m >= search.best():
-        witness = group.elements_of_order(m, caps.enumeration)[0]
-        search.witness = {"type": "cyclic", "order": m, "generators": [cycle_string(witness)]}
+        search.witness = _witness("cyclic", m, group.elements_of_order(m, caps.enumeration)[0])
 
 
 def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
@@ -301,11 +329,7 @@ def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> Non
             if compose(compose(t, x), t) == x_inv:
                 search.dihedral = 2 * m
                 if 2 * m >= search.best():
-                    search.witness = {
-                        "type": "dihedral",
-                        "order": 2 * m,
-                        "generators": [cycle_string(x), cycle_string(t)],
-                    }
+                    search.witness = _witness("dihedral", 2 * m, x, t)
                 return
     search.dihedral = 0
 
@@ -313,67 +337,125 @@ def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> Non
 def _search_exceptional(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
     """Largest of A4/S4/A5 inside the group, by closing (involution,
     order-3 element) pairs -- each of the three is generated by such a
-    pair -- and matching the element-order fingerprint of the closure.
-
-    A pair (a, b) is closed only when ord(ab) is 3, 4 or 5.  With a^2 = b^3
-    = 1, <a, b> is a quotient of the (2, 3, k) triangle group, k = ord(ab):
-    k = 2 gives at most S3, and k >= 6 puts an element of order k in the
-    closure, which no fingerprint of A4, S4 or A5 has.  The skipped pairs
-    would all fail the fingerprint, so the first witness is unchanged.
-    """
+    pair -- and matching the element-order fingerprint of the closure
+    (`_exceptional`).  The involutions run over class representatives."""
     invol_reps = [cls[0] for cls in group.classes_of_order(2, caps.enumeration)]
     threes = group.elements_of_order(3, caps.enumeration)
     search.exceptional = 0
     for a in invol_reps:
         for b in threes:
-            if tuple_order(compose(a, b)) not in (3, 4, 5):
+            found = _exceptional(group.degree, a, b)
+            if found is None:
                 continue
-            sub = closed_subgroup(group.degree, (a, b), 61)
-            if sub is None or len(sub) not in _EXCEPTIONAL_FINGERPRINTS:
-                continue
-            kind, fingerprint = _EXCEPTIONAL_FINGERPRINTS[len(sub)]
-            if Counter(tuple_order(x) for x in sub) != fingerprint:
-                continue
-            if len(sub) > search.exceptional:
-                search.exceptional = len(sub)
+            kind, order = found
+            if order > search.exceptional:
+                search.exceptional = order
                 search.exceptional_kind = kind
-                if len(sub) >= search.best():
-                    search.witness = {
-                        "type": kind,
-                        "order": len(sub),
-                        "generators": [cycle_string(a), cycle_string(b)],
-                    }
-                if len(sub) == 60:
+                if order >= search.best():
+                    search.witness = _witness(kind, order, a, b)
+                if order == 60:
                     return
 
 
-def cond2_mobius_subgroup(
-    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps, exhaustive: bool = False
-) -> ConditionReport:
+def _word_pool(group: PermGroup) -> list[tuple[int, ...]]:
+    """The first `_WITNESS_WORDS` distinct nontrivial elements reached by a
+    breadth-first walk over products of the generators and their inverses:
+    the shortest words, ties in generator order."""
+    steps = list(dict.fromkeys([*group.generators, *(invert(g) for g in group.generators)]))
+    identity = group.identity()
+    seen, pool, frontier = {identity}, [], [identity]
+    while frontier:
+        reached = []
+        for w in frontier:
+            for s in steps:
+                y = compose(w, s)
+                if y not in seen:
+                    seen.add(y)
+                    pool.append(y)
+                    reached.append(y)
+                    if len(pool) == _WITNESS_WORDS:
+                        return pool
+        frontier = reached
+    return pool
+
+
+def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
+    """Largest Moebius witness (order, witness) among short words, without
+    enumerating the group; stops as soon as the order reaches `bound`.
+
+    In order: the words themselves (cyclic); pairs of distinct involutions
+    s != t among the words' powers, which generate a dihedral group of
+    order 2 * ord(st), with witness [st, t] (t inverts st and lies outside
+    <st>, as a cyclic group has one involution); and (involution, order-3)
+    pairs closed as in `_exceptional`.  Every witness is checked by
+    construction; the bound only ends the search.
+    """
+    words = _word_pool(group)
+    orders = [tuple_order(w) for w in words]
+    best = max(orders, default=1)
+    witness = _witness("cyclic", best, words[orders.index(best)]) if words else {}
+    involutions = list(dict.fromkeys(power(w, m // 2) for w, m in zip(words, orders) if m % 2 == 0))
+    threes = list(dict.fromkeys(power(w, m // 3) for w, m in zip(words, orders) if m % 3 == 0))
+
+    def dihedral():
+        for i, s in enumerate(involutions):
+            for t in involutions[i + 1:]:
+                x = compose(s, t)
+                yield 2 * tuple_order(x), "dihedral", x, t
+
+    def exceptional():
+        for a in involutions:
+            for b in threes:
+                found = _exceptional(group.degree, a, b, beat=best)
+                if found is not None:
+                    yield found[1], found[0], a, b
+
+    if best >= bound:
+        return best, witness
+    for candidates in (dihedral(), exceptional()):
+        for order, kind, *generators in candidates:
+            if order > best:
+                best, witness = order, _witness(kind, order, *generators)
+                if best >= bound:
+                    return best, witness
+    return best, witness
+
+
+def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps) -> ConditionReport:
     """Certify a Moebius subgroup of order > n.
 
     Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
-    stopping at the first stage that certifies (unless `exhaustive`, which
-    runs all three to find the true maximum).  Refutation is sound because
+    stopping at the first stage that certifies.  Refutation is sound because
     each stage is exhaustive up to conjugacy for its subgroup type.  The
     paper-formula mode, and the hybrid fallback beyond the enumeration cap,
     consider cyclic subgroups only and so never refute.  Without an n all
     three stages run, and the range is the largest order found minus one.
+
+    Without an n in hybrid mode, within the enumeration cap, a group whose
+    family constants give the largest Moebius order (Dickson's list for
+    PSL2(p)) first tries `_search_words`, which enumerates no element: a
+    witness that reaches the constant gives the range at once, and the
+    three stages run only when none does.
     """
     detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
     search = _MobiusSearch()
-    exhaustive = exhaustive or n is None
+    constants = family_overrides(spec)
+    bound = constants.max_mobius_order if constants is not None and mode == HYBRID else None
+    if n is None and bound is not None and group.order <= caps.enumeration:
+        best, witness = _search_words(group, bound)
+        if best >= bound:
+            detail = {"best_order": best, "witness": witness, "bound_provenance": MOBIUS_BOUND_PROVENANCE}
+            return ConditionReport(COND_MOBIUS, REFUTED, "witness_search", detail, best - 1)
 
     try:
         if mode == PAPER_FORMULA:
             return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
         _search_cyclic(group, caps, search)
-        if exhaustive or search.best() <= n:
+        if n is None or search.best() <= n:
             _search_dihedral(group, caps, search)
-        if exhaustive or search.best() <= n:
+        if n is None or search.best() <= n:
             _search_exceptional(group, caps, search)
     except CapExceeded:
-        constants = family_overrides(spec)
         if mode == HYBRID and constants is not None and constants.max_element_order is not None:
             return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"

@@ -25,7 +25,7 @@ class-by-class test runs only when none of them applies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_CAPS
@@ -246,19 +246,10 @@ class PermGroup:
     def max_element_order(self, cap: int = DEFAULT_CAPS.enumeration) -> int:
         return max(self.element_orders(cap))
 
-    def has_element_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> bool:
-        return m in set(self.element_orders(cap))
-
     def elements_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
         els = self.elements(cap)
         orders = self.element_orders(cap)
         return tuple(p for p, o in zip(els, orders) if o == m)
-
-    def exponent(self, cap: int = DEFAULT_CAPS.enumeration) -> int:
-        out = 1
-        for o in set(self.element_orders(cap)):
-            out = lcm(out, o)
-        return out
 
     def is_abelian(self) -> bool:
         gens = self.generators

@@ -299,7 +299,8 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
     single listing, so the cost follows the least genus with a witness
     rather than g; past the vector-search cap the first datum answers
     `unknown`.  A `yes` has the least genus unless `capped_below`.  With g
-    None there is no bound: the answer is that least genus, or `unknown`.
+    None there is no bound: the answer is that least genus, or `unknown`,
+    given at once past the vector-search cap, before any datum is listed.
     """
     if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
@@ -311,6 +312,9 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
         return OracleVerdict(UNKNOWN, reason="simplicity undecided within enumeration cap")
     if not simple:
         return OracleVerdict(UNKNOWN, reason="oracle requires a nonabelian simple group")
+    if genus is None and group.order > caps.oracle_search:
+        # with no bound some datum is always listed, and its search stops at the cap
+        return OracleVerdict(UNKNOWN, reason=CAPPED)
     floor = hurwitz_min_genus(group.order)
     searched = -1  # every datum of genus <= searched has been searched
     capped_genus = None  # genus of the first datum the width cap cut short

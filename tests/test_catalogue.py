@@ -95,6 +95,8 @@ def test_psl2_orders_match_formula(group_of):
 def test_family_overrides():
     assert family_overrides(parse_group_spec("PSL2:13")).min_proper_index == 14
     assert family_overrides(parse_group_spec("PSL2:7")).min_proper_index == 7
+    # Dickson: A5 in PSL2(5) = A5 itself, D_106 in PSL2(53), S4 in PSL2(7)
+    assert [family_overrides(parse_group_spec(f"PSL2:{p}")).max_mobius_order for p in (5, 53, 7)] == [60, 106, 24]
     assert family_overrides(parse_group_spec("PSL2:11")).min_proper_index == 11
     assert family_overrides(parse_group_spec("PSL2:13")).max_element_order == 13
     assert family_overrides(parse_group_spec("A:7")).min_proper_index == 7

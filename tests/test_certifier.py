@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edcert import certifier
-from edcert.catalogue import build, parse_group_spec
+from edcert.catalogue import _parse_cycles, build, parse_group_spec
 from edcert.certifier import (
     CERTIFIED,
     COMPUTED,
@@ -22,6 +22,7 @@ from edcert.certifier import (
     _MobiusSearch,
     _search_dihedral,
     _search_exceptional,
+    _search_words,
 )
 from edcert.config import Caps
 from edcert.errors import NotSimple, ValidationError
@@ -114,11 +115,10 @@ def test_cond2_dihedral_and_exceptional_stages(group_of):
     assert report.verdict == CERTIFIED
     assert report.detail["best_order"] in (8, 24)
 
-    exhaustive = cond2_mobius_subgroup(
-        parse_group_spec("PSL2:7"), group_of("PSL2:7"), 7, COMPUTED, Caps(), exhaustive=True
-    )
+    exhaustive = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), None, COMPUTED, Caps())
+    assert exhaustive.certified_up_to == 23
     assert exhaustive.detail["best_order"] == 24
-    assert exhaustive.detail["exceptional_kind"] == "S4"
+    assert exhaustive.detail["witness"]["type"] == "S4"
 
 
 MOBIUS_GROUPS = [
@@ -198,12 +198,89 @@ def test_maxn_keeps_the_cyclic_bound_beyond_the_cap(group_of):
     assert bound(group_of, "PSL2:59", HYBRID).cond2_max == 58
 
 
+# Largest finite Moebius subgroup of PSL2(p), from Dickson's list written out
+# by hand: max(p + 1, 2p if p = 1 mod 4, 60 if p = +-1 mod 10, 24 if
+# p = +-1 mod 8, 12); PSL2(5) is A5 itself.
+DICKSON_MAX_MOBIUS = {
+    5: 60, 7: 24, 11: 60, 13: 26, 17: 34, 19: 60, 23: 24, 29: 60, 31: 60, 37: 74, 41: 82, 43: 44, 47: 48, 53: 106,
+}
+
+
+@pytest.mark.parametrize("p", sorted(DICKSON_MAX_MOBIUS))
+def test_hybrid_mobius_range_stops_at_dicksons_bound_without_enumerating(p):
+    spec = parse_group_spec(f"PSL2:{p}")
+    group = build(spec)  # a fresh group: nothing enumerated yet
+    report = cond2_mobius_subgroup(spec, group, None, HYBRID, Caps())
+    assert (report.method, report.certified_up_to + 1) == ("witness_search", DICKSON_MAX_MOBIUS[p])
+    assert report.detail["best_order"] == report.detail["witness"]["order"] == DICKSON_MAX_MOBIUS[p]
+    assert group._elements is None
+    assert max_certified_n(spec, group, HYBRID, Caps()).cond2_max + 1 == DICKSON_MAX_MOBIUS[p]
+    # the genus oracle's vector search lists the elements of PSL2(7) and PSL2(11), within its cap
+    assert (group._elements is None) == (p not in (7, 11))
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17, 23])
+def test_mobius_range_falls_back_to_the_stages_when_the_search_misses(monkeypatch, p):
+    monkeypatch.setattr(certifier, "_search_words", lambda group, bound: (1, {}))
+    spec = parse_group_spec(f"PSL2:{p}")
+    report = cond2_mobius_subgroup(spec, build(spec), None, HYBRID, Caps())
+    assert report.method in ("dihedral_search", "exceptional_search")
+    assert report.certified_up_to + 1 == DICKSON_MAX_MOBIUS[p]
+
+
+def subgroup_by_permutations(generators):
+    """Every element of <generators>, by Permutation products alone."""
+    elements = {Permutation.identity(generators[0].degree)}
+    queue = list(elements)
+    while queue:
+        x = queue.pop()
+        for g in generators:
+            if x * g not in elements:
+                elements.add(x * g)
+                queue.append(x * g)
+    return elements
+
+
+@pytest.mark.parametrize("p", sorted(DICKSON_MAX_MOBIUS))
+def test_witness_search_witnesses_recheck_with_permutations(p):
+    spec = parse_group_spec(f"PSL2:{p}")
+    group = build(spec)
+    witness = cond2_mobius_subgroup(spec, group, None, HYBRID, Caps()).detail["witness"]
+    gens = [_parse_cycles(text, 0, group.degree) for text in witness["generators"]]
+    assert all(g.images in group for g in gens)
+    one = Permutation.identity(group.degree)
+    if witness["type"] == "dihedral":
+        x, t = gens
+        s = x * t  # x = st
+        assert s * s == t * t == one and s != t
+        assert t * x * t == x.inverse()
+        assert t not in {x ** k for k in range(x.order())}
+        assert witness["order"] == 2 * x.order()
+    else:
+        name, fingerprint = FINGERPRINTS[witness["order"]]
+        closure = subgroup_by_permutations(gens)
+        assert (witness["type"], len(closure)) == (name, witness["order"])
+        assert Counter(g.order() for g in closure) == fingerprint
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)))
+def test_witness_search_never_beats_the_exhaustive_maximum(gens):
+    degree = len(gens[0])
+    text = f"perm:{degree}:" + ",".join(cycle_string(tuple(g)) for g in gens)
+    spec = parse_group_spec(text)
+    group = build(spec)
+    best, witness = _search_words(group, group.order + 1)  # a bound no subgroup reaches: the whole pool runs
+    assert best <= cond2_mobius_subgroup(spec, group, None, COMPUTED, Caps()).detail["best_order"]
+    assert witness == {} or witness["order"] == best
+
+
 def assert_mobius_refutations_are_exhaustive(text, ns):
     """Every mobius_subgroup refutation, in any mode, agrees with the
     exhaustive computed search, and so does every certification."""
     spec = parse_group_spec(text)
     group = build(spec)
-    best = cond2_mobius_subgroup(spec, group, 1, COMPUTED, Caps(), exhaustive=True).detail["best_order"]
+    best = cond2_mobius_subgroup(spec, group, None, COMPUTED, Caps()).detail["best_order"]
     for mode in (COMPUTED, HYBRID, PAPER_FORMULA):
         for n in ns:
             verdict = cond2_mobius_subgroup(spec, group, n, mode, Caps()).verdict

@@ -1,8 +1,7 @@
 """Byte-for-byte regression of CLI outputs recorded in tests/data.
 
-The hybrid files were written by an engine that partitioned the whole group
-into conjugacy classes and closed every (involution, order-3) pair, so they
-pin the witnesses the per-order partition and the ord(ab) filter must keep.
+The hybrid files were first written by an engine that partitioned the whole
+group into conjugacy classes and closed every (involution, order-3) pair.
 The computed and paper-formula files were first written while `maxn`
 computed its per-condition maxima apart from the condition deciders and
 the genus oracle listed every branch datum up to the requested genus.
@@ -10,8 +9,14 @@ Since `maxn` reads each maximum from the decider `certify` runs, three
 files were re-recorded: PSL2:11's condition-3 maximum rose from 4 to 6 (the
 oracle's minimal genus, 26) in `maxn_psl2_11_computed.json` and in the
 p = 11 row of the hybrid table, and the computed perm A5 reads condition 1
-by divisibility instead of the subgroup search.  The files pin every
-method `maxn` and `certify` report.
+by divisibility instead of the subgroup search.  Hybrid `maxn` on PSL2(p)
+within the enumeration cap now takes its condition-2 witness from a
+bounded word search that stops at Dickson's order of the largest Moebius
+subgroup, so `maxn_psl2_{23,29,41}_hybrid.json` were re-recorded: in each,
+only `details.cond2` changed (method `witness_search`, the bound's
+provenance and the witness; PSL2(23) now shows a dihedral group of order
+24 instead of S4).  The same order, and so every maximum, is unchanged.
+The files pin every method `maxn` and `certify` report.
 """
 
 from pathlib import Path
@@ -28,7 +33,7 @@ CASES = [
      ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "31", "--mode", "hybrid", "--csv"], 0),
 ] + [
     (f"maxn_psl2_{p}_hybrid.json", ["maxn", "--group", f"PSL2:{p}", "--mode", "hybrid", *JSON], 0)
-    for p in (23, 29, 41)  # S4, A5 and dihedral witnesses
+    for p in (23, 29, 41)  # word-search witnesses: dihedral, A5 and dihedral
 ] + [
     # literature constants, the oracle's minimal genus, divisibility and the brute-force search
     (f"maxn_{tag}_{mode.replace('-', '_')}.json", ["maxn", "--group", group, "--mode", mode, *JSON], 0)

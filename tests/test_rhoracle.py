@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from edcert.catalogue import build, parse_group_spec
 from edcert.config import Caps
 from edcert.errors import CapExceeded, WidthExceeded
 from edcert.permutation import Permutation
 from edcert.rhoracle import (
+    CAPPED,
     NO,
     UNKNOWN,
     YES,
@@ -149,6 +151,13 @@ def test_oracle_requires_simple_groups(group_of):
 def test_oracle_checks_the_enumeration_cap_before_simplicity(group_of):
     verdict = acts_on_genus_le(group_of("S:4"), 1, Caps(oracle_enumeration=10))
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, "group exceeds the signature enumeration cap")
+
+
+def test_unbounded_oracle_stops_at_the_search_cap_before_listing():
+    group = build(parse_group_spec("PSL2:13"))  # order 1092, past the 1,000 vector-search cap
+    verdict = acts_on_genus_le(group, None, Caps())
+    assert (verdict.verdict, verdict.reason) == (UNKNOWN, CAPPED)
+    assert group._elements is None  # no datum was listed, so no element order was needed
 
 
 def test_enumeration_cap_bounds_the_number_of_data(group_of):
