@@ -219,15 +219,6 @@ class FamilyConstants:
     simple_nonabelian: bool | None = None
     provenance: str = "literature"
 
-    def to_json(self) -> dict:
-        return {
-            "min_proper_index": self.min_proper_index,
-            "max_element_order": self.max_element_order,
-            "max_mobius_order": self.max_mobius_order,
-            "simple_nonabelian": self.simple_nonabelian,
-            "provenance": self.provenance,
-        }
-
 
 MOBIUS_BOUND_PROVENANCE = "literature: Dickson's list of the subgroups of PSL2(q) (Huppert, Endliche Gruppen I, II.8.27)"
 

@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .catalogue import build, parse_group_spec
@@ -34,7 +33,7 @@ from .curvebounds import (
     riemann_genus_cap,
     tower_genus_bound,
 )
-from .errors import CapExceeded, EdcertError, NotSimple
+from .errors import CapExceeded, EdcertError
 from .permgroup import _is_prime, min_proper_subgroup_index
 from . import rhoracle
 
@@ -83,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmin", type=int, required=True)
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of text")
-    p.add_argument("--workers", type=int, default=1, help="threads; one prime per worker")
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_common(p)
 
     p = sub.add_parser("compare", help="prior-methods baseline and strictness flag")
@@ -234,12 +233,7 @@ def _cmd_table(args, started) -> int:
     if args.pmin < 7:
         raise EdcertError("the PSL2 table starts at p = 7")
     primes = [p for p in range(args.pmin, args.pmax + 1) if _is_prime(p)]
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda p: _table_row(p, mode, caps), primes))
-    else:
-        rows = [_table_row(p, mode, caps) for p in primes]
-    rows.sort(key=lambda r: r["p"])  # merge by group key
+    rows = [_table_row(p, mode, caps) for p in primes]
 
     if args.csv:
         buf = io.StringIO()
@@ -398,9 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NotSimple as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EdcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

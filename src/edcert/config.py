@@ -14,7 +14,8 @@ class Caps:
 
     enumeration        -- shared cap on |G| for element-by-element work
     subgroup_search    -- cap on |G| for the brute-force minimal-index oracle
-    oracle_enumeration -- cap on |G| for branch-data (signature) enumeration
+    oracle_enumeration -- cap on |G| for branch-data (signature) enumeration,
+                          and on the number of branch data listed or searched
     oracle_search      -- cap on |G| for generating-vector searches
     vector_width       -- cap on r + 2h, the slot count of one vector search
 

@@ -16,11 +16,13 @@ outright instead of relying on the Hurwitz 84(g-1) shortcut.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .config import DEFAULT_CAPS, Caps
-from .curvebounds import hurwitz_min_genus
 from .errors import CapExceeded, WidthExceeded
 from .permgroup import PermGroup, StabilizerChain
 from .permutation import Permutation, compose, invert, tuple_order
@@ -103,56 +105,66 @@ def _period_choices(group: PermGroup, cap: int) -> list[int]:
     return sorted(divisors)
 
 
+def _branch_data(group: PermGroup, genus_max: int | None, caps: Caps):
+    """Every (genus, Signature) with 0 <= genus <= genus_max (no bound when
+    None), lazily, in (genus, quotient genus, periods) order.
+
+    With L the lcm of the admissible periods, the datum (h; m_1, ..., m_r)
+    has the integer weight t = L * (2h - 2 + sum(1 - 1/m_i)), and
+    2g - 2 = |G| * t / L.  A heap keyed on (t, h, periods) reaches each datum
+    exactly once, by appending a copy of the last period or raising the last
+    period to the next choice; (h; -) also leads to (h+1; -).  Every move
+    raises t, so data pop in genus order.
+    """
+    order = group.order
+    choices = _period_choices(group, caps.oracle_enumeration)
+    lcm = math.lcm(*choices)
+    weight = {m: lcm - lcm // m for m in choices}
+    raise_to = dict(zip(choices, choices[1:]))
+    heap = [(-2 * lcm, 0, ())]
+    while heap:
+        t, h, periods = heapq.heappop(heap)
+        if genus_max is not None and order * t > lcm * (2 * genus_max - 2):
+            return
+        g2, rest = divmod(order * t, lcm)  # 2g - 2, when rest is 0
+        if rest == 0 and g2 % 2 == 0 and g2 >= -2:
+            yield g2 // 2 + 1, Signature(h, periods)
+        if not periods:
+            heapq.heappush(heap, (t + 2 * lcm, h + 1, ()))
+            if choices:
+                heapq.heappush(heap, (t + weight[choices[0]], h, (choices[0],)))
+            continue
+        last = periods[-1]
+        heapq.heappush(heap, (t + weight[last], h, periods + (last,)))
+        if last in raise_to:
+            step = weight[raise_to[last]] - weight[last]
+            heapq.heappush(heap, (t + step, h, periods[:-1] + (raise_to[last],)))
+
+
 def enumerate_signatures(
     group: PermGroup, genus_max: int, caps: Caps = DEFAULT_CAPS
 ) -> list[tuple[int, Signature]]:
     """All (genus, signature) pairs with genus in [0, genus_max] satisfying
     the Riemann-Hurwitz identity with periods drawn from element orders.
 
-    Output is sorted by (genus, quotient genus, periods) and duplicate-free;
+    Output is in (genus, quotient genus, periods) order and duplicate-free;
     periods are canonical ascending tuples.  The oracle enumeration cap
     bounds both |G| and the number of data listed.
     """
-    if group.order > caps.oracle_enumeration:
+    cap = caps.oracle_enumeration
+    if group.order > cap:
         raise CapExceeded(
-            f"order {group.order} exceeds the oracle enumeration cap {caps.oracle_enumeration}",
+            f"order {group.order} exceeds the oracle enumeration cap {cap}",
             needed=group.order,
-            cap=caps.oracle_enumeration,
+            cap=cap,
         )
-    order = group.order
-    choices = _period_choices(group, caps.oracle_enumeration)
-    results: list[tuple[int, Signature]] = []
-    # sum(1 - 1/m_i) <= (2*genus_max - 2)/|G| + 2 - 2h, and each term >= 1/2
-    h = 0
-    while True:
-        budget = Fraction(2 * genus_max - 2, order) + 2 - 2 * h
-        if budget < 0:
-            break
-
-        def emit(h: int, partial: tuple[int, ...], total: Fraction) -> None:
-            g2 = order * (2 * h - 2 + total) + 2
-            if g2 % 2 == 0 and 0 <= g2 // 2 <= genus_max:
-                results.append((int(g2 // 2), Signature(h, partial)))
-                if len(results) > caps.oracle_enumeration:
-                    raise CapExceeded(
-                        f"more than {caps.oracle_enumeration} branch data up to genus {genus_max}"
-                        " (the oracle enumeration cap)",
-                        needed=len(results),
-                        cap=caps.oracle_enumeration,
-                    )
-
-        def extend(partial: tuple[int, ...], total: Fraction, start: int) -> None:
-            emit(h, partial, total)
-            for idx in range(start, len(choices)):
-                m = choices[idx]
-                term = 1 - Fraction(1, m)
-                if total + term > budget:
-                    break  # larger periods only increase the term
-                extend(partial + (m,), total + term, idx)
-
-        extend((), Fraction(0), 0)
-        h += 1
-    results.sort(key=lambda pair: (pair[0], pair[1].orbit_genus, pair[1].periods))
+    results = list(islice(_branch_data(group, genus_max, caps), cap + 1))
+    if len(results) > cap:
+        raise CapExceeded(
+            f"more than {cap} branch data up to genus {genus_max} (the oracle enumeration cap)",
+            needed=cap + 1,
+            cap=cap,
+        )
     return results
 
 
@@ -294,13 +306,13 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
 
     Requires a nonabelian simple group (there nontrivial means faithful);
     anything else, or any cap overrun, degrades to `unknown`, never to a
-    wrong verdict.  Branch data are listed at the bounds 0, 2, 6, 14, ...
-    (capped at g) and each datum is searched once, in the genus order of a
-    single listing, so the cost follows the least genus with a witness
+    wrong verdict.  Branch data are walked once, in genus order, and each is
+    searched as it comes, so the cost follows the least genus with a witness
     rather than g; past the vector-search cap the first datum answers
-    `unknown`.  A `yes` has the least genus unless `capped_below`.  With g
-    None there is no bound: the answer is that least genus, or `unknown`,
-    given at once past the vector-search cap, before any datum is listed.
+    `unknown`, and so does searching more data than the oracle enumeration
+    cap.  A `yes` has the least genus unless `capped_below`.  With g None
+    there is no bound: the answer is that least genus, or `unknown`, given
+    at once past the vector-search cap, before any datum is listed.
     """
     if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
@@ -315,41 +327,28 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
     if genus is None and group.order > caps.oracle_search:
         # with no bound some datum is always listed, and its search stops at the cap
         return OracleVerdict(UNKNOWN, reason=CAPPED)
-    floor = hurwitz_min_genus(group.order)
-    searched = -1  # every datum of genus <= searched has been searched
     capped_genus = None  # genus of the first datum the width cap cut short
-    listed = False
-    while genus is None or searched < genus:
-        bound = 2 * searched + 2 if genus is None else min(2 * searched + 2, genus)
-        sigs = []
-        # every datum of genus >= 2 has genus >= the Hurwitz floor, so once
-        # genus 1 is searched a bound below the floor lists nothing new
-        if searched < 1 or bound >= floor:
-            try:
-                sigs = enumerate_signatures(group, bound, caps)
-            except CapExceeded:
-                return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
-        for g, sig in sigs:
-            if g <= searched:
-                continue
-            listed = True
-            try:
-                vec = find_generating_vector(group, sig, caps)
-            except CapExceeded:
-                # the search cap bounds |G| alone, so it cuts every datum short
-                return OracleVerdict(UNKNOWN, reason=CAPPED)
-            except WidthExceeded:
-                if capped_genus is None:
-                    capped_genus = g
-                continue
-            if vec is not None:
-                if not validate_vector(group, sig, vec):
-                    raise AssertionError(f"search produced an invalid vector for {sig.label()}")
-                below = capped_genus is not None and capped_genus < g
-                return OracleVerdict(YES, genus=g, signature=sig, vector=vec, capped_below=below)
-        searched = bound
+    count = 0  # data searched so far
+    for g, sig in _branch_data(group, genus, caps):
+        count += 1
+        if count > caps.oracle_enumeration:
+            return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
+        try:
+            vec = find_generating_vector(group, sig, caps)
+        except CapExceeded:
+            # the search cap bounds |G| alone, so it cuts every datum short
+            return OracleVerdict(UNKNOWN, reason=CAPPED)
+        except WidthExceeded:
+            if capped_genus is None:
+                capped_genus = g
+            continue
+        if vec is not None:
+            if not validate_vector(group, sig, vec):
+                raise AssertionError(f"search produced an invalid vector for {sig.label()}")
+            below = capped_genus is not None and capped_genus < g
+            return OracleVerdict(YES, genus=g, signature=sig, vector=vec, capped_below=below)
     if capped_genus is not None:
         return OracleVerdict(UNKNOWN, reason=CAPPED)
-    if not listed:
+    if not count:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
     return OracleVerdict(NO, reason=f"all branch data up to genus {genus} exhausted")

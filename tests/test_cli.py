@@ -191,52 +191,53 @@ def test_oracle_rh_matches_per_genus_search(capsys, monkeypatch, text, genus_max
     assert (code, envelope["payload"]) == _oracle_rh_by_genus(text, genus_max, caps)
 
 
-def _record_listing_bounds(monkeypatch):
-    asked = []
-    listing = rhoracle.enumerate_signatures
+def _record_searched_genera(monkeypatch):
+    """The genus of every branch datum handed to the vector search."""
+    searched = []
+    search = rhoracle.find_generating_vector
 
-    def recording(group, genus_max, caps):
-        asked.append(genus_max)
-        return listing(group, genus_max, caps)
+    def recording(group, sig, caps):
+        searched.append(int(rhoracle.rh_genus(group.order, sig)))
+        return search(group, sig, caps)
 
-    monkeypatch.setattr(rhoracle, "enumerate_signatures", recording)
-    return asked
+    monkeypatch.setattr(rhoracle, "find_generating_vector", recording)
+    return searched
 
 
 def test_oracle_rh_cost_follows_minimal_genus(capsys, monkeypatch):
-    asked = _record_listing_bounds(monkeypatch)
+    searched = _record_searched_genera(monkeypatch)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:5", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 0
-    assert asked == [0]
-    asked.clear()
+    assert max(searched) == 0
+    searched.clear()
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 3
-    assert asked == [0, 2, 6]
-    asked.clear()
+    assert max(searched) <= 3
+    searched.clear()
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:6", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 10
-    assert asked == [0, 2, 6, 14]
+    assert max(searched) <= 10
 
 
 def test_oracle_rh_stops_at_the_vector_search_cap(capsys, monkeypatch):
     # |PSL2(13)| = 1092 is within the listing cap but beyond the search cap,
-    # so the first datum listed (genus 1) already decides "unknown"
-    asked = _record_listing_bounds(monkeypatch)
+    # so the first datum searched (genus 1) already decides "unknown"
+    searched = _record_searched_genera(monkeypatch)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:13", "--genus-max", "100000")
     assert code == 1
     assert envelope["payload"]["verdict"] == "unknown"
     assert envelope["payload"]["reason"] == rhoracle.CAPPED
-    assert asked == [0, 2]
+    assert len(searched) == 1
 
 
 def test_certify_large_n_stops_at_the_minimal_genus(capsys, monkeypatch):
-    asked = _record_listing_bounds(monkeypatch)
+    searched = _record_searched_genera(monkeypatch)
     code, envelope = run_json(capsys, "certify", "--group", "A:6", "--n", "166")
     assert code == 1 and envelope["payload"]["overall"] == "refuted"
     genus = envelope["payload"]["conditions"][2]
     assert (genus["verdict"], genus["method"]) == ("refuted", "rh_oracle")
     assert genus["detail"]["witness"]["genus"] == 10
-    assert max(asked) <= 14
+    assert max(searched) <= 10
 
 
 def test_oracle_bounds_h_n(capsys):

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from edcert.catalogue import build, parse_group_spec
 from edcert.config import Caps
 from edcert.errors import CapExceeded, WidthExceeded
+from edcert import rhoracle
 from edcert.permutation import Permutation
 from edcert.rhoracle import (
     CAPPED,
@@ -54,6 +56,29 @@ def test_enumeration_is_duplicate_free_and_sorted(group_of):
     sigs = enumerate_signatures(group_of("PSL2:7"), 3)
     assert len(set(sigs)) == len(sigs)
     assert sigs == sorted(sigs, key=lambda pair: (pair[0], pair[1].orbit_genus, pair[1].periods))
+
+
+def brute_force_listing(group, genus_max):
+    """Every datum of genus in [0, genus_max], from rh_genus alone, sorted."""
+    periods = sorted({d for o in group.element_orders(10_000) for d in range(2, o + 1) if o % d == 0})
+    # each period adds at least 1/2 to 2h - 2 + sum(1 - 1/m_i), which is at most (2g - 2) / |G|
+    top = Fraction(2 * genus_max - 2, group.order)
+    listing = []
+    for h in range(int(top) // 2 + 2):
+        for r in range(int(2 * (top + 2 - 2 * h)) + 1):
+            for chosen in combinations_with_replacement(periods, r):
+                genus = rh_genus(group.order, Signature(h, chosen))
+                if genus.denominator == 1 and 0 <= genus <= genus_max:
+                    listing.append((int(genus), Signature(h, chosen)))
+    return sorted(listing, key=lambda pair: (pair[0], pair[1].orbit_genus, pair[1].periods))
+
+
+@pytest.mark.parametrize("text", ["C:1", "C:6", "C:7", "D:6", "S:4", "A:5", "PSL2:7"])
+def test_enumeration_is_complete_in_genus_order(group_of, text):
+    group = group_of(text)
+    full = brute_force_listing(group, 30)
+    for genus_max in range(31):
+        assert enumerate_signatures(group, genus_max) == [pair for pair in full if pair[0] <= genus_max]
 
 
 def test_periods_divide_element_orders(group_of):
@@ -166,6 +191,21 @@ def test_enumeration_cap_bounds_the_number_of_data(group_of):
     with pytest.raises(CapExceeded) as raised:
         enumerate_signatures(c6, 20, Caps(oracle_enumeration=443))
     assert (raised.value.needed, raised.value.cap) == (444, 443)
+
+
+@pytest.mark.parametrize("genus", [None, 10**6])
+def test_oracle_stops_after_searching_cap_many_data(group_of, monkeypatch, genus):
+    # width 1 cuts every datum short, so only the count cap ends the walk (with no genus bound it never ends)
+    searched = []
+
+    def record(group, signature, caps):
+        searched.append(signature)
+        return find_generating_vector(group, signature, caps)
+
+    monkeypatch.setattr(rhoracle, "find_generating_vector", record)
+    verdict = acts_on_genus_le(group_of("A:5"), genus, Caps(vector_width=1, oracle_enumeration=60))
+    assert (verdict.verdict, verdict.reason) == (UNKNOWN, "branch data exceed the signature enumeration cap")
+    assert len(searched) == 60
 
 
 def test_unrealizable_fraction_genus_returns_none(group_of):
