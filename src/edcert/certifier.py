@@ -32,7 +32,7 @@ from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
 from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
-from .permgroup import PermGroup, closed_subgroup, first_embedding_degree, max_proper_subgroup
+from .permgroup import PermGroup, closed_subgroup, embedding_degree_subgroup, first_embedding_degree
 from .permutation import compose, cycle_string, invert, power, tuple_order
 from . import rhoracle
 
@@ -241,10 +241,9 @@ def _min_proper_index(
 
     The literature constant in hybrid and paper_formula modes (facts: its
     provenance), else, if `search`, the brute-force search within the
-    subgroup-search cap (facts: the largest proper subgroup order and its
-    generators), kept only when it equals `first_embedding_degree(|G|)`,
+    subgroup-search cap for a subgroup of index `first_embedding_degree(|G|)`,
     the k!/2 lower bound on d(G) for the simple groups condition 1 asks
-    about; None otherwise.
+    about (facts: that subgroup's order and generators); None otherwise.
     """
     if mode in (HYBRID, PAPER_FORMULA):
         constants = family_overrides(spec)
@@ -252,9 +251,8 @@ def _min_proper_index(
             return "literature_override", constants.min_proper_index, constants.provenance
     if not search or group.order > caps.subgroup_search:
         return None
-    best, witness = max_proper_subgroup(group, caps.subgroup_search)
-    d = group.order // best
-    return ("brute_force", d, (best, witness)) if d == first_embedding_degree(group.order) else None
+    found = embedding_degree_subgroup(group, caps.subgroup_search)
+    return None if found is None else ("brute_force", group.order // found[0], found)
 
 
 # -- condition 2: a large Moebius subgroup -------------------------------------

@@ -568,7 +568,7 @@ def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -
 
 
 def max_proper_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search
+    group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search, limit: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Order and generators of the largest proper subgroup a search finds.
 
@@ -576,19 +576,24 @@ def max_proper_subgroup(
     plus one further element, the cyclic ones included.  An element lying
     in a subgroup already closed for the same representative is skipped:
     the pair would generate a subgroup of that one, which cannot beat the
-    best found.  The witness is always a proper subgroup, so |G| / order
-    bounds d(G) from above; the search alone does not prove that bound exact.
+    best found.  `limit` must bound the order of every proper subgroup; it
+    defaults to |G| // 2, true of any group.  A closure is abandoned once
+    it exceeds `limit`, so it was the whole group, and the search returns
+    at the first subgroup of order `limit`, which no later pair can beat.
+    The witness is always a proper subgroup, so |G| / order bounds d(G)
+    from above; the search alone does not prove that bound exact.
     """
     n = group.order
     if n == 1:
         raise ValidationError("the trivial group has no proper subgroup")
     if n > cap:
         raise CapExceeded(f"order {n} exceeds the subgroup-search cap {cap}", needed=n, cap=cap)
+    if limit is None:
+        limit = n // 2
 
     identity = group.identity()
     els = [e for e in group.elements(cap=n) if e != identity]
     reps = [r for r in group.class_representatives(cap=n) if r != identity]
-    limit = n // 2  # a proper subgroup has at most n/2 elements
     best = 1
     witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:
@@ -603,7 +608,27 @@ def max_proper_subgroup(
             if len(sub) > best:
                 best = len(sub)
                 witness = (rep, b)
+                if best == limit:
+                    return best, witness
     return best, witness
+
+
+def embedding_degree_subgroup(
+    group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search
+) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+    """A subgroup of index k0 = `first_embedding_degree(|G|)` in a
+    nonabelian simple G, as (order, generators), or None if the search
+    finds none.
+
+    Such a G has no proper subgroup of index k < k0, which would embed it
+    in A_k, so no proper subgroup has more than |G| // k0 elements and the
+    search runs with that limit.  An index-k0 subgroup found is d(G).  Only
+    for groups known to be nonabelian simple: S4 has k0 = 5, yet a subgroup
+    of order 12.
+    """
+    k0 = first_embedding_degree(group.order)
+    best, witness = max_proper_subgroup(group, cap, group.order // k0)
+    return (best, witness) if best * k0 == group.order else None
 
 
 def first_embedding_degree(order: int) -> int:
@@ -627,8 +652,8 @@ def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup
     subgroup of index p is normal with quotient C_p and so contains the
     derived subgroup G', and the abelian G/G' has a subgroup of index p
     whenever p divides |G : G'|: then d(G) = p.  Otherwise, for G
-    nonabelian simple only, the subgroup search bounds d(G) from above, and
-    the bound is returned when `first_embedding_degree` proves it least.
+    nonabelian simple only, d(G) is the index `embedding_degree_subgroup`
+    finds, when it finds one.
     """
     n = group.order
     if n == 1:
@@ -640,6 +665,5 @@ def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup
         return p
     if not group.is_simple_nonabelian(cap):
         return None
-    best, _ = max_proper_subgroup(group, cap)
-    d = n // best
-    return d if d == first_embedding_degree(n) else None
+    found = embedding_degree_subgroup(group, cap)
+    return None if found is None else n // found[0]

@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from typing import Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, WidthExceeded
 from .permgroup import PermGroup, StabilizerChain
-from .permutation import Permutation, compose, invert, tuple_order
+from .permutation import Permutation, compose, invert
 
 YES = "yes"
 NO = "no"
@@ -193,6 +194,19 @@ def validate_vector(group: PermGroup, sig: Signature, vec: GeneratingVector) -> 
     return chain.order() == group.order
 
 
+def _orbit_size(generators: Sequence[tuple[int, ...]], point: int) -> int:
+    """Size of the orbit of `point` under the group the generators generate,
+    by a breadth-first walk over points."""
+    orbit = {point}
+    queue = [point]
+    for x in queue:
+        for g in generators:
+            if g[x] not in orbit:
+                orbit.add(g[x])
+                queue.append(g[x])
+    return len(orbit)
+
+
 def find_generating_vector(
     group: PermGroup, sig: Signature, caps: Caps = DEFAULT_CAPS
 ) -> GeneratingVector | None:
@@ -203,6 +217,12 @@ def find_generating_vector(
     that its first entry is a representative), later slots over all
     elements in enumeration order; elliptic slots are filled in descending
     period order with the last one forced by the product condition.
+
+    Element orders are read from the group's order table; the forced last
+    entry, the inverse of the product so far, has that product's order, so
+    it is inverted only when the order fits.  A complete vector builds a
+    stabilizer chain only when it moves the point with G's largest orbit
+    over that whole orbit: a smaller orbit cannot be G's.
     """
     if group.order > caps.oracle_search:
         raise CapExceeded(
@@ -222,6 +242,7 @@ def find_generating_vector(
 
     els = group.elements(caps.oracle_search)
     orders = group.element_orders(caps.oracle_search)
+    order_of = dict(zip(els, orders))
     by_order: dict[int, list[tuple[int, ...]]] = {}
     for p, o in zip(els, orders):
         by_order.setdefault(o, []).append(p)
@@ -234,15 +255,18 @@ def find_generating_vector(
     target = group.order
     degree = group.degree
 
+    point = max(range(degree), key=lambda x: _orbit_size(group.generators, x))
+    orbit = _orbit_size(group.generators, point)
+
     def generates(parts: list[tuple[int, ...]]) -> bool:
-        return StabilizerChain(parts, degree).order() == target
+        return _orbit_size(parts, point) == orbit and StabilizerChain(parts, degree).order() == target
 
     hyperbolic: list[tuple[int, ...]] = []
     elliptic: list[tuple[int, ...]] = []
 
     def candidates(slot_order, first_slot):
         if first_slot:
-            return [p for p in reps if slot_order is None or tuple_order(p) == slot_order]
+            return [p for p in reps if slot_order is None or order_of[p] == slot_order]
         if slot_order is None:
             return els
         return by_order[slot_order]
@@ -257,9 +281,9 @@ def find_generating_vector(
 
     def search_elliptic(i: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
         if i == r - 1 and r >= 1:
-            last = invert(prefix)
-            if tuple_order(last) != periods[-1]:
+            if order_of[prefix] != periods[-1]:
                 return None
+            last = invert(prefix)
             if not generates(hyperbolic + elliptic + [last]):
                 return None
             return found_vector(elliptic + [last])

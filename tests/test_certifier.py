@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edcert import certifier
+from edcert import certifier, permgroup
 from edcert.catalogue import _parse_cycles, build, parse_group_spec
 from edcert.certifier import (
     CERTIFIED,
@@ -477,7 +477,7 @@ def test_maxn_runs_no_subgroup_search(group_of, monkeypatch, text, mode):
     def refuse(*args, **kwargs):
         raise AssertionError("maxn ran the subgroup search")
 
-    monkeypatch.setattr(certifier, "max_proper_subgroup", refuse)
+    monkeypatch.setattr(permgroup, "max_proper_subgroup", refuse)
     report = bound(group_of, text, mode)
     assert report.details["cond1"]["method"] in ("divisibility", "literature_override")
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from edcert import cli, rhoracle
+from edcert import cli, permgroup, rhoracle
 from edcert.catalogue import build, parse_group_spec
 from edcert.cli import main
 from edcert.config import Caps
@@ -240,6 +240,46 @@ def test_certify_large_n_stops_at_the_minimal_genus(capsys, monkeypatch):
     assert max(searched) <= 10
 
 
+def test_oracle_min_index_stops_at_the_index_k0_subgroup(capsys, monkeypatch):
+    # A6 has no proper subgroup of more than 360 // 6 elements, so the pair
+    # search stops at its first A5 instead of closing every pair
+    closures = []
+    closed = permgroup.closed_subgroup
+
+    def counting(*args):
+        closures.append(args)
+        return closed(*args)
+
+    monkeypatch.setattr(permgroup, "closed_subgroup", counting)
+    code, envelope = run_json(capsys, "oracle", "min-index", "--group", "A:6")
+    assert code == 0 and envelope["payload"]["min_index"] == 6
+    assert len(closures) <= 50
+
+
+def test_oracle_rh_builds_chains_only_for_vectors_with_the_full_orbit(capsys, monkeypatch):
+    chains = []
+    chain, search = rhoracle.StabilizerChain, rhoracle.find_generating_vector
+    inside = []
+
+    def counting(*args):
+        if inside:
+            chains.append(args)
+        return chain(*args)
+
+    def searching(*args):
+        inside.append(True)
+        try:
+            return search(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rhoracle, "StabilizerChain", counting)
+    monkeypatch.setattr(rhoracle, "find_generating_vector", searching)
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:6", "--genus-max", "10")
+    assert code == 0 and envelope["payload"]["genus"] == 10
+    assert 0 < len(chains) <= 100
+
+
 def test_oracle_bounds_h_n(capsys):
     code, envelope = run_json(capsys, "oracle", "bounds", "h_n", "--n", "6")
     assert code == 0
@@ -297,6 +337,16 @@ def test_malformed_flags_exit_2(capsys):
     assert main(["certify"]) == 2
     assert main(["unknown-command"]) == 2
     assert main(["certify", "--group", "A:7", "--n", "not-a-number"]) == 2
+
+
+def test_one_parser_serves_every_call(capsys):
+    valid = ("certify", "--group", "A:7", "--n", "6", "--json", "--no-timing")
+    cli._build_parser.cache_clear()
+    alone = run(capsys, *valid)
+    cli._build_parser.cache_clear()
+    assert run(capsys, "certify", "--group", "A:7", "--n", "not-a-number")[0] == 2
+    assert run(capsys, *valid) == alone
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_out_writes_file(capsys, tmp_path):

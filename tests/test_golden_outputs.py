@@ -16,7 +16,10 @@ subgroup, so `maxn_psl2_{23,29,41}_hybrid.json` were re-recorded: in each,
 only `details.cond2` changed (method `witness_search`, the bound's
 provenance and the witness; PSL2(23) now shows a dihedral group of order
 24 instead of S4).  The same order, and so every maximum, is unchanged.
-The files pin every method `maxn` and `certify` report.
+The files pin every method `maxn` and `certify` report.  The last three
+were recorded before the subgroup search stopped at |G| // k0 and the
+vector search at its orbit check, and pin the witnesses both searches
+return.
 """
 
 from pathlib import Path
@@ -45,6 +48,11 @@ CASES = [
      ["certify", "--group", "PSL2:17", "--n", "5", "--mode", "paper-formula", *JSON], 0),  # non_strict Hurwitz
     ("certify_psl2_11_n6.json", ["certify", "--group", "PSL2:11", "--n", "6", *JSON], 0),  # rh_oracle
     ("certify_psl2_7_n40.json", ["certify", "--group", "PSL2:7", "--n", "40", *JSON], 1),  # witness far below the cap
+    # the first witnesses of the two brute-force searches: the pair search's index-6 subgroup, the index
+    # it proves, and the vector search's first generating vector
+    ("certify_a6_n6.json", ["certify", "--group", "A:6", "--n", "6", *JSON], 1),
+    ("oracle_min_index_psl2_7.json", ["oracle", "min-index", "--group", "PSL2:7", *JSON], 0),
+    ("oracle_rh_a6_g10.json", ["oracle", "rh", "--group", "A:6", "--genus-max", "10", *JSON], 0),
 ]
 
 

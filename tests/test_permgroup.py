@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from edcert.catalogue import build, parse_group_spec
 from edcert.errors import CapExceeded, NotDividing, ValidationError
+from edcert import permgroup
 from edcert.permgroup import (
     PermGroup,
     closed_subgroup,
+    embedding_degree_subgroup,
     first_embedding_degree,
     max_proper_subgroup,
     min_proper_subgroup_index,
@@ -421,6 +423,47 @@ def test_min_index_is_unknown_without_a_proof(group_of):
 
 def test_min_index_from_the_derived_subgroup(group_of):
     assert min_proper_subgroup_index(group_of(C2_3_S3)) == 2
+
+
+def _bounded_search_matches_the_full_one(g):
+    full = max_proper_subgroup(g)
+    limit = g.order // first_embedding_degree(g.order)
+    assert max_proper_subgroup(g, limit=limit) == full
+    assert embedding_degree_subgroup(g) == full  # each of these groups has a subgroup of index k0
+
+
+@pytest.mark.parametrize("text", ["A:5", "A:6", "PSL2:7"])
+def test_bounded_subgroup_search_finds_the_same_witness(group_of, text):
+    _bounded_search_matches_the_full_one(group_of(text))
+
+
+PSL3_2_CYCLES = [[(0, 1, 2, 3, 4, 5, 6)], [(0, 1), (2, 4)]]  # PSL(3,2) on the 7 points of the Fano plane
+PSL2_5_CYCLES = [[(0, 1, 2, 3, 4)], [(0, 5), (1, 4)]]  # PSL(2,5) on the projective line: z + 1, -1/z; infinity = 5
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([(7, PSL3_2_CYCLES), (6, PSL2_5_CYCLES)]).flatmap(
+    lambda spec: st.tuples(st.just(spec), st.permutations(list(range(spec[0]))))
+))
+def test_bounded_subgroup_search_on_relabelled_groups(drawn):
+    (degree, generators), relabel = drawn
+    gens = [Permutation.from_cycles([[relabel[x] for x in c] for c in cycles], degree) for cycles in generators]
+    g = PermGroup(gens)
+    assert g.order == {7: 168, 6: 60}[degree] and g.is_simple_nonabelian()
+    _bounded_search_matches_the_full_one(g)
+
+
+@pytest.mark.parametrize("text, index", [("S:4", 2), (C2_3_S3, 2), (C2_4_C5, None), (AGL1_8, None)])
+def test_min_index_runs_no_subgroup_search_on_non_simple_groups(group_of, monkeypatch, text, index):
+    # the search's limit |G| // k0 holds for simple groups only: S4 has k0 = 5
+    # and a subgroup of order 12 > 24 // 5
+    assert max_proper_subgroup(group_of("S:4"))[0] == 12 > 24 // first_embedding_degree(24)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subgroup search on a non-simple group")
+
+    monkeypatch.setattr(permgroup, "max_proper_subgroup", refuse)
+    assert min_proper_subgroup_index(group_of(text)) == index
 
 
 def test_first_embedding_degree_matches_the_factorial_loop():

@@ -2,11 +2,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edcert.catalogue import build, parse_group_spec
 from edcert.config import Caps
 from edcert.errors import CapExceeded, WidthExceeded
 from edcert import rhoracle
+from edcert.permgroup import StabilizerChain
 from edcert.permutation import Permutation
 from edcert.rhoracle import (
     CAPPED,
@@ -236,3 +239,18 @@ def test_vector_search_direct_edge_cases(group_of):
     assert find_generating_vector(a5, Signature(0, (2, 3, 7))) is None
     # the empty signature has no slots at all
     assert find_generating_vector(a5, Signature(0, ())) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["A:5", "PSL2:7", "A:6", "perm:7:(0 1 2 3 4),(0 1 2),(5 6)"]),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=4),
+)
+def test_a_tuple_the_orbit_check_rejects_does_not_generate(group_of, text, picks):
+    g = group_of(text)
+    els = g.elements()
+    parts = [els[i % len(els)] for i in picks]
+    order = StabilizerChain(parts, g.degree).order()
+    for point in range(g.degree):
+        if rhoracle._orbit_size(parts, point) < rhoracle._orbit_size(g.generators, point):
+            assert order < g.order
