@@ -9,9 +9,9 @@ same file byte for byte (compare them with ``cmp`` or ``diff``).  The corpus
 covers ``certify`` at ten values of n and ``maxn`` in all three modes on 18
 groups, ``maxn`` on PSL(3,2) in its degree-7 action, hybrid ``maxn`` on the
 six PSL2(p), 7 <= p <= 53, that the 18 groups leave out, the PSL2 table 7..61
-in all three modes, ``oracle rh``, the ``rh`` branch-data table, both paths
-to the ``h_n`` table, the other four ``bounds`` calculators on one valid and
-one invalid input each, and ``compare`` and ``oracle min-index`` (the Sylow
+in all three modes, ``oracle rh``, the ``rh`` branch-data table, the
+``h_n`` table, the other four ``bounds`` calculators on one valid and one
+invalid input each, and ``compare`` and ``oracle min-index`` (the Sylow
 and subgroup searches) on 16 groups.  A command that raises instead of
 returning an exit code is recorded with the exception it raised.
 """
@@ -63,7 +63,6 @@ def commands():
     yield ["certify", "--group", "PSL2:7", "--n", "40", *JSON]
     for n in (2, 6, 12):
         yield ["bounds", "h_n", "--n", str(n), *JSON]
-        yield ["oracle", "bounds", "h_n", "--n", str(n), *JSON]
     for flags in (["--n1", "3", "--g1", "1", "--n2", "4", "--g2", "0"], ["--n1", "0", "--g1", "1", "--n2", "4", "--g2", "0"]):
         yield ["bounds", "castelnuovo", *flags, *JSON]
     for n in ("5", "0"):

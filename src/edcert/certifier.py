@@ -146,7 +146,7 @@ def _caps_constants(group: PermGroup, caps: Caps) -> dict:
             "subgroup_search": caps.subgroup_search,
             "oracle_enumeration": caps.oracle_enumeration,
             "oracle_search": caps.oracle_search,
-            "vector_width": caps.vector_width,
+            "vector_width": rhoracle.VECTOR_WIDTH,
         },
     }
 
@@ -505,10 +505,7 @@ def cond3_no_small_genus_action(
     """Certify no nontrivial action on any smooth curve of genus <= (n-1)^2.
 
     (a) genus <= 1 is excluded for every nonabelian simple group other than
-        the icosahedral group (order 60): a faithful action on a rational,
-        elliptic or hyperelliptic curve makes the group a subquotient of a
-        C2-central extension of a finite Moebius group, and the only
-        nonabelian simple subquotient arising that way is A5 itself.
+        the icosahedral group (order 60), by rhoracle.genus_le1_excluded.
     (b) each genus in [2, (n-1)^2] is excluded by the Hurwitz floor when
         (n-1)^2 < hurwitz_min_genus(|G|) (strict in computed/hybrid mode;
         the paper-formula mode certifies at equality, as printed); if the
@@ -534,7 +531,7 @@ def cond3_no_small_genus_action(
         detail["note"] = "decider requires a nonabelian simple group"
         return ConditionReport(COND_GENUS, UNKNOWN, None, detail)
 
-    is_icosahedral = order == 60  # the unique nonabelian simple group of order 60
+    is_icosahedral = not rhoracle.genus_le1_excluded(order)
     icosahedral_note = "order-60 simple group is the icosahedral Moebius group"
     floor = hurwitz_min_genus(order)
     if n is None:
@@ -544,7 +541,7 @@ def cond3_no_small_genus_action(
             detail = {"reading": "non_strict", "hurwitz_floor": floor}
             return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail, 1 + isqrt((84 + order) // 84))
         verdict = rhoracle.acts_on_genus_le(group, None, caps)
-        if verdict.verdict == rhoracle.YES and not verdict.capped_below:
+        if verdict.verdict == rhoracle.YES:
             detail = {"hurwitz_floor": floor, "min_genus": verdict.genus}
             return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail, 1 + isqrt(verdict.genus - 1))
         detail = {"reading": "strict", "hurwitz_floor": floor}

@@ -66,10 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "perm:<deg>:<cycles>,... e.g. perm:4:(0 1 2 3),(0 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    h_n = argparse.ArgumentParser(add_help=False)  # `bounds h_n` and its alias `oracle bounds h_n`
-    h_n.add_argument("--n", type=int, required=True)
-    _add_common(h_n, mode=False)
-
     p = sub.add_parser("certify", help="certify one (group, n) pair")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
@@ -104,7 +100,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--n1", "--g1", "--n2", "--g2"):
         b.add_argument(flag, type=int, required=True)
     _add_common(b, mode=False)
-    which.add_parser("h_n", parents=[h_n], help="tower genus bound over the divisors of n")
+    b = which.add_parser("h_n", help="tower genus bound over the divisors of n")
+    b.add_argument("--n", type=int, required=True)
+    _add_common(b, mode=False)
     b = which.add_parser("genus-cap", help="(n-1)^2")
     b.add_argument("--n", type=int, required=True)
     _add_common(b, mode=False)
@@ -131,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     o.add_argument("--group", required=True)
     o.add_argument("--genus-max", type=int, required=True)
     _add_common(o, mode=False)
-    o = which.add_parser("bounds", help="bound tables")
-    inner = o.add_subparsers(dest="bounds_command", required=True)
-    inner.add_parser("h_n", parents=[h_n], help="tower genus bound over the divisors of n")
 
     return parser
 
@@ -308,8 +303,6 @@ def _cmd_oracle(args, started) -> int:
     if args.oracle_command == "rh":
         spec, group = _group(args)
         verdict = rhoracle.acts_on_genus_le(group, args.genus_max, caps)
-        if verdict.capped_below:  # a witness, but its genus may not be the least
-            verdict = rhoracle.OracleVerdict(rhoracle.UNKNOWN, reason=rhoracle.CAPPED)
         if verdict.verdict == rhoracle.UNKNOWN:
             _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
             return 1
@@ -323,26 +316,7 @@ def _cmd_oracle(args, started) -> int:
         ]
         _emit(args, verdict.to_json(), lines, started)
         return 0
-    if args.oracle_command == "bounds":
-        return _cmd_bounds_h_n(args, started)
     raise EdcertError(f"unknown oracle command {args.oracle_command!r}")
-
-
-def _cmd_bounds_h_n(args, started) -> int:
-    n = args.n
-    rows = []
-    lines = [f"tower genus bound for n = {n} (cap (n-1)^2 = {riemann_genus_cap(n)}):"]
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        value = tower_genus_bound(n, m)
-        rows.append({"m": m, "bound": int(value)})
-        lines.append(f"  m={m:<4d} bound={int(value)}")
-    peak = max(r["bound"] for r in rows)
-    payload = {"n": n, "rows": rows, "max": peak, "argmax": [r["m"] for r in rows if r["bound"] == peak]}
-    lines.append(f"  max {peak} at m in {payload['argmax']}")
-    _emit(args, payload, lines, started)
-    return 0
 
 
 def _cmd_bounds(args, started) -> int:
@@ -351,7 +325,20 @@ def _cmd_bounds(args, started) -> int:
         _emit(args, {"bound": value}, [f"castelnuovo bound: {value}"], started)
         return 0
     if args.bound == "h_n":
-        return _cmd_bounds_h_n(args, started)
+        n = args.n
+        rows = []
+        lines = [f"tower genus bound for n = {n} (cap (n-1)^2 = {riemann_genus_cap(n)}):"]
+        for m in range(1, n + 1):
+            if n % m:
+                continue
+            value = tower_genus_bound(n, m)
+            rows.append({"m": m, "bound": int(value)})
+            lines.append(f"  m={m:<4d} bound={int(value)}")
+        peak = max(r["bound"] for r in rows)
+        payload = {"n": n, "rows": rows, "max": peak, "argmax": [r["m"] for r in rows if r["bound"] == peak]}
+        lines.append(f"  max {peak} at m in {payload['argmax']}")
+        _emit(args, payload, lines, started)
+        return 0
     if args.bound == "genus-cap":
         value = riemann_genus_cap(args.n)
         _emit(args, {"genus_cap": value}, [f"genus cap: {value}"], started)

@@ -17,7 +17,7 @@ class Caps:
     oracle_enumeration -- cap on |G| for branch-data (signature) enumeration,
                           and on the number of branch data listed or searched
     oracle_search      -- cap on |G| for generating-vector searches
-    vector_width       -- cap on r + 2h, the slot count of one vector search
+                          (their slot count is fixed: rhoracle.VECTOR_WIDTH)
 
     Exceeding a cap raises CapExceeded in low-level operations; the
     certifier converts that into an `unknown` verdict, never a wrong one.
@@ -27,7 +27,6 @@ class Caps:
     subgroup_search: int = 400
     oracle_enumeration: int = 10_000
     oracle_search: int = 1_000
-    vector_width: int = 12
 
     def with_enumeration(self, cap: int) -> "Caps":
         if cap < 1:

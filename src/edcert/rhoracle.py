@@ -9,9 +9,9 @@ Riemann-Hurwitz identity
 holds and there is a generating vector: elements a_1, b_1, ..., a_h, b_h
 and c_1, ..., c_r of G with ord(c_i) = m_i exactly,
 prod [a_i, b_i] * prod c_j = 1, generating the whole group.  This module
-enumerates all candidate data up to a genus bound and searches vectors
-exhaustively, so for groups within its caps it decides "acts on genus <= g"
-outright instead of relying on the Hurwitz 84(g-1) shortcut.
+enumerates all candidate data up to a genus bound and, above the genus <= 1
+rule's range, searches vectors exhaustively, so for groups within its caps
+it decides "acts on genus <= g" outright, not by the Hurwitz 84(g-1) floor.
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
 CAPPED = "some branch data exceeded search caps"
+
+# Most slots r + 2h one vector search fills.  The oracle never reaches it: a
+# simple group is 2-generated, so some triangle datum of genus < 1 + |G|/2 has
+# a witness, and every datum searched up to the first witness has
+# 2h - 2 + sum(1 - 1/m_i) < 1, so r + 2h <= 5.
+VECTOR_WIDTH = 12
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,6 @@ class OracleVerdict:
     signature: Signature | None = None
     vector: GeneratingVector | None = None
     reason: str = ""
-    capped_below: bool = False  # a yes: a datum of lower genus was cut short by a cap
 
     def to_json(self) -> dict:
         return {
@@ -85,6 +90,17 @@ class OracleVerdict:
             "vector": self.vector.to_json() if self.vector else None,
             "reason": self.reason,
         }
+
+
+def genus_le1_excluded(order: int) -> bool:
+    """The genus <= 1 rule: a nonabelian simple group of this order acts on
+    no curve of genus <= 1 unless the order is 60.  On a rational curve it
+    embeds in PGL2(C), whose finite subgroups are cyclic, dihedral, A4, S4
+    and A5; on an elliptic curve it meets the translations in a normal
+    abelian subgroup with cyclic quotient, so it is solvable.  That leaves
+    A5, the icosahedral group and the unique simple group of order 60.
+    """
+    return order != 60
 
 
 def rh_genus(order: int, sig: Signature) -> Fraction:
@@ -233,10 +249,8 @@ def find_generating_vector(
     h = sig.orbit_genus
     periods = sorted(sig.periods, reverse=True)
     r = len(periods)
-    if r + 2 * h > caps.vector_width:
-        raise WidthExceeded(
-            f"signature needs {r + 2 * h} slots, width cap is {caps.vector_width}"
-        )
+    if r + 2 * h > VECTOR_WIDTH:
+        raise WidthExceeded(f"signature needs {r + 2 * h} slots, width cap is {VECTOR_WIDTH}")
     if rh_genus(group.order, sig).denominator != 1:
         return None
 
@@ -330,13 +344,13 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
 
     Requires a nonabelian simple group (there nontrivial means faithful);
     anything else, or any cap overrun, degrades to `unknown`, never to a
-    wrong verdict.  Branch data are walked once, in genus order, and each is
-    searched as it comes, so the cost follows the least genus with a witness
-    rather than g; past the vector-search cap the first datum answers
-    `unknown`, and so does searching more data than the oracle enumeration
-    cap.  A `yes` has the least genus unless `capped_below`.  With g None
-    there is no bound: the answer is that least genus, or `unknown`, given
-    at once past the vector-search cap, before any datum is listed.
+    wrong verdict.  Genus <= 1 is settled by `genus_le1_excluded`: a bound
+    below 2 answers `no`, and data of genus <= 1 are counted, not searched.
+    Past the vector-search cap the answer is `unknown` before any search.
+    Otherwise branch data are walked once, in genus order, and searched as
+    they come, so the cost follows the least genus with a witness, which a
+    `yes` reports; walking more data than the oracle enumeration cap
+    answers `unknown`.  With g None there is no bound.
     """
     if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
@@ -348,31 +362,26 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
         return OracleVerdict(UNKNOWN, reason="simplicity undecided within enumeration cap")
     if not simple:
         return OracleVerdict(UNKNOWN, reason="oracle requires a nonabelian simple group")
-    if genus is None and group.order > caps.oracle_search:
-        # with no bound some datum is always listed, and its search stops at the cap
+    excluded = genus_le1_excluded(group.order)
+    if excluded and genus is not None and genus < 2:
+        return OracleVerdict(NO, reason=f"the genus <= 1 rule excludes genus <= {genus}")
+    if group.order > caps.oracle_search:
         return OracleVerdict(UNKNOWN, reason=CAPPED)
-    capped_genus = None  # genus of the first datum the width cap cut short
-    count = 0  # data searched so far
+    count = 0  # data walked so far, searched or excluded by the rule
     for g, sig in _branch_data(group, genus, caps):
         count += 1
         if count > caps.oracle_enumeration:
             return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
+        if excluded and g < 2:
+            continue
         try:
             vec = find_generating_vector(group, sig, caps)
-        except CapExceeded:
-            # the search cap bounds |G| alone, so it cuts every datum short
+        except WidthExceeded:  # unreachable for a simple group, see VECTOR_WIDTH
             return OracleVerdict(UNKNOWN, reason=CAPPED)
-        except WidthExceeded:
-            if capped_genus is None:
-                capped_genus = g
-            continue
         if vec is not None:
             if not validate_vector(group, sig, vec):
                 raise AssertionError(f"search produced an invalid vector for {sig.label()}")
-            below = capped_genus is not None and capped_genus < g
-            return OracleVerdict(YES, genus=g, signature=sig, vector=vec, capped_below=below)
-    if capped_genus is not None:
-        return OracleVerdict(UNKNOWN, reason=CAPPED)
+            return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
     if not count:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
     return OracleVerdict(NO, reason=f"all branch data up to genus {genus} exhausted")

@@ -206,7 +206,7 @@ _REGRESSION = [
     ("rh", "--group", "PSL2:7", "--genus-max", "3"),
     ("oracle", "rh", "--group", "A:5", "--genus-max", "0"),
     ("oracle", "min-index", "--group", "A:5"),
-    ("oracle", "bounds", "h_n", "--n", "6"),
+    ("bounds", "h_n", "--n", "6"),
     ("bounds", "castelnuovo", "--n1", "2", "--g1", "0", "--n2", "3", "--g2", "1"),
 ]
 

@@ -176,13 +176,13 @@ def _oracle_rh_by_genus(text, genus_max, caps):
         ("A:6", 10, Caps()),
         ("C:6", 10, Caps()),
         ("C:6", -1, Caps()),  # no genus to search: "no" without asking the oracle
-        # width 3 leaves the genus-1 datum (0; 2,2,2,2) unsearched below a witness
-        ("PSL2:7", 10, Caps(vector_width=3)),
-        ("A:6", 10, Caps(vector_width=3)),
+        # past the search cap: "no" below genus 2 by the rule, else "unknown" before the walk
+        ("PSL2:7", 10, Caps(oracle_search=100)),
+        ("A:6", 10, Caps(oracle_search=100)),
         # bounds far above the minimal genus
         ("PSL2:7", 1000, Caps()),
         ("A:6", 1000, Caps()),
-        ("PSL2:7", 1000, Caps(vector_width=3)),
+        ("PSL2:7", 1000, Caps(oracle_search=100)),
     ],
 )
 def test_oracle_rh_matches_per_genus_search(capsys, monkeypatch, text, genus_max, caps):
@@ -208,7 +208,7 @@ def test_oracle_rh_cost_follows_minimal_genus(capsys, monkeypatch):
     searched = _record_searched_genera(monkeypatch)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "A:5", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 0
-    assert max(searched) == 0
+    assert searched == [0]  # A5 is the genus <= 1 rule's exception: (0; 2,3,5) is searched
     searched.clear()
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "100000")
     assert code == 0 and envelope["payload"]["genus"] == 3
@@ -221,13 +221,23 @@ def test_oracle_rh_cost_follows_minimal_genus(capsys, monkeypatch):
 
 def test_oracle_rh_stops_at_the_vector_search_cap(capsys, monkeypatch):
     # |PSL2(13)| = 1092 is within the listing cap but beyond the search cap,
-    # so the first datum searched (genus 1) already decides "unknown"
+    # so the oracle answers "unknown" before searching any datum
     searched = _record_searched_genera(monkeypatch)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:13", "--genus-max", "100000")
     assert code == 1
     assert envelope["payload"]["verdict"] == "unknown"
     assert envelope["payload"]["reason"] == rhoracle.CAPPED
-    assert len(searched) == 1
+    assert searched == []
+
+
+@pytest.mark.parametrize("text", ["PSL2:7", "A:6", "PSL2:11", "perm:7:(0 1 2 3 4 5 6),(0 1)(2 4)"])
+def test_genus_le1_data_are_excluded_by_the_rule_not_searched(capsys, monkeypatch, text):
+    searched = _record_searched_genera(monkeypatch)
+    code, _ = run_json(capsys, "oracle", "rh", "--group", text, "--genus-max", "30")
+    assert code == 0 and searched and min(searched) >= 2
+    searched.clear()
+    code, _ = run_json(capsys, "maxn", "--group", text)
+    assert code == 0 and searched and min(searched) >= 2
 
 
 def test_certify_large_n_stops_at_the_minimal_genus(capsys, monkeypatch):
@@ -281,11 +291,9 @@ def test_oracle_rh_builds_chains_only_for_vectors_with_the_full_orbit(capsys, mo
 
 
 def test_oracle_bounds_h_n(capsys):
-    code, envelope = run_json(capsys, "oracle", "bounds", "h_n", "--n", "6")
-    assert code == 0
-    payload = envelope["payload"]
-    assert payload["max"] == 25
-    assert payload["argmax"] == [1, 6]
+    # the h_n table has one path, `bounds h_n`
+    assert cli.main(["oracle", "bounds", "h_n", "--n", "6", "--json"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_bounds_commands(capsys):
@@ -296,7 +304,7 @@ def test_bounds_commands(capsys):
     code, envelope = run_json(capsys, "bounds", "hurwitz", "--order", "2520")
     assert envelope["payload"]["hurwitz_min_genus"] == 31
     code, envelope = run_json(capsys, "bounds", "h_n", "--n", "6")
-    assert envelope["payload"]["max"] == 25
+    assert envelope["payload"]["max"] == 25 and envelope["payload"]["argmax"] == [1, 6]
 
 
 def test_bounds_gonality(capsys):

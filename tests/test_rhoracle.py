@@ -146,6 +146,28 @@ def test_oracle_agrees_with_hurwitz_shortcut(group_of):
         assert verdict.verdict == NO
 
 
+@pytest.mark.parametrize("text", ["PSL2:7", "perm:7:(0 1 2 3 4 5 6),(0 1)(2 4)", "A:6", "PSL2:11"])
+def test_no_genus_le1_datum_has_a_vector_for_a_group_the_rule_excludes(group_of, text):
+    # the exhaustive search the oracle skips, kept as the check on the genus <= 1 rule
+    group = group_of(text)
+    assert rhoracle.genus_le1_excluded(group.order)
+    data = enumerate_signatures(group, 1)
+    assert data and all(find_generating_vector(group, sig) is None for _, sig in data)
+
+
+def test_the_icosahedral_group_is_the_rule_exception(group_of):
+    a5 = group_of("A:5")
+    assert not rhoracle.genus_le1_excluded(a5.order)
+    sig = Signature(0, (2, 3, 5))
+    assert (0, sig) in enumerate_signatures(a5, 1)
+    assert find_generating_vector(a5, sig) is not None
+
+
+def test_the_rule_answers_no_below_genus_2_past_the_search_cap(group_of):
+    verdict = acts_on_genus_le(group_of("PSL2:13"), 1)  # order 1092, past the search cap
+    assert verdict.verdict == NO
+
+
 def test_psl2_11_has_no_action_up_to_25(group_of):
     assert acts_on_genus_le(group_of("PSL2:11"), 25).verdict == NO
 
@@ -167,8 +189,17 @@ def test_caps_degrade_to_unknown(group_of):
         enumerate_signatures(a5, 0, TIGHT)
     with pytest.raises(CapExceeded):
         find_generating_vector(a5, Signature(0, (2, 3, 5)), TIGHT)
-    with pytest.raises(WidthExceeded):
-        find_generating_vector(a5, Signature(0, (2,) * 20), Caps(vector_width=10))
+    with pytest.raises(WidthExceeded):  # 13 slots, one past rhoracle.VECTOR_WIDTH
+        find_generating_vector(a5, Signature(0, (2,) * 13))
+
+
+def test_a_width_overrun_answers_unknown(group_of, monkeypatch):
+    def too_wide(group, signature, caps):
+        raise WidthExceeded("too many slots")
+
+    monkeypatch.setattr(rhoracle, "find_generating_vector", too_wide)
+    verdict = acts_on_genus_le(group_of("PSL2:7"), 10)
+    assert (verdict.verdict, verdict.reason) == (UNKNOWN, CAPPED)
 
 
 def test_oracle_requires_simple_groups(group_of):
@@ -198,15 +229,16 @@ def test_enumeration_cap_bounds_the_number_of_data(group_of):
 
 @pytest.mark.parametrize("genus", [None, 10**6])
 def test_oracle_stops_after_searching_cap_many_data(group_of, monkeypatch, genus):
-    # width 1 cuts every datum short, so only the count cap ends the walk (with no genus bound it never ends)
+    # a search that never finds a vector leaves only the count cap to end the walk
+    # (with no genus bound it never ends)
     searched = []
 
     def record(group, signature, caps):
         searched.append(signature)
-        return find_generating_vector(group, signature, caps)
+        return None
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", record)
-    verdict = acts_on_genus_le(group_of("A:5"), genus, Caps(vector_width=1, oracle_enumeration=60))
+    verdict = acts_on_genus_le(group_of("A:5"), genus, Caps(oracle_enumeration=60))
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, "branch data exceed the signature enumeration cap")
     assert len(searched) == 60
 
