@@ -1,8 +1,11 @@
 """Permutations of {0, ..., deg-1} stored as dense image tuples.
 
-The engine computes on the image tuples themselves with the kernels below;
-``Permutation`` is the validated value type for the edges of the package,
-where specs are parsed and witnesses are checked again.
+The engine hands elements around as image tuples and computes on them with
+the kernels below; only the stabilizer chain in ``permgroup`` stores its
+elements as ``bytes`` internally, up to degree 256, and falls back to these
+kernels above it.  ``Permutation`` is the validated value type for the
+edges of the package, where specs are parsed and witnesses are checked
+again.
 
 Composition is left to right: ``(p * q)(x) == q(p(x))``, the convention
 of most permutation-group software.  Points are always 0-based.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import factorial, lcm
 
@@ -97,6 +98,46 @@ def test_membership_rejects_order_incompatible_permutations(group_of):
             found += 1
             assert p.images not in g
         assert found == 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)))
+def test_byte_and_tuple_chains_build_the_same_chain(gens):
+    # the chain stores bytes up to degree 256 and tuples above; padding the
+    # generators with fixed points to degree 257 must change nothing else
+    d = len(gens[0])
+    small = PermGroup(gens, degree=d)
+    big = PermGroup([list(g) + list(range(d, 257)) for g in gens], degree=257)
+    assert type(small._chain._identity) is bytes and type(big._chain._identity) is tuple
+    assert small.orbit_sizes() == big.orbit_sizes()
+    assert [lvl.point for lvl in small._chain.levels] == [lvl.point for lvl in big._chain.levels]
+    assert small.elements() == tuple(e[:d] for e in big.elements())
+
+
+def test_psl2_257_takes_the_tuple_chain(group_of):
+    g = group_of("PSL2:257")
+    assert g.degree == 258
+    assert g.order == 8_487_168 == 257 * (257**2 - 1) // 2
+    assert all(s in g for s in g.generators)
+    transposition = (1, 0) + tuple(range(2, 258))
+    assert transposition not in g
+
+
+@pytest.mark.parametrize(
+    "text,digest,orbits",
+    [
+        ("PSL2:13", "6a5c380074155eb1", (14, 13, 6)),
+        ("A:7", "ac086f8ac7ba5b3b", (7, 6, 5, 4, 3)),
+        ("PSL2:53", "78b60c4d683f0741", (54, 53, 26)),
+    ],
+)
+def test_enumeration_order_is_pinned(group_of, text, digest, orbits):
+    # every computed witness is the first hit in this order, so it must not move
+    g = group_of(text)
+    els = g.elements()
+    assert all(type(e) is tuple for e in els)
+    assert hashlib.sha256(repr(els).encode()).hexdigest()[:16] == digest
+    assert g.orbit_sizes() == orbits
 
 
 def test_max_element_order_divides_exponent_and_order(group_of):
