@@ -32,7 +32,13 @@ from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
 from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
-from .permgroup import PermGroup, closed_subgroup, embedding_degree_subgroup, first_embedding_degree
+from .permgroup import (
+    PermGroup,
+    closed_subgroup,
+    embedding_degree_subgroup,
+    first_embedding_degree,
+    inverting_involution,
+)
 from .permutation import compose, cycle_string, invert, power, tuple_order
 from . import rhoracle
 
@@ -319,16 +325,12 @@ def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> Non
 
     for x in representatives():
         m = tuple_order(x)
-        powers = {power(x, k) for k in range(m)}
-        x_inv = invert(x)
-        for t in involutions:
-            if t in powers:
-                continue
-            if compose(compose(t, x), t) == x_inv:
-                search.dihedral = 2 * m
-                if 2 * m >= search.best():
-                    search.witness = _witness("dihedral", 2 * m, x, t)
-                return
+        t = inverting_involution(x, m, involutions)
+        if t is not None:
+            search.dihedral = 2 * m
+            if 2 * m >= search.best():
+                search.witness = _witness("dihedral", 2 * m, x, t)
+            return
     search.dihedral = 0
 
 

@@ -278,6 +278,8 @@ def _cmd_rh(args, started) -> int:
             searched = True
         except EdcertError:
             vec, searched = None, False
+        if vec is not None and not rhoracle.validate_vector(group, sig, vec):
+            raise AssertionError(f"search produced an invalid vector for {sig.label()}")
         entry = {
             "genus": g,
             "signature": sig.to_json(),

@@ -514,6 +514,18 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def inverting_involution(
+    x: tuple[int, ...], order: int, involutions: Iterable[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """The first involution t outside <x> with t x t = x^-1, or None.
+
+    Such a t and the element x of the given order generate a dihedral
+    group of order 2 * order."""
+    powers = {power(x, k) for k in range(order)}
+    x_inv = invert(x)
+    return next((t for t in involutions if t not in powers and compose(compose(t, x), t) == x_inv), None)
+
+
 def _classify_p_group(sub: PermGroup, p: int, exponent: int) -> tuple[str, int | None]:
     orders = sub.element_orders()
     if max(orders) == sub.order:
@@ -521,16 +533,11 @@ def _classify_p_group(sub: PermGroup, p: int, exponent: int) -> tuple[str, int |
     if max(orders) == p and sub.is_abelian():
         return "elementary_abelian", exponent
     if p == 2:
-        els = sub.elements()
         half = sub.order // 2
-        for x, ox in zip(els, orders):
-            if ox != half:
-                continue
-            powers = {power(x, k) for k in range(half)}
-            x_inv = invert(x)
-            for t, ot in zip(els, orders):
-                if ot == 2 and t not in powers and compose(compose(t, x), t) == x_inv:
-                    return "dihedral", None
+        involutions = sub.elements_of_order(2)
+        for x, ox in zip(sub.elements(), orders):
+            if ox == half and inverting_involution(x, half, involutions) is not None:
+                return "dihedral", None
     return "other", None
 
 

@@ -134,7 +134,7 @@ def _branch_data(group: PermGroup, genus_max: int | None, caps: Caps):
     raises t, so data pop in genus order.
     """
     order = group.order
-    choices = _period_choices(group, caps.oracle_enumeration)
+    choices = _period_choices(group, caps.enumeration)
     lcm = math.lcm(*choices)
     weight = {m: lcm - lcm // m for m in choices}
     raise_to = dict(zip(choices, choices[1:]))
@@ -228,11 +228,14 @@ def find_generating_vector(
 ) -> GeneratingVector | None:
     """Depth-first search for a generating vector realizing the signature.
 
-    Deterministic order: the first slot ranges over conjugacy-class
-    representatives only (a global conjugation normalizes any vector so
-    that its first entry is a representative), later slots over all
-    elements in enumeration order; elliptic slots are filled in descending
-    period order with the last one forced by the product condition.
+    The slots are the 2h hyperbolic entries a_1, b_1, ..., a_h, b_h, then
+    the elliptic entries in descending period order.  Slot 0 ranges over
+    conjugacy-class representatives only (a global conjugation normalizes
+    any vector so that its first entry is a representative), later slots
+    over all elements, or those of the slot's period, in enumeration order.
+    Each b_i multiplies the product so far by [a_i, b_i]; the last elliptic
+    entry is forced by the product condition, and with no elliptic slot
+    the commutators alone must multiply to one.
 
     Element orders are read from the group's order table; the forced last
     entry, the inverse of the product so far, has that product's order, so
@@ -247,96 +250,66 @@ def find_generating_vector(
             cap=caps.oracle_search,
         )
     h = sig.orbit_genus
-    periods = sorted(sig.periods, reverse=True)
-    r = len(periods)
-    if r + 2 * h > VECTOR_WIDTH:
-        raise WidthExceeded(f"signature needs {r + 2 * h} slots, width cap is {VECTOR_WIDTH}")
+    slots = [None] * (2 * h) + sorted(sig.periods, reverse=True)
+    if len(slots) > VECTOR_WIDTH:
+        raise WidthExceeded(f"signature needs {len(slots)} slots, width cap is {VECTOR_WIDTH}")
     if rh_genus(group.order, sig).denominator != 1:
         return None
 
-    els = group.elements(caps.oracle_search)
-    orders = group.element_orders(caps.oracle_search)
-    order_of = dict(zip(els, orders))
-    by_order: dict[int, list[tuple[int, ...]]] = {}
-    for p, o in zip(els, orders):
-        by_order.setdefault(o, []).append(p)
-    for m in periods:
-        if m not in by_order:
-            return None
-    reps = group.class_representatives(caps.oracle_search)
+    els = group.elements(caps.enumeration)
+    order_of = dict(zip(els, group.element_orders(caps.enumeration)))
+    reps = group.class_representatives(caps.enumeration)
+    pools = [
+        [p for p in reps if m is None or order_of[p] == m] if i == 0
+        else els if m is None
+        else group.elements_of_order(m, caps.enumeration)
+        for i, m in enumerate(slots)
+    ]
+    if not slots or not all(pools):
+        return None  # no slots (only the trivial group), or a period no element has
     identity = group.identity()
+    last = len(slots) - 1
 
-    target = group.order
     degree = group.degree
-
     point = max(range(degree), key=lambda x: _orbit_size(group.generators, x))
     orbit = _orbit_size(group.generators, point)
 
     def generates(parts: list[tuple[int, ...]]) -> bool:
-        return _orbit_size(parts, point) == orbit and StabilizerChain(parts, degree).order() == target
+        return _orbit_size(parts, point) == orbit and StabilizerChain(parts, degree).order() == group.order
 
-    hyperbolic: list[tuple[int, ...]] = []
-    elliptic: list[tuple[int, ...]] = []
-
-    def candidates(slot_order, first_slot):
-        if first_slot:
-            return [p for p in reps if slot_order is None or order_of[p] == slot_order]
-        if slot_order is None:
-            return els
-        return by_order[slot_order]
-
-    def found_vector(ell: list[tuple[int, ...]]) -> GeneratingVector:
+    def found_vector(parts: list[tuple[int, ...]]) -> GeneratingVector:
         """The witness, as validated Permutations for the independent re-check."""
-        hyp = [Permutation(p) for p in hyperbolic]
+        perms = [Permutation(p) for p in parts]
         return GeneratingVector(
-            hyperbolic=tuple(zip(hyp[0::2], hyp[1::2])),
-            elliptic=tuple(Permutation(p) for p in ell),
+            hyperbolic=tuple(zip(perms[0:2 * h:2], perms[1:2 * h:2])),
+            elliptic=tuple(perms[2 * h:]),
         )
 
-    def search_elliptic(i: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
-        if i == r - 1 and r >= 1:
-            if order_of[prefix] != periods[-1]:
-                return None
-            last = invert(prefix)
-            if not generates(hyperbolic + elliptic + [last]):
-                return None
-            return found_vector(elliptic + [last])
-        if i == r:  # r == 0: product of commutators alone must be trivial
-            if prefix != identity:
-                return None
-            parts = hyperbolic + elliptic
-            if not parts or not generates(parts):
-                return None
-            return found_vector(elliptic)
-        first_slot = (h == 0 and i == 0)
-        for c in candidates(periods[i], first_slot):
-            elliptic.append(c)
-            found = search_elliptic(i + 1, compose(prefix, c))
-            if found:
-                return found
-            elliptic.pop()
-        return None
+    chosen: list[tuple[int, ...]] = []
 
-    def search_hyperbolic(j: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
-        if j == 2 * h:
-            return search_elliptic(0, prefix)
-        first_slot = (j == 0)
-        for x in candidates(None, first_slot):
-            hyperbolic.append(x)
-            if j % 2 == 1:
-                a, b = hyperbolic[-2], hyperbolic[-1]
-                commutator = compose(compose(compose(a, b), invert(a)), invert(b))
-                found = search_hyperbolic(j + 1, compose(prefix, commutator))
+    def search(i: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
+        if i > last:  # no elliptic slot: the commutators alone must multiply to one
+            return found_vector(chosen) if prefix == identity and generates(chosen) else None
+        if i == last and slots[i] is not None:  # forced: the inverse of the product so far
+            if order_of[prefix] != slots[i]:
+                return None
+            parts = chosen + [invert(prefix)]
+            return found_vector(parts) if generates(parts) else None
+        for x in pools[i]:
+            chosen.append(x)
+            if slots[i] is not None:
+                found = search(i + 1, compose(prefix, x))
+            elif i % 2:
+                a = chosen[-2]
+                found = search(i + 1, compose(prefix, compose(compose(compose(a, x), invert(a)), invert(x))))
             else:
-                found = search_hyperbolic(j + 1, prefix)
+                found = search(i + 1, prefix)
             if found:
                 return found
-            hyperbolic.pop()
+            chosen.pop()
         return None
 
-    if r == 0 and h == 0:
-        return None  # no slots: only the trivial group acts, never faithfully here
-    return search_hyperbolic(0, identity)
+    return search(0, identity)
 
 
 def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_CAPS) -> OracleVerdict:

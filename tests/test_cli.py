@@ -129,6 +129,32 @@ def test_rh_signature_table(capsys):
     assert labels["(0; 2,3,7)"]["genus"] == 3
 
 
+def test_rh_prints_no_vector_that_fails_validation(capsys, monkeypatch):
+    search = rhoracle.find_generating_vector
+
+    def corrupted(group, sig, caps):
+        vec = search(group, sig, caps)
+        return vec and rhoracle.GeneratingVector(vec.hyperbolic, vec.elliptic[:-1])
+
+    monkeypatch.setattr(rhoracle, "find_generating_vector", corrupted)
+    with pytest.raises(AssertionError, match="invalid vector"):
+        main(["rh", "--group", "PSL2:7", "--genus-max", "3"])
+    assert capsys.readouterr().out == ""
+
+
+def test_rh_honours_the_cap_flag(capsys):
+    code, out, err = run(capsys, "rh", "--group", "PSL2:7", "--genus-max", "3", "--cap", "100")
+    assert code == 1 and out == ""
+    assert "exceeds the enumeration cap 100" in err
+
+
+def test_rh_honours_the_environment_cap(capsys, monkeypatch):
+    monkeypatch.setenv("EDCERT_CAP", "100")
+    code, out, err = run(capsys, "rh", "--group", "PSL2:7", "--genus-max", "3")
+    assert code == 1 and out == ""
+    assert "exceeds the enumeration cap 100" in err
+
+
 def test_oracle_min_index(capsys):
     code, envelope = run_json(capsys, "oracle", "min-index", "--group", "A:5")
     assert code == 0 and envelope["payload"]["min_index"] == 5

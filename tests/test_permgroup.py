@@ -14,12 +14,13 @@ from edcert.permgroup import (
     closed_subgroup,
     embedding_degree_subgroup,
     first_embedding_degree,
+    inverting_involution,
     max_proper_subgroup,
     min_proper_subgroup_index,
     prime_factors,
     sylow_report,
 )
-from edcert.permutation import Permutation, compose, identity_tuple, invert
+from edcert.permutation import Permutation, compose, identity_tuple, invert, power
 
 
 def brute_elements(group):
@@ -315,6 +316,21 @@ def test_sylow_shapes_elsewhere(group_of):
     assert sylow_report(group_of("PSL2:7"), 2).shape == "dihedral"
     assert sylow_report(group_of("PSL2:11"), 2).shape == "elementary_abelian"
     assert sylow_report(group_of("C:12"), 2).shape == "cyclic"
+
+
+def test_inverting_involution_is_the_first_in_the_given_order(group_of):
+    d6 = group_of("D:6")  # rotation r of order 6: every reflection inverts it
+    r = next(x for x, o in zip(d6.elements(), d6.element_orders()) if o == 6)
+    involutions = d6.elements_of_order(2)
+    rotations = {power(r, k) for k in range(6)}
+    reflections = [t for t in involutions if t not in rotations]
+    assert len(reflections) == 6
+    assert inverting_involution(r, 6, involutions) == reflections[0]
+    assert inverting_involution(r, 6, involutions[::-1]) == reflections[-1]
+    # in a cyclic group the only involution lies in <x>
+    c6 = group_of("C:6")
+    x = next(x for x, o in zip(c6.elements(), c6.element_orders()) if o == 6)
+    assert inverting_involution(x, 6, c6.elements_of_order(2)) is None
 
 
 def test_min_proper_subgroup_index(group_of):

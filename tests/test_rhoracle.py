@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -10,7 +11,7 @@ from edcert.config import Caps
 from edcert.errors import CapExceeded, WidthExceeded
 from edcert import rhoracle
 from edcert.permgroup import StabilizerChain
-from edcert.permutation import Permutation
+from edcert.permutation import Permutation, compose
 from edcert.rhoracle import (
     CAPPED,
     NO,
@@ -286,3 +287,37 @@ def test_a_tuple_the_orbit_check_rejects_does_not_generate(group_of, text, picks
     for point in range(g.degree):
         if rhoracle._orbit_size(parts, point) < rhoracle._orbit_size(g.generators, point):
             assert order < g.order
+
+
+PINNED_SEARCH = [("C:2", 3), ("C:6", 6), ("S:4", 5), ("D:6", 4), ("A:5", 6), ("PSL2:7", 3), ("A:6", 10)]
+
+
+def test_vector_search_order_is_pinned(group_of, monkeypatch):
+    # Every datum of these groups: hyperbolic-only, elliptic-only and mixed,
+    # with and without a vector.  A width of 7 makes the one 8-slot datum,
+    # (0; 2,2,2,2,2,2,2,2) of C:2, too wide.  The search returns the first
+    # witness in its order, so the digest moves if the order does; the
+    # products it forms per datum also pin how far it walks to get there.
+    monkeypatch.setattr(rhoracle, "VECTOR_WIDTH", 7)
+    products = []
+
+    def counting_compose(p, q):
+        products.append(None)
+        return compose(p, q)
+
+    monkeypatch.setattr(rhoracle, "compose", counting_compose)
+    outcomes = []
+    for text, genus_max in PINNED_SEARCH:
+        g = group_of(text)
+        for genus, sig in enumerate_signatures(g, genus_max):
+            products.clear()
+            try:
+                vec = find_generating_vector(g, sig)
+                outcome = vec.to_json() if vec else None
+            except WidthExceeded:
+                outcome = "too wide"
+            outcomes.append(repr((text, genus, sig.label(), outcome, len(products))))
+    assert len(outcomes) == 89
+    assert sum("'too wide'" in o for o in outcomes) == 1
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "698c068d192634b80a8b979427ba6b7b3253ee294d5138e8ce4b886d4585f563"
