@@ -24,8 +24,7 @@ Three modes separate what is being verified:
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, isqrt
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
@@ -34,7 +33,6 @@ from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
 from .permgroup import (
     PermGroup,
-    closed_subgroup,
     embedding_degree_subgroup,
     first_embedding_degree,
     inverting_involution,
@@ -55,13 +53,8 @@ COND_INDEX = "no_small_index"
 COND_MOBIUS = "mobius_subgroup"
 COND_GENUS = "no_small_genus_action"
 
-_EXCEPTIONAL_FINGERPRINTS = {
-    12: ("A4", Counter({1: 1, 2: 3, 3: 8})),
-    24: ("S4", Counter({1: 1, 2: 9, 3: 8, 4: 6})),
-    60: ("A5", Counter({1: 1, 2: 15, 3: 20, 5: 24})),
-}
-# k -> order of the (2, 3, k) triangle group: A4, S4, A5 bound <a, b> with ord(ab) = k
-_TRIANGLE_ORDERS = {3: 12, 4: 24, 5: 60}
+# k -> the (2, 3, k) triangle group and its order, for k = 3, 4, 5
+_TRIANGLE_GROUPS = {3: ("A4", 12), 4: ("S4", 24), 5: ("A5", 60)}
 # Words in the hybrid witness search's pool.  180 is the least multiple of
 # ten at which the search reaches Dickson's bound on every PSL2(p) within
 # the enumeration cap (7 <= p <= 53; p = 53 needs its D_106).
@@ -264,97 +257,62 @@ def _min_proper_index(
 # -- condition 2: a large Moebius subgroup -------------------------------------
 
 
-@dataclass
-class _MobiusSearch:
-    """Best Moebius subgroup orders found by the three searches."""
-
-    cyclic: int | None = None
-    dihedral: int | None = None
-    exceptional: int | None = None
-    exceptional_kind: str | None = None
-    witness: dict = field(default_factory=dict)
-
-    def best(self) -> int:
-        return max(x for x in (self.cyclic or 0, self.dihedral or 0, self.exceptional or 0))
-
-
 def _witness(kind: str, order: int, *generators: tuple[int, ...]) -> dict:
     return {"type": kind, "order": order, "generators": [cycle_string(g) for g in generators]}
 
 
-def _exceptional(degree: int, a: tuple[int, ...], b: tuple[int, ...], beat: int = 0) -> tuple[str, int] | None:
-    """(kind, order) when <a, b> is A4, S4 or A5 of order > `beat`, for an
-    involution a and an element b of order 3; None otherwise.
+def _exceptional_pairs(involutions, threes):
+    """(order, kind, a, b), in loop order, for each involution a and
+    order-3 element b that generate A4, S4 or A5.
 
-    The pair is closed only when ord(ab) is 3, 4 or 5.  With a^2 = b^3 = 1,
-    <a, b> is a quotient of the (2, 3, k) triangle group, k = ord(ab):
-    k = 2 gives at most S3, and k >= 6 puts an element of order k in the
-    closure, which no fingerprint of A4, S4 or A5 has.  For k = 3, 4, 5 the
-    triangle group is A4, S4, A5, so the closure cannot beat its order.
+    With a^2 = b^3 = 1, <a, b> is a quotient of the (2, 3, k) triangle
+    group, k = ord(ab), in which a, b and ab keep their orders.  For
+    k = 3, 4, 5 that group is A4, S4 or A5, and none of its proper
+    quotients keeps those orders (von Dyck; Coxeter & Moser, Generators
+    and Relations for Discrete Groups), so <a, b> is the triangle group
+    itself.  k = 2 gives at most S3, and k >= 6 puts an element of order k
+    in <a, b>, which none of A4, S4, A5 has.
     """
-    if _TRIANGLE_ORDERS.get(tuple_order(compose(a, b)), 0) <= beat:
-        return None
-    sub = closed_subgroup(degree, (a, b), 61)
-    if sub is None or len(sub) not in _EXCEPTIONAL_FINGERPRINTS:
-        return None
-    kind, fingerprint = _EXCEPTIONAL_FINGERPRINTS[len(sub)]
-    return (kind, len(sub)) if Counter(tuple_order(x) for x in sub) == fingerprint else None
+    for a in involutions:
+        for b in threes:
+            found = _TRIANGLE_GROUPS.get(tuple_order(compose(a, b)))
+            if found is not None:
+                yield found[1], found[0], a, b
 
 
-def _search_cyclic(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
+def _search_cyclic(group: PermGroup, caps: Caps) -> tuple[int, dict]:
     m = group.max_element_order(caps.enumeration)
-    search.cyclic = m
-    if m >= search.best():
-        search.witness = _witness("cyclic", m, group.elements_of_order(m, caps.enumeration)[0])
+    return m, _witness("cyclic", m, group.elements_of_order(m, caps.enumeration)[0])
 
 
-def _search_dihedral(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
+def _search_dihedral(group: PermGroup, caps: Caps) -> tuple[int, dict]:
     """Largest dihedral subgroup 2*ord(x) via an inverting involution:
     t^2 = 1, t x t^-1 = x^-1, t outside <x>.  Up to conjugacy it suffices
     to let x run over class representatives, largest order first (ties by
     image tuple); the classes of one order are partitioned only when the
     search reaches that order."""
     involutions = group.elements_of_order(2, caps.enumeration)
-    if not involutions:
-        search.dihedral = 0
-        return
-
-    def representatives():
-        for m in sorted(set(group.element_orders(caps.enumeration)) - {1}, reverse=True):
-            yield from sorted(cls[0] for cls in group.classes_of_order(m, caps.enumeration))
-
-    for x in representatives():
-        m = tuple_order(x)
-        t = inverting_involution(x, m, involutions)
-        if t is not None:
-            search.dihedral = 2 * m
-            if 2 * m >= search.best():
-                search.witness = _witness("dihedral", 2 * m, x, t)
-            return
-    search.dihedral = 0
+    for m in sorted(set(group.element_orders(caps.enumeration)) - {1}, reverse=True) if involutions else ():
+        for x in sorted(cls[0] for cls in group.classes_of_order(m, caps.enumeration)):
+            t = inverting_involution(x, m, involutions)
+            if t is not None:
+                return 2 * m, _witness("dihedral", 2 * m, x, t)
+    return 0, {}
 
 
-def _search_exceptional(group: PermGroup, caps: Caps, search: _MobiusSearch) -> None:
-    """Largest of A4/S4/A5 inside the group, by closing (involution,
-    order-3 element) pairs -- each of the three is generated by such a
-    pair -- and matching the element-order fingerprint of the closure
-    (`_exceptional`).  The involutions run over class representatives."""
+def _search_exceptional(group: PermGroup, caps: Caps) -> tuple[int, dict]:
+    """Largest of A4/S4/A5 inside the group, read off the (involution,
+    order-3 element) pairs by `_exceptional_pairs` -- each of the three is
+    generated by such a pair.  The involutions run over class
+    representatives; the witness is the first pair of the largest kind."""
     invol_reps = [cls[0] for cls in group.classes_of_order(2, caps.enumeration)]
-    threes = group.elements_of_order(3, caps.enumeration)
-    search.exceptional = 0
-    for a in invol_reps:
-        for b in threes:
-            found = _exceptional(group.degree, a, b)
-            if found is None:
-                continue
-            kind, order = found
-            if order > search.exceptional:
-                search.exceptional = order
-                search.exceptional_kind = kind
-                if order >= search.best():
-                    search.witness = _witness(kind, order, a, b)
-                if order == 60:
-                    return
+    best, witness = 0, {}
+    for order, kind, a, b in _exceptional_pairs(invol_reps, group.elements_of_order(3, caps.enumeration)):
+        if order > best:
+            best, witness = order, _witness(kind, order, a, b)
+            if order == 60:
+                break
+    return best, witness
 
 
 def _word_pool(group: PermGroup) -> list[tuple[int, ...]]:
@@ -387,8 +345,8 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
     s != t among the words' powers, which generate a dihedral group of
     order 2 * ord(st), with witness [st, t] (t inverts st and lies outside
     <st>, as a cyclic group has one involution); and (involution, order-3)
-    pairs closed as in `_exceptional`.  Every witness is checked by
-    construction; the bound only ends the search.
+    pairs whose kind `_exceptional_pairs` reads off ord(ab).  Every witness
+    is checked by construction; the bound only ends the search.
     """
     words = _word_pool(group)
     orders = [tuple_order(w) for w in words]
@@ -403,16 +361,9 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
                 x = compose(s, t)
                 yield 2 * tuple_order(x), "dihedral", x, t
 
-    def exceptional():
-        for a in involutions:
-            for b in threes:
-                found = _exceptional(group.degree, a, b, beat=best)
-                if found is not None:
-                    yield found[1], found[0], a, b
-
     if best >= bound:
         return best, witness
-    for candidates in (dihedral(), exceptional()):
+    for candidates in (dihedral(), _exceptional_pairs(involutions, threes)):
         for order, kind, *generators in candidates:
             if order > best:
                 best, witness = order, _witness(kind, order, *generators)
@@ -425,11 +376,14 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     """Certify a Moebius subgroup of order > n.
 
     Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
-    stopping at the first stage that certifies.  Refutation is sound because
-    each stage is exhaustive up to conjugacy for its subgroup type.  The
-    paper-formula mode, and the hybrid fallback beyond the enumeration cap,
-    consider cyclic subgroups only and so never refute.  Without an n all
-    three stages run, and the range is the largest order found minus one.
+    read off ord(ab) for an involution a and an order-3 element b
+    (`_exceptional_pairs`), stopping at the first stage that certifies.
+    Each stage returns its (order, witness), and a later stage wins a tie.
+    Refutation is sound because each stage is exhaustive up to conjugacy
+    for its subgroup type.  The paper-formula mode, and the hybrid fallback
+    beyond the enumeration cap, consider cyclic subgroups only and so never
+    refute.  Without an n all three stages run, and the range is the
+    largest order found minus one.
 
     Without an n in hybrid mode, within the enumeration cap, a group whose
     family constants give the largest Moebius order (Dickson's list for
@@ -438,7 +392,6 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     three stages run only when none does.
     """
     detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
-    search = _MobiusSearch()
     constants = family_overrides(spec)
     bound = constants.max_mobius_order if constants is not None and mode == HYBRID else None
     if n is None and bound is not None and group.order <= caps.enumeration:
@@ -450,24 +403,26 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     try:
         if mode == PAPER_FORMULA:
             return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
-        _search_cyclic(group, caps, search)
-        if n is None or search.best() <= n:
-            _search_dihedral(group, caps, search)
-        if n is None or search.best() <= n:
-            _search_exceptional(group, caps, search)
+        best, witness, found = 0, {}, []
+        # the stages are looked up per call, so a tracer that wraps them sees them
+        for stage in (_search_cyclic, _search_dihedral, _search_exceptional):
+            if n is not None and best > n:
+                break
+            found.append(stage(group, caps))
+            if found[-1][0] >= best:  # a later stage wins a tie
+                best, witness = found[-1]
     except CapExceeded:
         if mode == HYBRID and constants is not None and constants.max_element_order is not None:
             return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"
         return ConditionReport(COND_MOBIUS, UNKNOWN, None, detail)
 
-    best = search.best()
-    kind = search.witness.get("type")
-    method = {"cyclic": "cyclic_search", "dihedral": "dihedral_search"}.get(kind, "exceptional_search")
+    method = {"cyclic": "cyclic_search", "dihedral": "dihedral_search"}.get(witness.get("type"), "exceptional_search")
     if n is None:
-        return ConditionReport(COND_MOBIUS, REFUTED, method, {"best_order": best, "witness": search.witness}, best - 1)
-    detail.update(cyclic_max=search.cyclic, dihedral_max=search.dihedral, exceptional_max=search.exceptional,
-                  exceptional_kind=search.exceptional_kind, best_order=best, witness=search.witness)
+        return ConditionReport(COND_MOBIUS, REFUTED, method, {"best_order": best, "witness": witness}, best - 1)
+    (cyclic, _), (dihedral, _), (exceptional, exceptional_witness) = found + [(None, {})] * (3 - len(found))
+    detail.update(cyclic_max=cyclic, dihedral_max=dihedral, exceptional_max=exceptional,
+                  exceptional_kind=exceptional_witness.get("type"), best_order=best, witness=witness)
     if best > n:
         return ConditionReport(COND_MOBIUS, CERTIFIED, method, detail)
     # every stage ran before a refutation, so the deepest one is the method

@@ -34,7 +34,7 @@ from .curvebounds import (
     riemann_genus_cap,
     tower_genus_bound,
 )
-from .errors import CapExceeded, EdcertError
+from .errors import CapExceeded, EdcertError, ValidationError
 from .permgroup import _is_prime, min_proper_subgroup_index
 from . import rhoracle
 
@@ -153,11 +153,15 @@ def _emit(args, payload, text_lines: list[str], started: float, mode: str | None
 
 
 def _write(args, body: str) -> None:
-    """Write the output to stdout and, with --out, to that file."""
-    sys.stdout.write(body)
+    """Write the output to the --out file, if given, then to stdout; a file
+    that cannot be written is a usage error, and nothing is printed."""
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out}: {exc.strerror}") from None
+    sys.stdout.write(body)
 
 
 def _caps(args) -> Caps:

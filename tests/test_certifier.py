@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from math import factorial, isqrt
 
@@ -19,7 +21,7 @@ from edcert.certifier import (
     cond2_mobius_subgroup,
     cond3_no_small_genus_action,
     max_certified_n,
-    _MobiusSearch,
+    _exceptional_pairs,
     _search_dihedral,
     _search_exceptional,
     _search_words,
@@ -165,20 +167,39 @@ def dihedral_by_scanning_every_class(group):
     return 0, None
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)))
+def test_exceptional_pairs_agree_with_closing_each_pair(gens):
+    degree = len(gens[0])
+    group = build(parse_group_spec(f"perm:{degree}:" + ",".join(cycle_string(tuple(g)) for g in gens)))
+    # Both sides are invariant under conjugating a and b together, so the
+    # involutions' class representatives against every order-3 element
+    # cover every pair up to conjugacy (all pairs of S7 take seconds).
+    involutions = [cls[0] for cls in group.classes_of_order(2)]
+    threes = group.elements_of_order(3)
+    expected = []
+    for a in involutions:
+        for b in threes:
+            sub = closed_subgroup(degree, (a, b), 61)
+            if sub is not None and len(sub) in FINGERPRINTS:
+                name, fingerprint = FINGERPRINTS[len(sub)]
+                if Counter(Permutation(x).order() for x in sub) == fingerprint:
+                    expected.append((len(sub), name, a, b))
+    assert list(_exceptional_pairs(involutions, threes)) == expected
+
+
 @pytest.mark.parametrize("text", MOBIUS_GROUPS)
 def test_exceptional_search_equals_closing_every_pair(group_of, text):
-    search = _MobiusSearch()
-    _search_exceptional(group_of(text), Caps(), search)
-    assert (search.exceptional, search.exceptional_kind, search.witness) == exceptional_by_closing_every_pair(group_of(text))
+    order, witness = _search_exceptional(group_of(text), Caps())
+    assert (order, witness.get("type"), witness) == exceptional_by_closing_every_pair(group_of(text))
 
 
 @pytest.mark.parametrize("text", MOBIUS_GROUPS + ["C:7", "D:10", "S:4"])
 def test_dihedral_search_equals_scanning_every_class(group_of, text):
-    search = _MobiusSearch()
-    _search_dihedral(group_of(text), Caps(), search)
+    dihedral, witness = _search_dihedral(group_of(text), Caps())
     order, generators = dihedral_by_scanning_every_class(group_of(text))
-    assert search.dihedral == order
-    assert search.witness.get("generators") == generators
+    assert dihedral == order
+    assert witness.get("generators") == generators
 
 
 @pytest.mark.parametrize(
@@ -299,6 +320,41 @@ def test_mobius_refutations_agree_on_random_groups(gens):
     degree = len(gens[0])
     text = f"perm:{degree}:" + ",".join(cycle_string(tuple(g)) for g in gens)
     assert_mobius_refutations_are_exhaustive(text, range(2, 26))
+
+
+PINNED_COND2_GROUPS = MOBIUS_GROUPS + ["C:7", "D:10", "S:4"]
+PINNED_COND2_NS = [None, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 23, 24, 59, 60]
+
+
+def test_cond2_reports_are_pinned(group_of):
+    # Every report condition 2 gives on these inputs, JSON key order
+    # included: the witness each stage returns, the per-stage maxima and
+    # the exceptional kind all move the digest.  None of these groups has
+    # two stages of equal order; the tie rule is pinned below.
+    inputs = [(text, mode, n) for text in PINNED_COND2_GROUPS
+              for mode in (COMPUTED, HYBRID, PAPER_FORMULA) for n in PINNED_COND2_NS]
+    inputs += [(f"PSL2:{p}", mode, None) for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+               for mode in (HYBRID, PAPER_FORMULA)]
+    lines = []
+    for text, mode, n in inputs:
+        report = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), n, mode, Caps())
+        lines.append(json.dumps([text, mode, n, report.to_json(), report.certified_up_to]))
+    assert len(lines) == 515
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5c71aaf62eca97d399b62553f3f5ab652c9dabc010dfccb8b8c2dacf288f7e0f"
+
+
+@pytest.mark.parametrize(
+    "text, kind, method, exceptional_kind",
+    [("perm:6:(0 1 2 3),(4 5)", "dihedral", "dihedral_search", None),  # C4 x C2: cyclic 4, Klein four-group 4
+     ("perm:8:(0 1 2),(0 1)(2 3),(4 5 6 7)", "A4", "exceptional_search", "A4")],  # A4 x C4: cyclic 12, A4 12
+)
+def test_cond2_later_stage_wins_a_tie(group_of, text, kind, method, exceptional_kind):
+    ranged = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), None, COMPUTED, Caps())
+    assert (ranged.method, ranged.detail["witness"]["type"]) == (method, kind)
+    at_n = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), ranged.detail["best_order"], COMPUTED, Caps())
+    assert (at_n.verdict, at_n.detail["witness"]["type"], at_n.detail["exceptional_kind"]) == (
+        REFUTED, kind, exceptional_kind)
 
 
 def test_cond2_refutes_tiny_group(group_of):

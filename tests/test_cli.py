@@ -392,6 +392,14 @@ def test_out_writes_file(capsys, tmp_path):
     assert on_disk["payload"]["overall"] == "certified"
 
 
+@pytest.mark.parametrize("target", ["a directory", "a missing parent"])
+def test_out_that_cannot_be_written_is_a_usage_error(capsys, tmp_path, target):
+    path = tmp_path if target == "a directory" else tmp_path / "missing" / "cert.json"
+    code, out, err = run(capsys, "certify", "--group", "A:5", "--n", "3", "--json", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}") and err.count("\n") == 1
+
+
 def test_json_outputs_are_byte_identical(capsys):
     first = run(capsys, "certify", "--group", "A:7", "--n", "6", "--json", "--no-timing")
     second = run(capsys, "certify", "--group", "A:7", "--n", "6", "--json", "--no-timing")
