@@ -38,7 +38,7 @@ from .permgroup import (
     inverting_involution,
 )
 from .permutation import compose, cycle_string, invert, power, tuple_order
-from . import rhoracle
+from . import permgroup, rhoracle
 
 COMPUTED = "computed"
 HYBRID = "hybrid"
@@ -142,9 +142,9 @@ def _caps_constants(group: PermGroup, caps: Caps) -> dict:
         "degree": group.degree,
         "caps": {
             "enumeration": caps.enumeration,
-            "subgroup_search": caps.subgroup_search,
-            "oracle_enumeration": caps.oracle_enumeration,
-            "oracle_search": caps.oracle_search,
+            "subgroup_search": permgroup.SUBGROUP_SEARCH,
+            "oracle_enumeration": rhoracle.ORACLE_ENUMERATION,
+            "oracle_search": rhoracle.ORACLE_SEARCH,
             "vector_width": rhoracle.VECTOR_WIDTH,
         },
     }
@@ -212,7 +212,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     found = _min_proper_index(spec, group, mode, caps)
     if found is None:
         why = (
-            "group exceeds the subgroup-search cap" if order > caps.subgroup_search
+            "group exceeds the subgroup-search cap" if order > permgroup.SUBGROUP_SEARCH
             else "the k!/2 bound does not prove the searched index"
         )
         detail["note"] = f"divisibility inconclusive and {why}"
@@ -248,9 +248,9 @@ def _min_proper_index(
         constants = family_overrides(spec)
         if constants is not None and constants.min_proper_index is not None:
             return "literature_override", constants.min_proper_index, constants.provenance
-    if not search or group.order > caps.subgroup_search:
+    if not search or group.order > permgroup.SUBGROUP_SEARCH:
         return None
-    found = embedding_degree_subgroup(group, caps.subgroup_search)
+    found = embedding_degree_subgroup(group, caps.enumeration)
     return None if found is None else ("brute_force", group.order // found[0], found)
 
 

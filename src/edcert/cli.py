@@ -300,7 +300,7 @@ def _cmd_oracle(args, started) -> int:
     caps = _caps(args)
     if args.oracle_command == "min-index":
         spec, group = _group(args)
-        index = min_proper_subgroup_index(group, caps.subgroup_search)
+        index = min_proper_subgroup_index(group, caps.enumeration)
         payload = {"group": spec.canonical(), "min_index": index}
         if index is None:
             payload["reason"] = "neither the derived-subgroup test nor the k!/2 embedding bound decides d(G)"

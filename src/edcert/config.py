@@ -1,4 +1,4 @@
-"""Run-wide configuration: the caps shared by all exhaustive searches."""
+"""Run-wide configuration: the enumeration cap, the one limit a user can set."""
 
 from __future__ import annotations
 
@@ -10,23 +10,19 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class Caps:
-    """Size limits for exhaustive computations.
+    """The one settable size limit: `enumeration`, the cap on |G| for
+    element-by-element work (`--cap`, `EDCERT_CAP`).
 
-    enumeration        -- shared cap on |G| for element-by-element work
-    subgroup_search    -- cap on |G| for the brute-force minimal-index oracle
-    oracle_enumeration -- cap on |G| for branch-data (signature) enumeration,
-                          and on the number of branch data listed or searched
-    oracle_search      -- cap on |G| for generating-vector searches
-                          (their slot count is fixed: rhoracle.VECTOR_WIDTH)
+    The searches' fixed budgets live beside them as constants:
+    `permgroup.SUBGROUP_SEARCH`, `rhoracle.ORACLE_ENUMERATION`,
+    `rhoracle.ORACLE_SEARCH` and `rhoracle.VECTOR_WIDTH`.  Certificates
+    print all five under `constants.caps`.
 
     Exceeding a cap raises CapExceeded in low-level operations; the
     certifier converts that into an `unknown` verdict, never a wrong one.
     """
 
     enumeration: int = 100_000
-    subgroup_search: int = 400
-    oracle_enumeration: int = 10_000
-    oracle_search: int = 1_000
 
     def with_enumeration(self, cap: int) -> "Caps":
         if cap < 1:

@@ -477,26 +477,7 @@ class SylowReport:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _is_prime_power(n: int, p: int) -> bool:
-    if n < 1:
-        return False
-    while n % p == 0:
-        n //= p
-    return n == 1
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -569,7 +550,7 @@ def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration) 
     while sub.order < target:
         extension = None
         for g, o in zip(els, orders):
-            if o == 1 or not _is_prime_power(o, p):
+            if prime_factors(o) != [p]:
                 continue
             if g in sub:
                 continue
@@ -595,6 +576,9 @@ def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration) 
 
 # -- brute-force subgroup search ----------------------------------------------
 
+# Largest |G| the pair search of `max_proper_subgroup` takes on.
+SUBGROUP_SEARCH = 400
+
 
 def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -> frozenset[tuple[int, ...]] | None:
     """Element set of ⟨seeds⟩, or None as soon as it exceeds `limit` elements."""
@@ -613,7 +597,7 @@ def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -
 
 
 def max_proper_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search, limit: int | None = None
+    group: PermGroup, cap: int = DEFAULT_CAPS.enumeration, limit: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Order and generators of the largest proper subgroup a search finds.
 
@@ -626,19 +610,20 @@ def max_proper_subgroup(
     it exceeds `limit`, so it was the whole group, and the search returns
     at the first subgroup of order `limit`, which no later pair can beat.
     The witness is always a proper subgroup, so |G| / order bounds d(G)
-    from above; the search alone does not prove that bound exact.
+    from above; the search alone does not prove that bound exact.  Raises
+    CapExceeded past `SUBGROUP_SEARCH` or past the enumeration cap `cap`.
     """
     n = group.order
     if n == 1:
         raise ValidationError("the trivial group has no proper subgroup")
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds the subgroup-search cap {cap}", needed=n, cap=cap)
+    if n > SUBGROUP_SEARCH:
+        raise CapExceeded(f"order {n} exceeds the subgroup-search cap {SUBGROUP_SEARCH}", needed=n, cap=SUBGROUP_SEARCH)
     if limit is None:
         limit = n // 2
 
     identity = group.identity()
-    els = [e for e in group.elements(cap=n) if e != identity]
-    reps = [r for r in group.class_representatives(cap=n) if r != identity]
+    els = [e for e in group.elements(cap) if e != identity]
+    reps = [r for r in group.class_representatives(cap) if r != identity]
     best = 1
     witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:
@@ -659,7 +644,7 @@ def max_proper_subgroup(
 
 
 def embedding_degree_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search
+    group: PermGroup, cap: int = DEFAULT_CAPS.enumeration
 ) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """A subgroup of index k0 = `first_embedding_degree(|G|)` in a
     nonabelian simple G, as (order, generators), or None if the search
@@ -669,7 +654,7 @@ def embedding_degree_subgroup(
     in A_k, so no proper subgroup has more than |G| // k0 elements and the
     search runs with that limit.  An index-k0 subgroup found is d(G).  Only
     for groups known to be nonabelian simple: S4 has k0 = 5, yet a subgroup
-    of order 12.
+    of order 12.  `cap` is the enumeration cap, as in `max_proper_subgroup`.
     """
     k0 = first_embedding_degree(group.order)
     best, witness = max_proper_subgroup(group, cap, group.order // k0)
@@ -690,7 +675,7 @@ def first_embedding_degree(order: int) -> int:
     return k
 
 
-def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup_search) -> int | None:
+def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.enumeration) -> int | None:
     """d(G), the least index of a proper subgroup, or None when unproven.
 
     Let p be the least prime dividing |G|.  No index below p divides |G|, a
@@ -698,13 +683,12 @@ def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.subgroup
     derived subgroup G', and the abelian G/G' has a subgroup of index p
     whenever p divides |G : G'|: then d(G) = p.  Otherwise, for G
     nonabelian simple only, d(G) is the index `embedding_degree_subgroup`
-    finds, when it finds one.
+    finds, when it finds one.  `cap` is the enumeration cap; the search
+    raises CapExceeded past it or past `SUBGROUP_SEARCH`.
     """
     n = group.order
     if n == 1:
         raise ValidationError("the trivial group has no proper subgroup")
-    if n > cap:
-        raise CapExceeded(f"order {n} exceeds the subgroup-search cap {cap}", needed=n, cap=cap)
     p = prime_factors(n)[0]
     if n // group.derived_subgroup().order % p == 0:
         return p

@@ -39,6 +39,11 @@ CAPPED = "some branch data exceeded search caps"
 # 2h - 2 + sum(1 - 1/m_i) < 1, so r + 2h <= 5.
 VECTOR_WIDTH = 12
 
+# Largest |G| whose branch data are listed, and most data listed or walked.
+ORACLE_ENUMERATION = 10_000
+# Largest |G| a generating-vector search takes on.
+ORACLE_SEARCH = 1_000
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -168,7 +173,7 @@ def enumerate_signatures(
     periods are canonical ascending tuples.  The oracle enumeration cap
     bounds both |G| and the number of data listed.
     """
-    cap = caps.oracle_enumeration
+    cap = ORACLE_ENUMERATION
     if group.order > cap:
         raise CapExceeded(
             f"order {group.order} exceeds the oracle enumeration cap {cap}",
@@ -243,11 +248,11 @@ def find_generating_vector(
     stabilizer chain only when it moves the point with G's largest orbit
     over that whole orbit: a smaller orbit cannot be G's.
     """
-    if group.order > caps.oracle_search:
+    if group.order > ORACLE_SEARCH:
         raise CapExceeded(
-            f"order {group.order} exceeds the vector-search cap {caps.oracle_search}",
+            f"order {group.order} exceeds the vector-search cap {ORACLE_SEARCH}",
             needed=group.order,
-            cap=caps.oracle_search,
+            cap=ORACLE_SEARCH,
         )
     h = sig.orbit_genus
     slots = [None] * (2 * h) + sorted(sig.periods, reverse=True)
@@ -327,7 +332,7 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
     """
     if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
-    if group.order > caps.oracle_enumeration:
+    if group.order > ORACLE_ENUMERATION:
         return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
     try:
         simple = group.is_simple_nonabelian(caps.enumeration)
@@ -338,12 +343,12 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
     excluded = genus_le1_excluded(group.order)
     if excluded and genus is not None and genus < 2:
         return OracleVerdict(NO, reason=f"the genus <= 1 rule excludes genus <= {genus}")
-    if group.order > caps.oracle_search:
+    if group.order > ORACLE_SEARCH:
         return OracleVerdict(UNKNOWN, reason=CAPPED)
     count = 0  # data walked so far, searched or excluded by the rule
     for g, sig in _branch_data(group, genus, caps):
         count += 1
-        if count > caps.oracle_enumeration:
+        if count > ORACLE_ENUMERATION:
             return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
         if excluded and g < 2:
             continue

@@ -65,11 +65,12 @@ def test_cond1_brute_force_refutes_a5_at_5(group_of):
     assert report.detail["witness_subgroup"]["index"] == 5
 
 
-def test_cond1_search_index_needs_the_embedding_bound(group_of):
+def test_cond1_search_index_needs_the_embedding_bound(group_of, monkeypatch):
     # PSL(2,8), order 504: the search finds index 9, but 504 already divides
     # 7!/2, so the k!/2 bound proves only d >= 7 and cannot confirm 9
+    monkeypatch.setattr(permgroup, "SUBGROUP_SEARCH", 600)
     text = "perm:9:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5),(0 8)(2 5)(3 6)(4 7)"
-    report = cond1_no_small_index(parse_group_spec(text), group_of(text), 8, COMPUTED, Caps(subgroup_search=600))
+    report = cond1_no_small_index(parse_group_spec(text), group_of(text), 8, COMPUTED, Caps())
     assert report.verdict == UNKNOWN
     assert [c["k"] for c in report.detail["divisibility_checks"] if c["divides"]] == [7]
 

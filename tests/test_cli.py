@@ -8,7 +8,6 @@ import pytest
 from edcert import cli, permgroup, rhoracle
 from edcert.catalogue import build, parse_group_spec
 from edcert.cli import main
-from edcert.config import Caps
 
 
 def run(capsys, *argv):
@@ -162,6 +161,43 @@ def test_oracle_min_index(capsys):
     assert code == 1  # over the subgroup-search cap
 
 
+@pytest.mark.parametrize("form", ["flag", "environment"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--group", "A:5", "--n", "3"),
+        ("maxn", "--group", "A:5"),
+        ("compare", "--group", "A:5", "--n", "3"),
+        ("rh", "--group", "A:5", "--genus-max", "3"),
+        ("oracle", "rh", "--group", "A:5", "--genus-max", "3"),
+        ("oracle", "min-index", "--group", "A:5"),
+    ],
+    ids=["certify", "maxn", "compare", "rh", "oracle-rh", "oracle-min-index"],
+)
+def test_every_group_command_honours_the_enumeration_cap(capsys, monkeypatch, argv, form):
+    enumerated = []
+    elements = permgroup.StabilizerChain.elements
+
+    def recording(chain):
+        enumerated.append(chain.order())
+        return elements(chain)
+
+    monkeypatch.setattr(permgroup.StabilizerChain, "elements", recording)
+    if form == "flag":
+        argv += ("--cap", "10")
+    else:
+        monkeypatch.setenv("EDCERT_CAP", "10")
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
+    assert all(order <= 10 for order in enumerated)
+
+
+def test_oracle_min_index_answers_a_non_perfect_group_past_the_search_cap(capsys):
+    # |S7| = 5040 is past the subgroup-search cap, but A7 = S7' has index 2
+    code, envelope = run_json(capsys, "oracle", "min-index", "--group", "S:7")
+    assert code == 0 and envelope["payload"]["min_index"] == 2
+
+
 def test_oracle_min_index_unknown_exits_1(capsys):
     # C2^4:C5: its translations have index 5, which the subgroup search misses
     c2_4_c5 = "perm:16:(0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15),(1 8 12 10 15)(2 3 11 7 13)(4 6 5 14 9)"
@@ -181,11 +217,11 @@ def test_oracle_rh(capsys):
     assert envelope["payload"]["verdict"] == "no"
 
 
-def _oracle_rh_by_genus(text, genus_max, caps):
+def _oracle_rh_by_genus(text, genus_max):
     """Reference: (exit code, payload) of `oracle rh` asked one genus at a time."""
     group = build(parse_group_spec(text))
     for g in range(genus_max + 1):
-        v = rhoracle.acts_on_genus_le(group, g, caps)
+        v = rhoracle.acts_on_genus_le(group, g)
         if v.verdict == rhoracle.YES:
             return 0, v.to_json()
         if v.verdict == rhoracle.UNKNOWN:
@@ -196,25 +232,26 @@ def _oracle_rh_by_genus(text, genus_max, caps):
 @pytest.mark.parametrize(
     "text, genus_max, caps",
     [
-        ("A:5", 10, Caps()),
-        ("PSL2:7", 10, Caps()),
-        ("PSL2:7", 2, Caps()),
-        ("A:6", 10, Caps()),
-        ("C:6", 10, Caps()),
-        ("C:6", -1, Caps()),  # no genus to search: "no" without asking the oracle
+        ("A:5", 10, {}),
+        ("PSL2:7", 10, {}),
+        ("PSL2:7", 2, {}),
+        ("A:6", 10, {}),
+        ("C:6", 10, {}),
+        ("C:6", -1, {}),  # no genus to search: "no" without asking the oracle
         # past the search cap: "no" below genus 2 by the rule, else "unknown" before the walk
-        ("PSL2:7", 10, Caps(oracle_search=100)),
-        ("A:6", 10, Caps(oracle_search=100)),
+        ("PSL2:7", 10, {"ORACLE_SEARCH": 100}),
+        ("A:6", 10, {"ORACLE_SEARCH": 100}),
         # bounds far above the minimal genus
-        ("PSL2:7", 1000, Caps()),
-        ("A:6", 1000, Caps()),
-        ("PSL2:7", 1000, Caps(oracle_search=100)),
+        ("PSL2:7", 1000, {}),
+        ("A:6", 1000, {}),
+        ("PSL2:7", 1000, {"ORACLE_SEARCH": 100}),
     ],
 )
 def test_oracle_rh_matches_per_genus_search(capsys, monkeypatch, text, genus_max, caps):
-    monkeypatch.setattr(cli, "caps_from_environment", lambda: caps)
+    for budget, value in caps.items():  # lowered for the command and the reference alike
+        monkeypatch.setattr(rhoracle, budget, value)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", text, "--genus-max", str(genus_max))
-    assert (code, envelope["payload"]) == _oracle_rh_by_genus(text, genus_max, caps)
+    assert (code, envelope["payload"]) == _oracle_rh_by_genus(text, genus_max)
 
 
 def _record_searched_genera(monkeypatch):

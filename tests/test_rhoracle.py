@@ -26,8 +26,6 @@ from edcert.rhoracle import (
     validate_vector,
 )
 
-TIGHT = Caps(oracle_enumeration=50, oracle_search=50)
-
 
 def test_signature_periods_are_canonical():
     assert Signature(0, (5, 2, 3)).periods == (2, 3, 5)
@@ -183,15 +181,17 @@ def test_a6_minimal_genus_is_ten(group_of):
     assert validate_vector(a6, hit.signature, hit.vector)
 
 
-def test_caps_degrade_to_unknown(group_of):
+def test_caps_degrade_to_unknown(group_of, monkeypatch):
     a5 = group_of("A:5")
-    assert acts_on_genus_le(a5, 0, TIGHT).verdict == UNKNOWN
-    with pytest.raises(CapExceeded):
-        enumerate_signatures(a5, 0, TIGHT)
-    with pytest.raises(CapExceeded):
-        find_generating_vector(a5, Signature(0, (2, 3, 5)), TIGHT)
     with pytest.raises(WidthExceeded):  # 13 slots, one past rhoracle.VECTOR_WIDTH
         find_generating_vector(a5, Signature(0, (2,) * 13))
+    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 50)
+    monkeypatch.setattr(rhoracle, "ORACLE_SEARCH", 50)
+    assert acts_on_genus_le(a5, 0).verdict == UNKNOWN
+    with pytest.raises(CapExceeded):
+        enumerate_signatures(a5, 0)
+    with pytest.raises(CapExceeded):
+        find_generating_vector(a5, Signature(0, (2, 3, 5)))
 
 
 def test_a_width_overrun_answers_unknown(group_of, monkeypatch):
@@ -208,8 +208,9 @@ def test_oracle_requires_simple_groups(group_of):
     assert acts_on_genus_le(group_of("S:4"), 1).verdict == UNKNOWN
 
 
-def test_oracle_checks_the_enumeration_cap_before_simplicity(group_of):
-    verdict = acts_on_genus_le(group_of("S:4"), 1, Caps(oracle_enumeration=10))
+def test_oracle_checks_the_enumeration_cap_before_simplicity(group_of, monkeypatch):
+    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 10)
+    verdict = acts_on_genus_le(group_of("S:4"), 1)
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, "group exceeds the signature enumeration cap")
 
 
@@ -220,11 +221,13 @@ def test_unbounded_oracle_stops_at_the_search_cap_before_listing():
     assert group._elements is None  # no datum was listed, so no element order was needed
 
 
-def test_enumeration_cap_bounds_the_number_of_data(group_of):
+def test_enumeration_cap_bounds_the_number_of_data(group_of, monkeypatch):
     c6 = group_of("C:6")
-    assert len(enumerate_signatures(c6, 20, Caps(oracle_enumeration=444))) == 444
+    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 444)
+    assert len(enumerate_signatures(c6, 20)) == 444
+    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 443)
     with pytest.raises(CapExceeded) as raised:
-        enumerate_signatures(c6, 20, Caps(oracle_enumeration=443))
+        enumerate_signatures(c6, 20)
     assert (raised.value.needed, raised.value.cap) == (444, 443)
 
 
@@ -239,7 +242,8 @@ def test_oracle_stops_after_searching_cap_many_data(group_of, monkeypatch, genus
         return None
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", record)
-    verdict = acts_on_genus_le(group_of("A:5"), genus, Caps(oracle_enumeration=60))
+    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 60)
+    verdict = acts_on_genus_le(group_of("A:5"), genus)
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, "branch data exceed the signature enumeration cap")
     assert len(searched) == 60
 
