@@ -281,8 +281,9 @@ def _exceptional_pairs(involutions, threes):
 
 
 def _search_cyclic(group: PermGroup, caps: Caps) -> tuple[int, dict]:
-    m = group.max_element_order(caps.enumeration)
-    return m, _witness("cyclic", m, group.elements_of_order(m, caps.enumeration)[0])
+    orders = group.element_orders(caps.enumeration)
+    m = max(orders)
+    return m, _witness("cyclic", m, group.element(orders.index(m), caps.enumeration))
 
 
 def _search_dihedral(group: PermGroup, caps: Caps) -> tuple[int, dict]:

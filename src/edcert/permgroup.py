@@ -11,13 +11,19 @@ Inside the chain, on degree <= 256, an element is a ``bytes`` string of
 images and a product is one C-level ``bytes.translate``: several times
 cheaper than a tuple gather, and chain building dominates the PSL2 tables.
 A byte holds a point only below 256, so larger degrees keep image tuples
-and ``permutation.compose``.  Everything outside the chain sees tuples.
+and ``permutation.compose``.
 
-Element-level queries work one order at a time, resting on two facts:
+The element-level work stays in that kernel too.  A group lists its
+elements once, as kernel elements with an index of their positions, and
+makes an element an image tuple only when it hands that element out, one
+stored tuple per element; the whole tuple list is built only when
+``elements()`` is asked for.  Element orders come from walks over cyclic
+subgroups (``element_orders``), and the classes rest on two facts:
 
 * conjugation preserves the order of an element, so every conjugacy class
   lies inside one bucket of equal-order elements, and each bucket can be
-  partitioned into classes on its own (``classes_of_order``);
+  partitioned into classes on its own (``classes_of_order``), conjugating
+  in the kernel;
 * every nontrivial normal subgroup contains an element of prime order, so
   the normal closures of the classes of prime order decide simplicity.
 
@@ -43,7 +49,6 @@ from .permutation import (
     identity_tuple,
     invert,
     power,
-    tuple_order,
 )
 
 
@@ -82,7 +87,8 @@ class StabilizerChain:
     in a byte, and the chain stores image tuples and multiplies with
     ``compose``.  The kernel is picked once per chain, and both kernels run
     the same construction, so base, strong generators and transversals are
-    the same permutations either way.  Elements leave the chain as tuples.
+    the same permutations either way.  Strong generators leave the chain
+    as tuples; ``elements`` lists kernel elements for `PermGroup`.
     """
 
     __slots__ = ("degree", "levels", "_identity", "_encode", "_mul", "_inv")
@@ -198,21 +204,16 @@ class StabilizerChain:
         residue, _ = self._sift(self._encode(g), 0)
         return residue == self._identity
 
-    def elements(self) -> list[tuple[int, ...]]:
-        """All elements, in the deterministic transversal-product order.
-
-        Products stay in the chain's kernel on the deeper levels; the first
-        level's products are made tuples as they are formed, so only one
-        list of |G| elements is ever built.
+    def elements(self) -> list[Element]:
+        """All elements in the chain's kernel, in the deterministic
+        transversal-product order.  `PermGroup` makes an element a tuple
+        only when it hands that element out.
         """
-        if not self.levels:
-            return [tuple(self._identity)]
         mul = self._mul
         elems = [self._identity]
-        for lvl in reversed(self.levels[1:]):
+        for lvl in reversed(self.levels):
             elems = [mul(h, u) for _, u in sorted(lvl.transversal.items()) for h in elems]
-        first = self.levels[0].transversal
-        return [tuple(mul(h, u)) for _, u in sorted(first.items()) for h in elems]
+        return elems
 
 
 class PermGroup:
@@ -237,7 +238,10 @@ class PermGroup:
         self.degree = degree
         self._chain = StabilizerChain(gens, degree)
         self.order = self._chain.order()
-        self._elements: tuple[tuple[int, ...], ...] | None = None
+        self._elements: list[Element] | None = None  # the chain's enumeration, in its kernel
+        self._index: dict[Element, int] = {}  # element -> enumeration index
+        # the i-th element's tuple, made when first handed out; all of them once elements() is asked
+        self._tuples: list[tuple[int, ...] | None] | tuple[tuple[int, ...], ...] = ()
         self._orders: tuple[int, ...] | None = None
         # order m -> (enumeration index of the representative, class) pairs
         self._partitions: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
@@ -269,25 +273,55 @@ class PermGroup:
 
     # -- element-level queries (capped) -------------------------------------
 
-    def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
-        self._check_cap(cap)
+    def _enumerate(self, cap: int) -> list[Element]:
+        self._check_cap(cap)  # before the cache, so caps behave identically on every call
         if self._elements is None:
-            self._elements = tuple(self._chain.elements())
+            self._elements = self._chain.elements()
+            self._index = {x: i for i, x in enumerate(self._elements)}
+            self._tuples = [None] * self.order
         return self._elements
 
+    def _tuple(self, i: int) -> tuple[int, ...]:
+        t = self._tuples[i]
+        if t is None:
+            t = self._tuples[i] = tuple(self._elements[i])
+        return t
+
+    def element(self, i: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[int, ...]:
+        """The i-th element in enumeration order, the same tuple on every call."""
+        self._enumerate(cap)
+        return self._tuple(i)
+
+    def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
+        self._enumerate(cap)
+        if type(self._tuples) is list:
+            self._tuples = tuple(map(self._tuple, range(self.order)))
+        return self._tuples
+
     def element_orders(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[int, ...]:
-        self._check_cap(cap)  # before the cache, so caps behave identically on every call
+        """Orders in enumeration order, by walking cyclic subgroups in the
+        kernel: from each x that no earlier walk reached, x, x^2, ..., x^k = 1,
+        and x^j has order k / gcd(k, j)."""
+        els = self._enumerate(cap)
         if self._orders is None:
-            self._orders = tuple(map(tuple_order, self.elements(cap)))
+            index, mul, identity = self._index, self._chain._mul, self._chain._identity
+            orders = [0] * len(els)
+            for i, x in enumerate(els):
+                if not orders[i]:
+                    walk, y = [i], x
+                    while y != identity:
+                        y = mul(y, x)
+                        walk.append(index[y])
+                    for j, w in enumerate(walk, 1):
+                        orders[w] = len(walk) // gcd(len(walk), j)
+            self._orders = tuple(orders)
         return self._orders
 
     def max_element_order(self, cap: int = DEFAULT_CAPS.enumeration) -> int:
         return max(self.element_orders(cap))
 
     def elements_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
-        els = self.elements(cap)
-        orders = self.element_orders(cap)
-        return tuple(p for p, o in zip(els, orders) if o == m)
+        return tuple(self._tuple(i) for i, o in enumerate(self.element_orders(cap)) if o == m)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -300,33 +334,30 @@ class PermGroup:
 
         Conjugation preserves order, so the classes of the order-m bucket
         are found without looking at any other element.  Each element is
-        conjugated once per generator.
+        conjugated once per generator, in the chain's kernel.
         """
-        self._check_cap(cap)  # before the cache, so caps behave identically on every call
+        els = self._enumerate(cap)
         cached = self._partitions.get(m)
         if cached is not None:
             return cached
-        els = self.elements(cap)
-        bucket = [i for i, o in enumerate(self.element_orders(cap)) if o == m]
-        position = {els[i]: k for k, i in enumerate(bucket)}
-        conj_pairs = [(g, invert(g)) for g in self.generators]
-        seen = [False] * len(bucket)
+        index, mul, encode = self._index, self._chain._mul, self._chain._encode
+        conj_pairs = [(encode(g), encode(invert(g))) for g in self.generators]
+        seen = set()
         out = []
-        for k, i in enumerate(bucket):
-            if seen[k]:
+        for i, o in enumerate(self.element_orders(cap)):
+            if o != m or i in seen:
                 continue
-            seen[k] = True
-            members = [els[i]]
+            seen.add(i)
+            members = [self._tuple(i)]
             queue = [els[i]]
             while queue:
                 x = queue.pop()
                 for g, ginv in conj_pairs:
-                    y = compose(compose(ginv, x), g)
-                    j = position[y]
-                    if not seen[j]:
-                        seen[j] = True
-                        members.append(els[bucket[j]])  # the stored tuple, not y: no second copy per element
-                        queue.append(y)
+                    j = index[mul(mul(ginv, x), g)]
+                    if j not in seen:
+                        seen.add(j)
+                        members.append(self._tuple(j))
+                        queue.append(els[j])
             out.append((i, tuple(members)))
         self._partitions[m] = tuple(out)
         return self._partitions[m]

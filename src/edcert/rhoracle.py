@@ -314,7 +314,9 @@ def find_generating_vector(
             chosen.pop()
         return None
 
-    return search(0, identity)
+    found = search(0, identity)
+    del search  # it refers to itself: the cycle would keep the group alive until the next collection
+    return found
 
 
 def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_CAPS) -> OracleVerdict:

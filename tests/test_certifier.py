@@ -617,3 +617,12 @@ def test_unknown_mode_rejected(group_of):
         crt(group_of, "A:5", 2, mode="informal")
     with pytest.raises(ValidationError):
         bound(group_of, "A:5", "informal")
+
+
+def test_cyclic_witness_is_the_first_element_of_largest_order_and_its_only_tuple():
+    group = build(parse_group_spec("PSL2:37"))  # a fresh group: no tuple made yet
+    m, witness = certifier._search_cyclic(group, Caps())
+    orders = group.element_orders()
+    assert m == max(orders) == 37
+    assert sum(t is not None for t in group._tuples) == 1
+    assert witness["generators"] == [cycle_string(group.elements_of_order(m)[0])]

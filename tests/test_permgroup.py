@@ -20,7 +20,7 @@ from edcert.permgroup import (
     prime_factors,
     sylow_report,
 )
-from edcert.permutation import Permutation, compose, identity_tuple, invert, power
+from edcert.permutation import Permutation, compose, identity_tuple, invert, power, tuple_order
 
 
 def brute_elements(group):
@@ -404,6 +404,54 @@ def test_conjugacy_classes_equal_brute_force_on_random_groups(gens):
         by_order = g.classes_of_order(m)
         assert by_order == tuple(cls for cls in classes if Permutation(cls[0]).order() == m)
         assert all(Permutation(p).order() == m for cls in by_order for p in cls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)))
+def test_walked_orders_equal_cycle_orders_on_random_groups(gens):
+    g = PermGroup(gens, degree=len(gens[0]))
+    orders = g.element_orders()  # walked in the kernel before any tuple view exists
+    assert orders == tuple(map(tuple_order, g.elements()))
+
+
+@pytest.mark.parametrize("text", ["C:300", "D:260", "C:1"])
+def test_walked_orders_on_the_tuple_kernel_and_the_trivial_group(group_of, text):
+    g = group_of(text)
+    assert type(g._chain._identity) is (tuple if g.degree > 256 else bytes)
+    assert g.element_orders() == tuple(map(tuple_order, g.elements()))
+
+
+def test_a_group_without_levels_has_one_element():
+    g = PermGroup((), degree=3)
+    assert g._chain.levels == []
+    assert g.element_orders() == (1,)
+    assert g.elements() == ((0, 1, 2),)
+    assert g.conjugacy_classes() == (((0, 1, 2),),)
+
+
+def test_conjugacy_classes_on_the_tuple_kernel_equal_brute_force(group_of):
+    g = group_of("D:260")  # degree 260: the chain multiplies image tuples
+    classes = g.conjugacy_classes()
+    reference = brute_classes(g)
+    assert [cls[0] for cls in classes] == [x for x, _ in reference]
+    assert [set(cls) for cls in classes] == [members for _, members in reference]
+
+
+def test_orders_and_one_class_make_a_tuple_only_per_element_handed_out(monkeypatch):
+    full_views = []
+    elements = PermGroup.elements
+
+    def recording(group, *args, **kwargs):
+        full_views.append(group.order)
+        return elements(group, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "elements", recording)
+    group = build(parse_group_spec("PSL2:17"))  # a fresh group: nothing enumerated yet
+    assert group.max_element_order() == 17
+    involutions = group.classes_of_order(2)
+    assert sum(map(len, involutions)) == 153  # one class of q(q + 1)/2 involutions
+    assert full_views == []  # no tuple view of all |G| elements
+    assert sum(t is not None for t in group._tuples) < group.order // 10
 
 
 PGL2_7 = "perm:8:(0 1 2 3 4 5 6),(1 3 2 6 4 5),(0 7)(1 6)(2 3)(4 5)"
