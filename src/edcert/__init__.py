@@ -18,7 +18,6 @@ from .certifier import (
     max_certified_n,
 )
 from .comparison import CompareReport, compare_rhs
-from .config import Caps, DEFAULT_CAPS
 from .curvebounds import (
     CastelnuovoInput,
     castelnuovo_bound,
@@ -40,12 +39,10 @@ from .rhoracle import (
 
 __all__ = [
     "BoundReport",
-    "Caps",
     "CastelnuovoInput",
     "Certificate",
     "CompareReport",
     "ConditionReport",
-    "DEFAULT_CAPS",
     "GeneratingVector",
     "GroupSpec",
     "OracleVerdict",

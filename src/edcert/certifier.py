@@ -28,10 +28,10 @@ from dataclasses import dataclass
 from math import factorial, isqrt
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
-from .config import DEFAULT_CAPS, Caps
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
 from .permgroup import (
+    DEFAULT_CAP,
     PermGroup,
     embedding_degree_subgroup,
     first_embedding_degree,
@@ -55,9 +55,10 @@ COND_GENUS = "no_small_genus_action"
 
 # k -> the (2, 3, k) triangle group and its order, for k = 3, 4, 5
 _TRIANGLE_GROUPS = {3: ("A4", 12), 4: ("S4", 24), 5: ("A5", 60)}
-# Words in the hybrid witness search's pool.  180 is the least multiple of
-# ten at which the search reaches Dickson's bound on every PSL2(p) within
-# the enumeration cap (7 <= p <= 53; p = 53 needs its D_106).
+# Words in the hybrid witness search's pool.  The search reaches Dickson's
+# bound on every PSL2(p) within the enumeration cap (7 <= p <= 53) from 180
+# words on: p = 53 needs 180 for its D_106, and 170 find only D_54.  256
+# leaves a margin above 180.
 _WITNESS_WORDS = 256
 
 
@@ -136,12 +137,12 @@ class BoundReport:
         }
 
 
-def _caps_constants(group: PermGroup, caps: Caps) -> dict:
+def _caps_constants(group: PermGroup, cap: int) -> dict:
     return {
         "order": group.order,
         "degree": group.degree,
         "caps": {
-            "enumeration": caps.enumeration,
+            "enumeration": cap,
             "subgroup_search": permgroup.SUBGROUP_SEARCH,
             "oracle_enumeration": rhoracle.ORACLE_ENUMERATION,
             "oracle_search": rhoracle.ORACLE_SEARCH,
@@ -150,7 +151,7 @@ def _caps_constants(group: PermGroup, caps: Caps) -> dict:
     }
 
 
-def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) -> tuple[bool | None, str]:
+def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, cap: int) -> tuple[bool | None, str]:
     """Nonabelian simplicity with the mode's allowed means.
 
     Returns (verdict, how); verdict None means undecidable within caps.
@@ -160,7 +161,7 @@ def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) 
         if constants is not None and constants.simple_nonabelian is not None:
             return constants.simple_nonabelian, "literature_override"
     try:
-        return group.is_simple_nonabelian(caps.enumeration), "computed"
+        return group.is_simple_nonabelian(cap), "computed"
     except CapExceeded:
         return None, "cap_exceeded"
 
@@ -168,7 +169,7 @@ def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, caps: Caps) 
 # -- condition 1: no proper subgroup of small index ----------------------------
 
 
-def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps) -> ConditionReport:
+def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, cap: int) -> ConditionReport:
     """Certify that every proper subgroup has index > n.
 
     Methods, in order: divisibility (a simple group with an index-k
@@ -187,7 +188,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     """
     order = group.order
     detail: dict = {"order": order, "n": n}
-    simple, _ = decide_simplicity(spec, group, mode, caps)
+    simple, _ = decide_simplicity(spec, group, mode, cap)
     if simple is False:
         raise NotSimple("condition 1 requires a nonabelian simple group")
     if simple is None:
@@ -197,7 +198,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
     k0 = first_embedding_degree(order)
     if n is None:
-        found = _min_proper_index(spec, group, mode, caps, search=mode == PAPER_FORMULA)
+        found = _min_proper_index(spec, group, mode, cap, search=mode == PAPER_FORMULA)
         if found is None:
             detail = {"first_admissible_embedding_degree": k0}
             return ConditionReport(COND_INDEX, UNKNOWN, "divisibility", detail, k0 - 1)
@@ -209,7 +210,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     if n < k0:
         return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
 
-    found = _min_proper_index(spec, group, mode, caps)
+    found = _min_proper_index(spec, group, mode, cap)
     if found is None:
         why = (
             "group exceeds the subgroup-search cap" if order > permgroup.SUBGROUP_SEARCH
@@ -234,7 +235,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
 
 
 def _min_proper_index(
-    spec: GroupSpec, group: PermGroup, mode: str, caps: Caps, search: bool = True
+    spec: GroupSpec, group: PermGroup, mode: str, cap: int, search: bool = True
 ) -> tuple[str, int, object] | None:
     """d(G), the least index of a proper subgroup, as (method, d, facts).
 
@@ -250,7 +251,7 @@ def _min_proper_index(
             return "literature_override", constants.min_proper_index, constants.provenance
     if not search or group.order > permgroup.SUBGROUP_SEARCH:
         return None
-    found = embedding_degree_subgroup(group, caps.enumeration)
+    found = embedding_degree_subgroup(group, cap)
     return None if found is None else ("brute_force", group.order // found[0], found)
 
 
@@ -280,35 +281,35 @@ def _exceptional_pairs(involutions, threes):
                 yield found[1], found[0], a, b
 
 
-def _search_cyclic(group: PermGroup, caps: Caps) -> tuple[int, dict]:
-    orders = group.element_orders(caps.enumeration)
+def _search_cyclic(group: PermGroup, cap: int) -> tuple[int, dict]:
+    orders = group.element_orders(cap)
     m = max(orders)
-    return m, _witness("cyclic", m, group.element(orders.index(m), caps.enumeration))
+    return m, _witness("cyclic", m, group.element(orders.index(m), cap))
 
 
-def _search_dihedral(group: PermGroup, caps: Caps) -> tuple[int, dict]:
+def _search_dihedral(group: PermGroup, cap: int) -> tuple[int, dict]:
     """Largest dihedral subgroup 2*ord(x) via an inverting involution:
     t^2 = 1, t x t^-1 = x^-1, t outside <x>.  Up to conjugacy it suffices
     to let x run over class representatives, largest order first (ties by
     image tuple); the classes of one order are partitioned only when the
     search reaches that order."""
-    involutions = group.elements_of_order(2, caps.enumeration)
-    for m in sorted(set(group.element_orders(caps.enumeration)) - {1}, reverse=True) if involutions else ():
-        for x in sorted(cls[0] for cls in group.classes_of_order(m, caps.enumeration)):
+    involutions = group.elements_of_order(2, cap)
+    for m in sorted(set(group.element_orders(cap)) - {1}, reverse=True) if involutions else ():
+        for x in sorted(cls[0] for cls in group.classes_of_order(m, cap)):
             t = inverting_involution(x, m, involutions)
             if t is not None:
                 return 2 * m, _witness("dihedral", 2 * m, x, t)
     return 0, {}
 
 
-def _search_exceptional(group: PermGroup, caps: Caps) -> tuple[int, dict]:
+def _search_exceptional(group: PermGroup, cap: int) -> tuple[int, dict]:
     """Largest of A4/S4/A5 inside the group, read off the (involution,
     order-3 element) pairs by `_exceptional_pairs` -- each of the three is
     generated by such a pair.  The involutions run over class
     representatives; the witness is the first pair of the largest kind."""
-    invol_reps = [cls[0] for cls in group.classes_of_order(2, caps.enumeration)]
+    invol_reps = [cls[0] for cls in group.classes_of_order(2, cap)]
     best, witness = 0, {}
-    for order, kind, a, b in _exceptional_pairs(invol_reps, group.elements_of_order(3, caps.enumeration)):
+    for order, kind, a, b in _exceptional_pairs(invol_reps, group.elements_of_order(3, cap)):
         if order > best:
             best, witness = order, _witness(kind, order, a, b)
             if order == 60:
@@ -373,7 +374,7 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
     return best, witness
 
 
-def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps) -> ConditionReport:
+def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, cap: int) -> ConditionReport:
     """Certify a Moebius subgroup of order > n.
 
     Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
@@ -395,7 +396,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
     constants = family_overrides(spec)
     bound = constants.max_mobius_order if constants is not None and mode == HYBRID else None
-    if n is None and bound is not None and group.order <= caps.enumeration:
+    if n is None and bound is not None and group.order <= cap:
         best, witness = _search_words(group, bound)
         if best >= bound:
             detail = {"best_order": best, "witness": witness, "bound_provenance": MOBIUS_BOUND_PROVENANCE}
@@ -403,18 +404,18 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
 
     try:
         if mode == PAPER_FORMULA:
-            return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
+            return _cond2_cyclic_only(spec, group, n, mode, cap, detail)
         best, witness, found = 0, {}, []
         # the stages are looked up per call, so a tracer that wraps them sees them
         for stage in (_search_cyclic, _search_dihedral, _search_exceptional):
             if n is not None and best > n:
                 break
-            found.append(stage(group, caps))
+            found.append(stage(group, cap))
             if found[-1][0] >= best:  # a later stage wins a tie
                 best, witness = found[-1]
     except CapExceeded:
         if mode == HYBRID and constants is not None and constants.max_element_order is not None:
-            return _cond2_cyclic_only(spec, group, n, mode, caps, detail)
+            return _cond2_cyclic_only(spec, group, n, mode, cap, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"
         return ConditionReport(COND_MOBIUS, UNKNOWN, None, detail)
 
@@ -430,7 +431,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     return ConditionReport(COND_MOBIUS, REFUTED, "exceptional_search", detail)
 
 
-def _cond2_cyclic_only(spec, group, n, mode, caps, detail) -> ConditionReport:
+def _cond2_cyclic_only(spec, group, n, mode, cap, detail) -> ConditionReport:
     """Cyclic witness from family constants (paper-formula and hybrid fallback),
     else from the largest element order; raises CapExceeded beyond the cap.
 
@@ -440,7 +441,7 @@ def _cond2_cyclic_only(spec, group, n, mode, caps, detail) -> ConditionReport:
     """
     constants = family_overrides(spec)
     if constants is None or constants.max_element_order is None:
-        method, m = "cyclic_search", group.max_element_order(caps.enumeration)
+        method, m = "cyclic_search", group.max_element_order(cap)
     else:
         method, m = "literature_override", constants.max_element_order
         detail["provenance"] = constants.provenance
@@ -458,7 +459,7 @@ def _cond2_cyclic_only(spec, group, n, mode, caps, detail) -> ConditionReport:
 
 
 def cond3_no_small_genus_action(
-    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, caps: Caps, simple: bool | None = None
+    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, cap: int, simple: bool | None = None
 ) -> ConditionReport:
     """Certify no nontrivial action on any smooth curve of genus <= (n-1)^2.
 
@@ -480,7 +481,7 @@ def cond3_no_small_genus_action(
         detail["genus_cap"] = cap_genus = riemann_genus_cap(n)
 
     if simple is None:
-        simple, how = decide_simplicity(spec, group, mode, caps)
+        simple, how = decide_simplicity(spec, group, mode, cap)
         detail["simplicity_method"] = how
     if simple is None:
         detail["note"] = "simplicity undecided within caps"
@@ -498,7 +499,7 @@ def cond3_no_small_genus_action(
         if mode == PAPER_FORMULA:  # n <= 1 + floor(sqrt(1 + |G|/84)), non-strict as printed
             detail = {"reading": "non_strict", "hurwitz_floor": floor}
             return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail, 1 + isqrt((84 + order) // 84))
-        verdict = rhoracle.acts_on_genus_le(group, None, caps)
+        verdict = rhoracle.acts_on_genus_le(group, None, cap)
         if verdict.verdict == rhoracle.YES:
             detail = {"hurwitz_floor": floor, "min_genus": verdict.genus}
             return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail, 1 + isqrt(verdict.genus - 1))
@@ -507,7 +508,7 @@ def cond3_no_small_genus_action(
 
     detail["genus_le1_rule"] = {"simple_nonabelian": True, "excluded": not is_icosahedral}
     if is_icosahedral:
-        verdict = rhoracle.acts_on_genus_le(group, 0, caps)
+        verdict = rhoracle.acts_on_genus_le(group, 0, cap)
         if verdict.verdict == rhoracle.YES:
             detail["witness"] = _genus_witness(verdict)
             return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail)
@@ -528,7 +529,7 @@ def cond3_no_small_genus_action(
         return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
 
     # Hurwitz leaves the genus range [floor, (n-1)^2] open; ask the oracle.
-    verdict = rhoracle.acts_on_genus_le(group, cap_genus, caps)
+    verdict = rhoracle.acts_on_genus_le(group, cap_genus, cap)
     detail["oracle"] = {"verdict": verdict.verdict, "reason": verdict.reason}
     if verdict.verdict == rhoracle.NO:
         return ConditionReport(COND_GENUS, CERTIFIED, "rh_oracle", detail)
@@ -546,7 +547,7 @@ def _genus_witness(verdict: rhoracle.OracleVerdict) -> dict:
 # -- composition ----------------------------------------------------------------
 
 
-def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, caps: Caps = DEFAULT_CAPS) -> Certificate:
+def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap: int = DEFAULT_CAP) -> Certificate:
     """Check all three hypotheses for (G, n) and compose the verdicts.
 
     overall is `certified` iff all three conditions are certified; a
@@ -558,10 +559,10 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     if n < 2:
         raise ValidationError(f"certification needs n >= 2, got {n}")
     notes: list[str] = []
-    simple, how = decide_simplicity(spec, group, mode, caps)
+    simple, how = decide_simplicity(spec, group, mode, cap)
 
     if simple:
-        c1 = cond1_no_small_index(spec, group, n, mode, caps)
+        c1 = cond1_no_small_index(spec, group, n, mode, cap)
     else:
         reason = (
             "simplicity undecided within caps"
@@ -571,8 +572,8 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
         c1 = ConditionReport(COND_INDEX, UNKNOWN, None, {"n": n, "note": reason})
         notes.append(f"condition 1 skipped: {reason}")
 
-    c2 = cond2_mobius_subgroup(spec, group, n, mode, caps)
-    c3 = cond3_no_small_genus_action(spec, group, n, mode, caps, simple=simple)
+    c2 = cond2_mobius_subgroup(spec, group, n, mode, cap)
+    c3 = cond3_no_small_genus_action(spec, group, n, mode, cap, simple=simple)
 
     conditions = (c1, c2, c3)
     if all(c.verdict == CERTIFIED for c in conditions):
@@ -586,7 +587,7 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     else:
         overall = UNKNOWN
 
-    constants = _caps_constants(group, caps)
+    constants = _caps_constants(group, cap)
     constants["simplicity"] = {"value": simple, "method": how}
     return Certificate(
         group=spec.canonical(),
@@ -599,7 +600,7 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     )
 
 
-def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, caps: Caps = DEFAULT_CAPS) -> BoundReport:
+def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap: int = DEFAULT_CAP) -> BoundReport:
     """Per-condition maxima and the largest n certified by all three.
 
     Each maximum is the range its decider certifies when asked without an
@@ -612,7 +613,7 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    simple, how = decide_simplicity(spec, group, mode, caps)
+    simple, how = decide_simplicity(spec, group, mode, cap)
     if simple is None:
         raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps")
     if not simple:
@@ -624,9 +625,9 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         "admits n equal to the minimal degree itself"
     ]
     reports = {
-        "cond1": cond1_no_small_index(spec, group, None, mode, caps),
-        "cond2": cond2_mobius_subgroup(spec, group, None, mode, caps),
-        "cond3": cond3_no_small_genus_action(spec, group, None, mode, caps, simple=True),
+        "cond1": cond1_no_small_index(spec, group, None, mode, cap),
+        "cond2": cond2_mobius_subgroup(spec, group, None, mode, cap),
+        "cond3": cond3_no_small_genus_action(spec, group, None, mode, cap, simple=True),
     }
     known = {name: r.certified_up_to for name, r in reports.items()}
     if mode == PAPER_FORMULA:
@@ -648,7 +649,7 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         cond3_max=known["cond3"],
         certified_max_n=certified,
         binding=binding,
-        constants=dict(_caps_constants(group, caps), simplicity={"value": simple, "method": how}),
+        constants=dict(_caps_constants(group, cap), simplicity={"value": simple, "method": how}),
         details=details,
         notes=tuple(notes),
     )

@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 
@@ -25,7 +26,6 @@ from .certifier import (
     max_certified_n,
 )
 from .comparison import compare_rhs
-from .config import Caps, caps_from_environment
 from .curvebounds import (
     CastelnuovoInput,
     castelnuovo_bound,
@@ -35,7 +35,7 @@ from .curvebounds import (
     tower_genus_bound,
 )
 from .errors import CapExceeded, EdcertError, ValidationError
-from .permgroup import _is_prime, min_proper_subgroup_index
+from .permgroup import DEFAULT_CAP, _is_prime, min_proper_subgroup_index
 from . import rhoracle
 
 _MODE_FLAGS = {"computed": "computed", "hybrid": "hybrid", "paper-formula": "paper_formula"}
@@ -164,11 +164,23 @@ def _write(args, body: str) -> None:
     sys.stdout.write(body)
 
 
-def _caps(args) -> Caps:
-    caps = caps_from_environment()
-    if getattr(args, "cap", None) is not None:
-        caps = caps.with_enumeration(args.cap)
-    return caps
+def _cap(args) -> int:
+    """--cap, else EDCERT_CAP, else DEFAULT_CAP.  A bad EDCERT_CAP is an error
+    even when --cap is given."""
+    cap = DEFAULT_CAP
+    raw = os.environ.get("EDCERT_CAP")
+    if raw is not None:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValidationError(f"EDCERT_CAP must be an integer, got {raw!r}") from None
+        if cap < 1:
+            raise ValidationError(f"EDCERT_CAP must be positive, got {cap}")
+    if args.cap is not None:
+        if args.cap < 1:
+            raise ValidationError(f"--cap must be positive, got {args.cap}")
+        cap = args.cap
+    return cap
 
 
 def _group(args):
@@ -180,10 +192,10 @@ def _group(args):
 
 
 def _cmd_certify(args, started) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     mode = _MODE_FLAGS[args.mode]
     spec, group = _group(args)
-    cert = certify(spec, group, args.n, mode, caps)
+    cert = certify(spec, group, args.n, mode, cap)
     lines = [f"{cert.group}  n={cert.n}  mode={cert.mode}  ->  {cert.overall}"]
     for c in cert.conditions:
         lines.append(f"  {c.condition:24s} {c.verdict:10s} via {c.method or '-'}")
@@ -194,10 +206,10 @@ def _cmd_certify(args, started) -> int:
 
 
 def _cmd_maxn(args, started) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     mode = _MODE_FLAGS[args.mode]
     spec, group = _group(args)
-    report = max_certified_n(spec, group, mode, caps)
+    report = max_certified_n(spec, group, mode, cap)
     lines = [
         f"{report.group}  mode={report.mode}  maxn={report.certified_max_n}  binding={report.binding}",
         f"  cond1_max={report.cond1_max}  cond2_max={report.cond2_max}  cond3_max={report.cond3_max}",
@@ -209,11 +221,11 @@ def _cmd_maxn(args, started) -> int:
 _TABLE_HEADER = ["p", "order", "cond1_max", "cond2_max", "cond3_max", "maxn", "binding"]
 
 
-def _table_row(p: int, mode: str, caps: Caps) -> dict:
+def _table_row(p: int, mode: str, cap: int) -> dict:
     spec = parse_group_spec(f"PSL2:{p}")
     group = build(spec)
     try:
-        report = max_certified_n(spec, group, mode, caps)
+        report = max_certified_n(spec, group, mode, cap)
     except CapExceeded:  # simplicity undecided within caps: this row only is unknown
         return {"p": p, "order": group.order, **dict.fromkeys(_TABLE_HEADER[2:], "unknown")}
     fmt = lambda v: v if v is not None else "unknown"
@@ -229,12 +241,12 @@ def _table_row(p: int, mode: str, caps: Caps) -> dict:
 
 
 def _cmd_table(args, started) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     mode = _MODE_FLAGS[args.mode]
     if args.pmin < 7:
         raise EdcertError("the PSL2 table starts at p = 7")
     primes = [p for p in range(args.pmin, args.pmax + 1) if _is_prime(p)]
-    rows = [_table_row(p, mode, caps) for p in primes]
+    rows = [_table_row(p, mode, cap) for p in primes]
 
     if args.csv:
         buf = io.StringIO()
@@ -253,9 +265,9 @@ def _cmd_table(args, started) -> int:
 
 
 def _cmd_compare(args, started) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     spec, group = _group(args)
-    report = compare_rhs(spec, group, args.n, caps)
+    report = compare_rhs(spec, group, args.n, cap)
     lines = [
         f"{report.group}  n={report.n}  baseline rhs <= {report.rhs_upper_bound}  "
         f"strict={report.strict}  (certificate: {report.certificate_overall})"
@@ -272,13 +284,13 @@ def _cmd_compare(args, started) -> int:
 
 
 def _cmd_rh(args, started) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     _, group = _group(args)
-    sigs = rhoracle.enumerate_signatures(group, args.genus_max, caps)
+    sigs = rhoracle.enumerate_signatures(group, args.genus_max, cap)
     table = []
     for g, sig in sigs:
         try:
-            vec = rhoracle.find_generating_vector(group, sig, caps)
+            vec = rhoracle.find_generating_vector(group, sig, cap)
             searched = True
         except EdcertError:
             vec, searched = None, False
@@ -297,10 +309,10 @@ def _cmd_rh(args, started) -> int:
 
 
 def _cmd_oracle(args, started) -> int:
-    caps = _caps(args)
+    cap = _cap(args)
     if args.oracle_command == "min-index":
         spec, group = _group(args)
-        index = min_proper_subgroup_index(group, caps.enumeration)
+        index = min_proper_subgroup_index(group, cap)
         payload = {"group": spec.canonical(), "min_index": index}
         if index is None:
             payload["reason"] = "neither the derived-subgroup test nor the k!/2 embedding bound decides d(G)"
@@ -308,7 +320,7 @@ def _cmd_oracle(args, started) -> int:
         return 0 if index is not None else 1
     if args.oracle_command == "rh":
         spec, group = _group(args)
-        verdict = rhoracle.acts_on_genus_le(group, args.genus_max, caps)
+        verdict = rhoracle.acts_on_genus_le(group, args.genus_max, cap)
         if verdict.verdict == rhoracle.UNKNOWN:
             _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
             return 1

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from .catalogue import GroupSpec
 from .certifier import CERTIFIED, COMPUTED, certify
-from .config import DEFAULT_CAPS, Caps
-from .permgroup import PermGroup, SylowReport, prime_factors, sylow_report
+from .permgroup import DEFAULT_CAP, PermGroup, SylowReport, prime_factors, sylow_report
 
 RULE_CYCLIC = "cyclic_kummer"
 RULE_DIHEDRAL = "dihedral_mobius"
@@ -91,7 +90,7 @@ def compare_rhs(
     spec: GroupSpec,
     group: PermGroup,
     n: int,
-    caps: Caps = DEFAULT_CAPS,
+    cap: int = DEFAULT_CAP,
 ) -> CompareReport:
     """Per-prime baseline bounds, their aggregate, and the strictness flag.
 
@@ -102,7 +101,7 @@ def compare_rhs(
     notes: list[str] = []
     entries: list[PrimeEntry] = []
     for p in prime_factors(group.order):
-        sylow = sylow_report(group, p, caps.enumeration)  # CapExceeded propagates
+        sylow = sylow_report(group, p, cap)  # CapExceeded propagates
         rule, bound = _rule_for(sylow, p, n)
         if rule == RULE_DIHEDRAL and p == 2:
             notes.append(
@@ -123,7 +122,7 @@ def compare_rhs(
     if rhs is None and bounds:
         notes.append("some Sylow shape is outside the three rules; baseline unknown")
 
-    certificate = certify(spec, group, n, COMPUTED, caps)
+    certificate = certify(spec, group, n, COMPUTED, cap)
     strict = certificate.overall == CERTIFIED and rhs is not None and rhs <= 1
     return CompareReport(
         group=spec.canonical(),

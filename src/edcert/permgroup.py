@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from math import factorial, gcd
 from typing import Iterable, Sequence, Union
 
-from .config import DEFAULT_CAPS
 from .errors import CapExceeded, NotDividing, ValidationError
 from .permutation import (
     Permutation,
@@ -216,6 +215,12 @@ class StabilizerChain:
         return elems
 
 
+# The default enumeration cap: the largest |G| that element-by-element work
+# takes on (`--cap`, `EDCERT_CAP`).  `PermGroup._check_cap` raises
+# CapExceeded past it, and the certifier turns that into `unknown`.
+DEFAULT_CAP = 100_000
+
+
 class PermGroup:
     """An immutable permutation group of fixed degree.
 
@@ -287,18 +292,18 @@ class PermGroup:
             t = self._tuples[i] = tuple(self._elements[i])
         return t
 
-    def element(self, i: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[int, ...]:
+    def element(self, i: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
         """The i-th element in enumeration order, the same tuple on every call."""
         self._enumerate(cap)
         return self._tuple(i)
 
-    def elements(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
+    def elements(self, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
         self._enumerate(cap)
         if type(self._tuples) is list:
             self._tuples = tuple(map(self._tuple, range(self.order)))
         return self._tuples
 
-    def element_orders(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[int, ...]:
+    def element_orders(self, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
         """Orders in enumeration order, by walking cyclic subgroups in the
         kernel: from each x that no earlier walk reached, x, x^2, ..., x^k = 1,
         and x^j has order k / gcd(k, j)."""
@@ -317,10 +322,10 @@ class PermGroup:
             self._orders = tuple(orders)
         return self._orders
 
-    def max_element_order(self, cap: int = DEFAULT_CAPS.enumeration) -> int:
+    def max_element_order(self, cap: int = DEFAULT_CAP) -> int:
         return max(self.element_orders(cap))
 
-    def elements_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
+    def elements_of_order(self, m: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
         return tuple(self._tuple(i) for i, o in enumerate(self.element_orders(cap)) if o == m)
 
     def is_abelian(self) -> bool:
@@ -362,13 +367,13 @@ class PermGroup:
         self._partitions[m] = tuple(out)
         return self._partitions[m]
 
-    def classes_of_order(self, m: int, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def classes_of_order(self, m: int, cap: int = DEFAULT_CAP) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Conjugacy classes of the elements of order m, partitioned on first
         request for each m; each class leads with its first member in
         enumeration order, and the classes follow their leaders' order."""
         return tuple(cls for _, cls in self._partition(m, cap))
 
-    def conjugacy_classes(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def conjugacy_classes(self, cap: int = DEFAULT_CAP) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Partition into conjugacy classes; each class leads with the first
         member in enumeration order, which serves as its representative.
 
@@ -382,7 +387,7 @@ class PermGroup:
             self._classes = tuple(cls for _, cls in sorted(keyed, key=lambda pair: pair[0]))
         return self._classes
 
-    def class_representatives(self, cap: int = DEFAULT_CAPS.enumeration) -> tuple[tuple[int, ...], ...]:
+    def class_representatives(self, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
         return tuple(cls[0] for cls in self.conjugacy_classes(cap))
 
     # -- normal structure ----------------------------------------------------
@@ -420,7 +425,7 @@ class PermGroup:
             )
         return self._derived
 
-    def is_simple_nonabelian(self, cap: int = DEFAULT_CAPS.enumeration) -> bool:
+    def is_simple_nonabelian(self, cap: int = DEFAULT_CAP) -> bool:
         """True iff the group is nonabelian with no proper nontrivial normal
         subgroup.
 
@@ -553,7 +558,7 @@ def _classify_p_group(sub: PermGroup, p: int, exponent: int) -> tuple[str, int |
     return "other", None
 
 
-def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAPS.enumeration) -> SylowReport:
+def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAP) -> SylowReport:
     """Construct a Sylow p-subgroup by iterated extension and classify it.
 
     Starting from a Cauchy element of order p, repeatedly adjoins the first
@@ -628,7 +633,7 @@ def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -
 
 
 def max_proper_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAPS.enumeration, limit: int | None = None
+    group: PermGroup, cap: int = DEFAULT_CAP, limit: int | None = None
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Order and generators of the largest proper subgroup a search finds.
 
@@ -675,7 +680,7 @@ def max_proper_subgroup(
 
 
 def embedding_degree_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAPS.enumeration
+    group: PermGroup, cap: int = DEFAULT_CAP
 ) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """A subgroup of index k0 = `first_embedding_degree(|G|)` in a
     nonabelian simple G, as (order, generators), or None if the search
@@ -706,7 +711,7 @@ def first_embedding_degree(order: int) -> int:
     return k
 
 
-def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAPS.enumeration) -> int | None:
+def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAP) -> int | None:
     """d(G), the least index of a proper subgroup, or None when unproven.
 
     Let p be the least prime dividing |G|.  No index below p divides |G|, a

@@ -23,9 +23,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Sequence
 
-from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, WidthExceeded
-from .permgroup import PermGroup, StabilizerChain
+from .permgroup import DEFAULT_CAP, PermGroup, StabilizerChain
 from .permutation import Permutation, compose, invert
 
 YES = "yes"
@@ -127,7 +126,7 @@ def _period_choices(group: PermGroup, cap: int) -> list[int]:
     return sorted(divisors)
 
 
-def _branch_data(group: PermGroup, genus_max: int | None, caps: Caps):
+def _branch_data(group: PermGroup, genus_max: int | None, cap: int):
     """Every (genus, Signature) with 0 <= genus <= genus_max (no bound when
     None), lazily, in (genus, quotient genus, periods) order.
 
@@ -139,7 +138,7 @@ def _branch_data(group: PermGroup, genus_max: int | None, caps: Caps):
     raises t, so data pop in genus order.
     """
     order = group.order
-    choices = _period_choices(group, caps.enumeration)
+    choices = _period_choices(group, cap)
     lcm = math.lcm(*choices)
     weight = {m: lcm - lcm // m for m in choices}
     raise_to = dict(zip(choices, choices[1:]))
@@ -164,7 +163,7 @@ def _branch_data(group: PermGroup, genus_max: int | None, caps: Caps):
 
 
 def enumerate_signatures(
-    group: PermGroup, genus_max: int, caps: Caps = DEFAULT_CAPS
+    group: PermGroup, genus_max: int, cap: int = DEFAULT_CAP
 ) -> list[tuple[int, Signature]]:
     """All (genus, signature) pairs with genus in [0, genus_max] satisfying
     the Riemann-Hurwitz identity with periods drawn from element orders.
@@ -173,19 +172,19 @@ def enumerate_signatures(
     periods are canonical ascending tuples.  The oracle enumeration cap
     bounds both |G| and the number of data listed.
     """
-    cap = ORACLE_ENUMERATION
-    if group.order > cap:
+    limit = ORACLE_ENUMERATION
+    if group.order > limit:
         raise CapExceeded(
-            f"order {group.order} exceeds the oracle enumeration cap {cap}",
+            f"order {group.order} exceeds the oracle enumeration cap {limit}",
             needed=group.order,
-            cap=cap,
+            cap=limit,
         )
-    results = list(islice(_branch_data(group, genus_max, caps), cap + 1))
-    if len(results) > cap:
+    results = list(islice(_branch_data(group, genus_max, cap), limit + 1))
+    if len(results) > limit:
         raise CapExceeded(
-            f"more than {cap} branch data up to genus {genus_max} (the oracle enumeration cap)",
-            needed=cap + 1,
-            cap=cap,
+            f"more than {limit} branch data up to genus {genus_max} (the oracle enumeration cap)",
+            needed=limit + 1,
+            cap=limit,
         )
     return results
 
@@ -229,7 +228,7 @@ def _orbit_size(generators: Sequence[tuple[int, ...]], point: int) -> int:
 
 
 def find_generating_vector(
-    group: PermGroup, sig: Signature, caps: Caps = DEFAULT_CAPS
+    group: PermGroup, sig: Signature, cap: int = DEFAULT_CAP
 ) -> GeneratingVector | None:
     """Depth-first search for a generating vector realizing the signature.
 
@@ -261,13 +260,13 @@ def find_generating_vector(
     if rh_genus(group.order, sig).denominator != 1:
         return None
 
-    els = group.elements(caps.enumeration)
-    order_of = dict(zip(els, group.element_orders(caps.enumeration)))
-    reps = group.class_representatives(caps.enumeration)
+    els = group.elements(cap)
+    order_of = dict(zip(els, group.element_orders(cap)))
+    reps = group.class_representatives(cap)
     pools = [
         [p for p in reps if m is None or order_of[p] == m] if i == 0
         else els if m is None
-        else group.elements_of_order(m, caps.enumeration)
+        else group.elements_of_order(m, cap)
         for i, m in enumerate(slots)
     ]
     if not slots or not all(pools):
@@ -319,7 +318,7 @@ def find_generating_vector(
     return found
 
 
-def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_CAPS) -> OracleVerdict:
+def acts_on_genus_le(group: PermGroup, genus: int | None, cap: int = DEFAULT_CAP) -> OracleVerdict:
     """Does the group act nontrivially on some smooth curve of genus <= g?
 
     Requires a nonabelian simple group (there nontrivial means faithful);
@@ -337,7 +336,7 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
     if group.order > ORACLE_ENUMERATION:
         return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
     try:
-        simple = group.is_simple_nonabelian(caps.enumeration)
+        simple = group.is_simple_nonabelian(cap)
     except CapExceeded:
         return OracleVerdict(UNKNOWN, reason="simplicity undecided within enumeration cap")
     if not simple:
@@ -348,14 +347,14 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, caps: Caps = DEFAULT_C
     if group.order > ORACLE_SEARCH:
         return OracleVerdict(UNKNOWN, reason=CAPPED)
     count = 0  # data walked so far, searched or excluded by the rule
-    for g, sig in _branch_data(group, genus, caps):
+    for g, sig in _branch_data(group, genus, cap):
         count += 1
         if count > ORACLE_ENUMERATION:
             return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
         if excluded and g < 2:
             continue
         try:
-            vec = find_generating_vector(group, sig, caps)
+            vec = find_generating_vector(group, sig, cap)
         except WidthExceeded:  # unreachable for a simple group, see VECTOR_WIDTH
             return OracleVerdict(UNKNOWN, reason=CAPPED)
         if vec is not None:

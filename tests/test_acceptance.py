@@ -15,7 +15,6 @@ from edcert.catalogue import parse_group_spec
 from edcert.certifier import PAPER_FORMULA, certify, max_certified_n
 from edcert.cli import main
 from edcert.comparison import compare_rhs
-from edcert.config import Caps
 from edcert.curvebounds import tower_genus_bound
 from edcert.permgroup import (
     PermGroup,
@@ -26,9 +25,6 @@ from edcert.permgroup import (
 )
 from edcert.permutation import Permutation, compose, identity_tuple
 from edcert.rhoracle import Signature, acts_on_genus_le, validate_vector
-
-CAPS = Caps()
-
 
 def _announce(number, text):
     print(f"PASS criterion {number}: {text}")
@@ -74,7 +70,7 @@ def test_criterion_3_psl2_closed_form(group_of):
         if not _is_prime(p):
             continue
         spec = parse_group_spec(f"PSL2:{p}")
-        report = max_certified_n(spec, group_of(spec.canonical()), PAPER_FORMULA, CAPS)
+        report = max_certified_n(spec, group_of(spec.canonical()), PAPER_FORMULA)
         # independent evaluation of min{p-1, 1 + floor(sqrt(1 + p(p^2-1)/168))}
         radicand_num = 168 + p * (p * p - 1)
         hurwitz_term = 1 + isqrt(radicand_num * 168) // 168
@@ -122,14 +118,14 @@ def test_criterion_5_min_index_oracle(group_of):
 def test_criterion_6_rh_oracle(group_of):
     psl7 = group_of("PSL2:7")
     for g in range(0, 3):
-        assert acts_on_genus_le(psl7, g, CAPS).verdict == "no"
-    hit = acts_on_genus_le(psl7, 3, CAPS)
+        assert acts_on_genus_le(psl7, g).verdict == "no"
+    hit = acts_on_genus_le(psl7, 3)
     assert hit.verdict == "yes" and hit.genus == 3
     assert hit.signature == Signature(0, (2, 3, 7))
     assert validate_vector(psl7, hit.signature, hit.vector)
 
     a5 = group_of("A:5")
-    sphere = acts_on_genus_le(a5, 0, CAPS)
+    sphere = acts_on_genus_le(a5, 0)
     assert sphere.verdict == "yes" and sphere.genus == 0
     assert sphere.signature == Signature(0, (2, 3, 5))
     assert validate_vector(a5, sphere.signature, sphere.vector)
@@ -150,15 +146,15 @@ def test_criterion_7_baseline_strictness(group_of):
     for text, n in pairs:
         spec = parse_group_spec(text)
         group = group_of(text)
-        report = compare_rhs(spec, group, n, CAPS)
+        report = compare_rhs(spec, group, n)
         assert report.rhs_upper_bound == 1, text
         assert report.strict, text
         # Sylow witnesses recomputed from scratch
         for entry in report.entries:
-            fresh = sylow_report(group, entry.prime, CAPS.enumeration)
+            fresh = sylow_report(group, entry.prime)
             assert fresh.order == entry.sylow.order
             assert fresh.shape == entry.sylow.shape
-        assert certify(spec, group, n, "computed", CAPS).overall == "certified"
+        assert certify(spec, group, n, "computed").overall == "certified"
     _announce(7, "baseline rhs upper bound 1 and strictness for the four "
                  "sample pairs, with Sylow witnesses recomputed")
 

@@ -131,8 +131,8 @@ def test_rh_signature_table(capsys):
 def test_rh_prints_no_vector_that_fails_validation(capsys, monkeypatch):
     search = rhoracle.find_generating_vector
 
-    def corrupted(group, sig, caps):
-        vec = search(group, sig, caps)
+    def corrupted(group, sig, cap):
+        vec = search(group, sig, cap)
         return vec and rhoracle.GeneratingVector(vec.hyperbolic, vec.elliptic[:-1])
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", corrupted)
@@ -259,9 +259,9 @@ def _record_searched_genera(monkeypatch):
     searched = []
     search = rhoracle.find_generating_vector
 
-    def recording(group, sig, caps):
+    def recording(group, sig, cap):
         searched.append(int(rhoracle.rh_genus(group.order, sig)))
-        return search(group, sig, caps)
+        return search(group, sig, cap)
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", recording)
     return searched
@@ -401,6 +401,11 @@ def test_environment_cap(capsys, monkeypatch):
     monkeypatch.setenv("EDCERT_CAP", "not-a-number")
     code, _, err = run(capsys, "certify", "--group", "PSL2:19", "--n", "2")
     assert code == 2
+    # a bad environment value is an error even when the flag would win
+    for bad in ("not-a-number", "0"):
+        monkeypatch.setenv("EDCERT_CAP", bad)
+        code, _, err = run(capsys, "certify", "--group", "PSL2:19", "--n", "2", "--cap", "100")
+        assert code == 2 and "EDCERT_CAP" in err
 
 
 def test_malformed_flags_exit_2(capsys):
@@ -479,10 +484,11 @@ def test_environment_cap_must_be_positive(capsys, monkeypatch):
     monkeypatch.setenv("EDCERT_CAP", "0")
     code, _, err = run(capsys, "certify", "--group", "A:5", "--n", "2")
     assert code == 2
+    assert "must be positive" in err and "EDCERT_CAP" in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_cap_flag_must_be_positive(capsys, cap):
     code, _, err = run(capsys, "certify", "--group", "A:5", "--n", "2", "--cap", cap)
     assert code == 2
-    assert "must be positive" in err
+    assert "must be positive" in err and "--cap" in err

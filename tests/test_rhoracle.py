@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edcert.catalogue import build, parse_group_spec
-from edcert.config import Caps
 from edcert.errors import CapExceeded, WidthExceeded
 from edcert import rhoracle
 from edcert.permgroup import StabilizerChain
@@ -195,7 +194,7 @@ def test_caps_degrade_to_unknown(group_of, monkeypatch):
 
 
 def test_a_width_overrun_answers_unknown(group_of, monkeypatch):
-    def too_wide(group, signature, caps):
+    def too_wide(group, signature, cap):
         raise WidthExceeded("too many slots")
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", too_wide)
@@ -216,7 +215,7 @@ def test_oracle_checks_the_enumeration_cap_before_simplicity(group_of, monkeypat
 
 def test_unbounded_oracle_stops_at_the_search_cap_before_listing():
     group = build(parse_group_spec("PSL2:13"))  # order 1092, past the 1,000 vector-search cap
-    verdict = acts_on_genus_le(group, None, Caps())
+    verdict = acts_on_genus_le(group, None)
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, CAPPED)
     assert group._elements is None  # no datum was listed, so no element order was needed
 
@@ -237,7 +236,7 @@ def test_oracle_stops_after_searching_cap_many_data(group_of, monkeypatch, genus
     # (with no genus bound it never ends)
     searched = []
 
-    def record(group, signature, caps):
+    def record(group, signature, cap):
         searched.append(signature)
         return None
 
