@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
-from .permgroup import PermGroup, _is_prime
+from .permgroup import DEFAULT_CAP, PermGroup, _is_prime
 from .permutation import Permutation
 
 ALTERNATING = "alternating"
@@ -143,59 +143,39 @@ def _cycle(points: list[int], degree: int) -> Permutation:
     return Permutation.from_cycles([points], degree)
 
 
-def build(spec: GroupSpec) -> PermGroup:
-    """Construct the permutation group a spec describes.
+def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> PermGroup:
+    """Construct the permutation group a spec describes, with enumeration cap `cap`.
 
     Families use their standard actions: A(n)/S(n) on n points, C(n) as an
     n-cycle, D(n) as rotation plus reflection on n points (n >= 3; the
     order-4 group D:2 acts on 4 points), and PSL2(p) on the projective line
     over F_p, degree p+1, generated by z -> z+1 and z -> -1/z.
     """
-    kind = spec.kind
+    kind, n = spec.kind, spec.n
+    degree = n
     if kind == EXPLICIT:
-        gens = [_parse_cycles(c, 0, spec.degree) for c in spec.cycles]
-        return PermGroup(gens, degree=spec.degree)
-
-    n = spec.n
-    if kind == CYCLIC:
-        if n == 1:
-            return PermGroup((), degree=1)
-        return PermGroup([_cycle(list(range(n)), n)])
-    if kind == SYMMETRIC:
-        if n == 1:
-            return PermGroup((), degree=1)
-        if n == 2:
-            return PermGroup([_cycle([0, 1], 2)])
-        return PermGroup([_cycle([0, 1], n), _cycle(list(range(n)), n)])
-    if kind == ALTERNATING:
-        if n <= 2:
-            return PermGroup((), degree=n)
-        if n == 3:
-            return PermGroup([_cycle([0, 1, 2], 3)])
-        three = _cycle([0, 1, 2], n)
-        if n % 2 == 1:
-            big = _cycle(list(range(n)), n)
-        else:
-            big = _cycle(list(range(1, n)), n)
-        return PermGroup([three, big])
-    if kind == DIHEDRAL:
-        if n == 2:
-            return PermGroup([_cycle([0, 1], 4), _cycle([2, 3], 4)])
-        rotation = _cycle(list(range(n)), n)
-        reflection = Permutation([(n - i) % n for i in range(n)])
-        return PermGroup([rotation, reflection])
-    if kind == PSL2:
-        p = n
-        infinity = p
-        shift = Permutation([(z + 1) % p for z in range(p)] + [infinity])
-        flip_images = [0] * (p + 1)
-        flip_images[0] = infinity
-        flip_images[infinity] = 0
-        for z in range(1, p):
-            flip_images[z] = (-pow(z, p - 2, p)) % p
-        flip = Permutation(flip_images)
-        return PermGroup([shift, flip])
-    raise ValidationError(f"unknown spec kind {kind!r}")
+        gens, degree = [_parse_cycles(c, 0, spec.degree) for c in spec.cycles], spec.degree
+    elif kind == CYCLIC:
+        gens = [_cycle(list(range(n)), n)] if n > 1 else []
+    elif kind == SYMMETRIC and n <= 2:
+        gens = [_cycle([0, 1], 2)] if n == 2 else []
+    elif kind == SYMMETRIC:
+        gens = [_cycle([0, 1], n), _cycle(list(range(n)), n)]
+    elif kind == ALTERNATING and n <= 3:
+        gens = [_cycle([0, 1, 2], 3)] if n == 3 else []
+    elif kind == ALTERNATING:  # a 3-cycle and an (n or n-1)-cycle, both even
+        gens = [_cycle([0, 1, 2], n), _cycle(list(range(0 if n % 2 else 1, n)), n)]
+    elif kind == DIHEDRAL and n == 2:
+        gens, degree = [_cycle([0, 1], 4), _cycle([2, 3], 4)], 4
+    elif kind == DIHEDRAL:
+        gens = [_cycle(list(range(n)), n), Permutation([(n - i) % n for i in range(n)])]
+    elif kind == PSL2:  # F_p is 0..p-1 and infinity is the point p
+        shift = [*range(1, n), 0, n]  # z -> z + 1
+        flip = [n, *((-pow(z, n - 2, n)) % n for z in range(1, n)), 0]  # z -> -1/z
+        gens, degree = [Permutation(shift), Permutation(flip)], n + 1
+    else:
+        raise ValidationError(f"unknown spec kind {kind!r}")
+    return PermGroup(gens, degree=degree, cap=cap)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
 from .permgroup import (
-    DEFAULT_CAP,
     PermGroup,
     embedding_degree_subgroup,
     first_embedding_degree,
@@ -137,12 +136,12 @@ class BoundReport:
         }
 
 
-def _caps_constants(group: PermGroup, cap: int) -> dict:
+def _caps_constants(group: PermGroup) -> dict:
     return {
         "order": group.order,
         "degree": group.degree,
         "caps": {
-            "enumeration": cap,
+            "enumeration": group.cap,
             "subgroup_search": permgroup.SUBGROUP_SEARCH,
             "oracle_enumeration": rhoracle.ORACLE_ENUMERATION,
             "oracle_search": rhoracle.ORACLE_SEARCH,
@@ -151,7 +150,7 @@ def _caps_constants(group: PermGroup, cap: int) -> dict:
     }
 
 
-def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, cap: int) -> tuple[bool | None, str]:
+def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str) -> tuple[bool | None, str]:
     """Nonabelian simplicity with the mode's allowed means.
 
     Returns (verdict, how); verdict None means undecidable within caps.
@@ -161,7 +160,7 @@ def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, cap: int) ->
         if constants is not None and constants.simple_nonabelian is not None:
             return constants.simple_nonabelian, "literature_override"
     try:
-        return group.is_simple_nonabelian(cap), "computed"
+        return group.is_simple_nonabelian(), "computed"
     except CapExceeded:
         return None, "cap_exceeded"
 
@@ -169,7 +168,7 @@ def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str, cap: int) ->
 # -- condition 1: no proper subgroup of small index ----------------------------
 
 
-def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, cap: int) -> ConditionReport:
+def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify that every proper subgroup has index > n.
 
     Methods, in order: divisibility (a simple group with an index-k
@@ -188,7 +187,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     """
     order = group.order
     detail: dict = {"order": order, "n": n}
-    simple, _ = decide_simplicity(spec, group, mode, cap)
+    simple, _ = decide_simplicity(spec, group, mode)
     if simple is False:
         raise NotSimple("condition 1 requires a nonabelian simple group")
     if simple is None:
@@ -198,7 +197,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
     k0 = first_embedding_degree(order)
     if n is None:
-        found = _min_proper_index(spec, group, mode, cap, search=mode == PAPER_FORMULA)
+        found = _min_proper_index(spec, group, mode, search=mode == PAPER_FORMULA)
         if found is None:
             detail = {"first_admissible_embedding_degree": k0}
             return ConditionReport(COND_INDEX, UNKNOWN, "divisibility", detail, k0 - 1)
@@ -210,7 +209,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     if n < k0:
         return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
 
-    found = _min_proper_index(spec, group, mode, cap)
+    found = _min_proper_index(spec, group, mode)
     if found is None:
         why = (
             "group exceeds the subgroup-search cap" if order > permgroup.SUBGROUP_SEARCH
@@ -235,7 +234,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
 
 
 def _min_proper_index(
-    spec: GroupSpec, group: PermGroup, mode: str, cap: int, search: bool = True
+    spec: GroupSpec, group: PermGroup, mode: str, search: bool = True
 ) -> tuple[str, int, object] | None:
     """d(G), the least index of a proper subgroup, as (method, d, facts).
 
@@ -251,7 +250,7 @@ def _min_proper_index(
             return "literature_override", constants.min_proper_index, constants.provenance
     if not search or group.order > permgroup.SUBGROUP_SEARCH:
         return None
-    found = embedding_degree_subgroup(group, cap)
+    found = embedding_degree_subgroup(group)
     return None if found is None else ("brute_force", group.order // found[0], found)
 
 
@@ -281,35 +280,35 @@ def _exceptional_pairs(involutions, threes):
                 yield found[1], found[0], a, b
 
 
-def _search_cyclic(group: PermGroup, cap: int) -> tuple[int, dict]:
-    orders = group.element_orders(cap)
+def _search_cyclic(group: PermGroup) -> tuple[int, dict]:
+    orders = group.element_orders()
     m = max(orders)
-    return m, _witness("cyclic", m, group.element(orders.index(m), cap))
+    return m, _witness("cyclic", m, group.element(orders.index(m)))
 
 
-def _search_dihedral(group: PermGroup, cap: int) -> tuple[int, dict]:
+def _search_dihedral(group: PermGroup) -> tuple[int, dict]:
     """Largest dihedral subgroup 2*ord(x) via an inverting involution:
     t^2 = 1, t x t^-1 = x^-1, t outside <x>.  Up to conjugacy it suffices
     to let x run over class representatives, largest order first (ties by
     image tuple); the classes of one order are partitioned only when the
     search reaches that order."""
-    involutions = group.elements_of_order(2, cap)
-    for m in sorted(set(group.element_orders(cap)) - {1}, reverse=True) if involutions else ():
-        for x in sorted(cls[0] for cls in group.classes_of_order(m, cap)):
+    involutions = group.elements_of_order(2)
+    for m in sorted(set(group.element_orders()) - {1}, reverse=True) if involutions else ():
+        for x in sorted(cls[0] for cls in group.classes_of_order(m)):
             t = inverting_involution(x, m, involutions)
             if t is not None:
                 return 2 * m, _witness("dihedral", 2 * m, x, t)
     return 0, {}
 
 
-def _search_exceptional(group: PermGroup, cap: int) -> tuple[int, dict]:
+def _search_exceptional(group: PermGroup) -> tuple[int, dict]:
     """Largest of A4/S4/A5 inside the group, read off the (involution,
     order-3 element) pairs by `_exceptional_pairs` -- each of the three is
     generated by such a pair.  The involutions run over class
     representatives; the witness is the first pair of the largest kind."""
-    invol_reps = [cls[0] for cls in group.classes_of_order(2, cap)]
+    invol_reps = [cls[0] for cls in group.classes_of_order(2)]
     best, witness = 0, {}
-    for order, kind, a, b in _exceptional_pairs(invol_reps, group.elements_of_order(3, cap)):
+    for order, kind, a, b in _exceptional_pairs(invol_reps, group.elements_of_order(3)):
         if order > best:
             best, witness = order, _witness(kind, order, a, b)
             if order == 60:
@@ -374,7 +373,7 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
     return best, witness
 
 
-def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode: str, cap: int) -> ConditionReport:
+def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify a Moebius subgroup of order > n.
 
     Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
@@ -396,7 +395,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
     constants = family_overrides(spec)
     bound = constants.max_mobius_order if constants is not None and mode == HYBRID else None
-    if n is None and bound is not None and group.order <= cap:
+    if n is None and bound is not None and group.order <= group.cap:
         best, witness = _search_words(group, bound)
         if best >= bound:
             detail = {"best_order": best, "witness": witness, "bound_provenance": MOBIUS_BOUND_PROVENANCE}
@@ -404,18 +403,18 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
 
     try:
         if mode == PAPER_FORMULA:
-            return _cond2_cyclic_only(spec, group, n, mode, cap, detail)
+            return _cond2_cyclic_only(spec, group, n, mode, detail)
         best, witness, found = 0, {}, []
         # the stages are looked up per call, so a tracer that wraps them sees them
         for stage in (_search_cyclic, _search_dihedral, _search_exceptional):
             if n is not None and best > n:
                 break
-            found.append(stage(group, cap))
+            found.append(stage(group))
             if found[-1][0] >= best:  # a later stage wins a tie
                 best, witness = found[-1]
     except CapExceeded:
         if mode == HYBRID and constants is not None and constants.max_element_order is not None:
-            return _cond2_cyclic_only(spec, group, n, mode, cap, detail)
+            return _cond2_cyclic_only(spec, group, n, mode, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"
         return ConditionReport(COND_MOBIUS, UNKNOWN, None, detail)
 
@@ -431,7 +430,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     return ConditionReport(COND_MOBIUS, REFUTED, "exceptional_search", detail)
 
 
-def _cond2_cyclic_only(spec, group, n, mode, cap, detail) -> ConditionReport:
+def _cond2_cyclic_only(spec, group, n, mode, detail) -> ConditionReport:
     """Cyclic witness from family constants (paper-formula and hybrid fallback),
     else from the largest element order; raises CapExceeded beyond the cap.
 
@@ -441,7 +440,7 @@ def _cond2_cyclic_only(spec, group, n, mode, cap, detail) -> ConditionReport:
     """
     constants = family_overrides(spec)
     if constants is None or constants.max_element_order is None:
-        method, m = "cyclic_search", group.max_element_order(cap)
+        method, m = "cyclic_search", group.max_element_order()
     else:
         method, m = "literature_override", constants.max_element_order
         detail["provenance"] = constants.provenance
@@ -459,7 +458,7 @@ def _cond2_cyclic_only(spec, group, n, mode, cap, detail) -> ConditionReport:
 
 
 def cond3_no_small_genus_action(
-    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, cap: int, simple: bool | None = None
+    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, simple: bool | None = None
 ) -> ConditionReport:
     """Certify no nontrivial action on any smooth curve of genus <= (n-1)^2.
 
@@ -481,7 +480,7 @@ def cond3_no_small_genus_action(
         detail["genus_cap"] = cap_genus = riemann_genus_cap(n)
 
     if simple is None:
-        simple, how = decide_simplicity(spec, group, mode, cap)
+        simple, how = decide_simplicity(spec, group, mode)
         detail["simplicity_method"] = how
     if simple is None:
         detail["note"] = "simplicity undecided within caps"
@@ -499,7 +498,7 @@ def cond3_no_small_genus_action(
         if mode == PAPER_FORMULA:  # n <= 1 + floor(sqrt(1 + |G|/84)), non-strict as printed
             detail = {"reading": "non_strict", "hurwitz_floor": floor}
             return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail, 1 + isqrt((84 + order) // 84))
-        verdict = rhoracle.acts_on_genus_le(group, None, cap)
+        verdict = rhoracle.acts_on_genus_le(group, None)
         if verdict.verdict == rhoracle.YES:
             detail = {"hurwitz_floor": floor, "min_genus": verdict.genus}
             return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail, 1 + isqrt(verdict.genus - 1))
@@ -508,7 +507,7 @@ def cond3_no_small_genus_action(
 
     detail["genus_le1_rule"] = {"simple_nonabelian": True, "excluded": not is_icosahedral}
     if is_icosahedral:
-        verdict = rhoracle.acts_on_genus_le(group, 0, cap)
+        verdict = rhoracle.acts_on_genus_le(group, 0)
         if verdict.verdict == rhoracle.YES:
             detail["witness"] = _genus_witness(verdict)
             return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail)
@@ -529,7 +528,7 @@ def cond3_no_small_genus_action(
         return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
 
     # Hurwitz leaves the genus range [floor, (n-1)^2] open; ask the oracle.
-    verdict = rhoracle.acts_on_genus_le(group, cap_genus, cap)
+    verdict = rhoracle.acts_on_genus_le(group, cap_genus)
     detail["oracle"] = {"verdict": verdict.verdict, "reason": verdict.reason}
     if verdict.verdict == rhoracle.NO:
         return ConditionReport(COND_GENUS, CERTIFIED, "rh_oracle", detail)
@@ -547,7 +546,7 @@ def _genus_witness(verdict: rhoracle.OracleVerdict) -> dict:
 # -- composition ----------------------------------------------------------------
 
 
-def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap: int = DEFAULT_CAP) -> Certificate:
+def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED) -> Certificate:
     """Check all three hypotheses for (G, n) and compose the verdicts.
 
     overall is `certified` iff all three conditions are certified; a
@@ -559,10 +558,10 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     if n < 2:
         raise ValidationError(f"certification needs n >= 2, got {n}")
     notes: list[str] = []
-    simple, how = decide_simplicity(spec, group, mode, cap)
+    simple, how = decide_simplicity(spec, group, mode)
 
     if simple:
-        c1 = cond1_no_small_index(spec, group, n, mode, cap)
+        c1 = cond1_no_small_index(spec, group, n, mode)
     else:
         reason = (
             "simplicity undecided within caps"
@@ -572,8 +571,8 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
         c1 = ConditionReport(COND_INDEX, UNKNOWN, None, {"n": n, "note": reason})
         notes.append(f"condition 1 skipped: {reason}")
 
-    c2 = cond2_mobius_subgroup(spec, group, n, mode, cap)
-    c3 = cond3_no_small_genus_action(spec, group, n, mode, cap, simple=simple)
+    c2 = cond2_mobius_subgroup(spec, group, n, mode)
+    c3 = cond3_no_small_genus_action(spec, group, n, mode, simple=simple)
 
     conditions = (c1, c2, c3)
     if all(c.verdict == CERTIFIED for c in conditions):
@@ -587,7 +586,7 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     else:
         overall = UNKNOWN
 
-    constants = _caps_constants(group, cap)
+    constants = _caps_constants(group)
     constants["simplicity"] = {"value": simple, "method": how}
     return Certificate(
         group=spec.canonical(),
@@ -600,7 +599,7 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED, cap
     )
 
 
-def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap: int = DEFAULT_CAP) -> BoundReport:
+def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED) -> BoundReport:
     """Per-condition maxima and the largest n certified by all three.
 
     Each maximum is the range its decider certifies when asked without an
@@ -613,9 +612,10 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    simple, how = decide_simplicity(spec, group, mode, cap)
+    simple, how = decide_simplicity(spec, group, mode)
     if simple is None:
-        raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps")
+        raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps",
+                          budget="enumeration", needed=group.order, cap=group.cap)
     if not simple:
         raise NotSimple("max_certified_n requires a nonabelian simple group")
 
@@ -625,9 +625,9 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         "admits n equal to the minimal degree itself"
     ]
     reports = {
-        "cond1": cond1_no_small_index(spec, group, None, mode, cap),
-        "cond2": cond2_mobius_subgroup(spec, group, None, mode, cap),
-        "cond3": cond3_no_small_genus_action(spec, group, None, mode, cap, simple=True),
+        "cond1": cond1_no_small_index(spec, group, None, mode),
+        "cond2": cond2_mobius_subgroup(spec, group, None, mode),
+        "cond3": cond3_no_small_genus_action(spec, group, None, mode, simple=True),
     }
     known = {name: r.certified_up_to for name, r in reports.items()}
     if mode == PAPER_FORMULA:
@@ -649,7 +649,7 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED, cap
         cond3_max=known["cond3"],
         certified_max_n=certified,
         binding=binding,
-        constants=dict(_caps_constants(group, cap), simplicity={"value": simple, "method": how}),
+        constants=dict(_caps_constants(group), simplicity={"value": simple, "method": how}),
         details=details,
         notes=tuple(notes),
     )

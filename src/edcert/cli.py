@@ -43,7 +43,6 @@ _MODE_FLAGS = {"computed": "computed", "hybrid": "hybrid", "paper-formula": "pap
 
 def _add_common(parser: argparse.ArgumentParser, *, mode: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="emit the JSON envelope instead of text")
-    parser.add_argument("--cap", type=int, default=None, help="override the enumeration cap (beats EDCERT_CAP)")
     parser.add_argument("--no-timing", action="store_true", help="omit the timing field from JSON output")
     parser.add_argument("--out", default=None, help="also write the output to this path")
     if mode:
@@ -54,6 +53,11 @@ def _add_common(parser: argparse.ArgumentParser, *, mode: bool = True) -> None:
             help="computed: self-contained; hybrid: tagged literature constants; "
             "paper-formula: the published closed-form bound as printed",
         )
+
+
+def _add_cap(parser: argparse.ArgumentParser) -> None:
+    """--cap, for the subcommands that build a group."""
+    parser.add_argument("--cap", type=int, default=None, help="override the enumeration cap (beats EDCERT_CAP)")
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -70,10 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p)
+    _add_cap(p)
 
     p = sub.add_parser("maxn", help="largest certified n with the binding condition")
     p.add_argument("--group", required=True)
     _add_common(p)
+    _add_cap(p)
 
     p = sub.add_parser("table", help="per-prime bound table for a family")
     p.add_argument("--family", choices=["PSL2"], required=True)
@@ -82,16 +88,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true", help="emit CSV rows instead of text")
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     _add_common(p)
+    _add_cap(p)
 
     p = sub.add_parser("compare", help="prior-methods baseline and strictness flag")
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, mode=False)
+    _add_cap(p)
 
     p = sub.add_parser("rh", help="branch-data table with generating-vector witnesses (JSON)")
     p.add_argument("--group", required=True)
     p.add_argument("--genus-max", type=int, required=True)
     _add_common(p, mode=False)
+    _add_cap(p)
     p.set_defaults(json=True)
 
     p = sub.add_parser("bounds", help="evaluate the curve-bound calculators")
@@ -125,10 +134,12 @@ def _build_parser() -> argparse.ArgumentParser:
     o = which.add_parser("min-index", help="minimal proper-subgroup index by subgroup search")
     o.add_argument("--group", required=True)
     _add_common(o, mode=False)
+    _add_cap(o)
     o = which.add_parser("rh", help="minimal genus admitting a faithful action, with witness")
     o.add_argument("--group", required=True)
     o.add_argument("--genus-max", type=int, required=True)
     _add_common(o, mode=False)
+    _add_cap(o)
 
     return parser
 
@@ -184,18 +195,19 @@ def _cap(args) -> int:
 
 
 def _group(args):
+    """The spec and the group it builds, with the enumeration cap of `_cap`."""
+    cap = _cap(args)
     spec = parse_group_spec(args.group)
-    return spec, build(spec)
+    return spec, build(spec, cap)
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def _cmd_certify(args, started) -> int:
-    cap = _cap(args)
     mode = _MODE_FLAGS[args.mode]
     spec, group = _group(args)
-    cert = certify(spec, group, args.n, mode, cap)
+    cert = certify(spec, group, args.n, mode)
     lines = [f"{cert.group}  n={cert.n}  mode={cert.mode}  ->  {cert.overall}"]
     for c in cert.conditions:
         lines.append(f"  {c.condition:24s} {c.verdict:10s} via {c.method or '-'}")
@@ -206,10 +218,9 @@ def _cmd_certify(args, started) -> int:
 
 
 def _cmd_maxn(args, started) -> int:
-    cap = _cap(args)
     mode = _MODE_FLAGS[args.mode]
     spec, group = _group(args)
-    report = max_certified_n(spec, group, mode, cap)
+    report = max_certified_n(spec, group, mode)
     lines = [
         f"{report.group}  mode={report.mode}  maxn={report.certified_max_n}  binding={report.binding}",
         f"  cond1_max={report.cond1_max}  cond2_max={report.cond2_max}  cond3_max={report.cond3_max}",
@@ -223,9 +234,9 @@ _TABLE_HEADER = ["p", "order", "cond1_max", "cond2_max", "cond3_max", "maxn", "b
 
 def _table_row(p: int, mode: str, cap: int) -> dict:
     spec = parse_group_spec(f"PSL2:{p}")
-    group = build(spec)
+    group = build(spec, cap)
     try:
-        report = max_certified_n(spec, group, mode, cap)
+        report = max_certified_n(spec, group, mode)
     except CapExceeded:  # simplicity undecided within caps: this row only is unknown
         return {"p": p, "order": group.order, **dict.fromkeys(_TABLE_HEADER[2:], "unknown")}
     fmt = lambda v: v if v is not None else "unknown"
@@ -265,9 +276,8 @@ def _cmd_table(args, started) -> int:
 
 
 def _cmd_compare(args, started) -> int:
-    cap = _cap(args)
     spec, group = _group(args)
-    report = compare_rhs(spec, group, args.n, cap)
+    report = compare_rhs(spec, group, args.n)
     lines = [
         f"{report.group}  n={report.n}  baseline rhs <= {report.rhs_upper_bound}  "
         f"strict={report.strict}  (certificate: {report.certificate_overall})"
@@ -284,13 +294,12 @@ def _cmd_compare(args, started) -> int:
 
 
 def _cmd_rh(args, started) -> int:
-    cap = _cap(args)
     _, group = _group(args)
-    sigs = rhoracle.enumerate_signatures(group, args.genus_max, cap)
+    sigs = rhoracle.enumerate_signatures(group, args.genus_max)
     table = []
     for g, sig in sigs:
         try:
-            vec = rhoracle.find_generating_vector(group, sig, cap)
+            vec = rhoracle.find_generating_vector(group, sig)
             searched = True
         except EdcertError:
             vec, searched = None, False
@@ -309,10 +318,9 @@ def _cmd_rh(args, started) -> int:
 
 
 def _cmd_oracle(args, started) -> int:
-    cap = _cap(args)
     if args.oracle_command == "min-index":
         spec, group = _group(args)
-        index = min_proper_subgroup_index(group, cap)
+        index = min_proper_subgroup_index(group)
         payload = {"group": spec.canonical(), "min_index": index}
         if index is None:
             payload["reason"] = "neither the derived-subgroup test nor the k!/2 embedding bound decides d(G)"
@@ -320,7 +328,7 @@ def _cmd_oracle(args, started) -> int:
         return 0 if index is not None else 1
     if args.oracle_command == "rh":
         spec, group = _group(args)
-        verdict = rhoracle.acts_on_genus_le(group, args.genus_max, cap)
+        verdict = rhoracle.acts_on_genus_le(group, args.genus_max)
         if verdict.verdict == rhoracle.UNKNOWN:
             _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
             return 1

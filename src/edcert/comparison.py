@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .catalogue import GroupSpec
 from .certifier import CERTIFIED, COMPUTED, certify
-from .permgroup import DEFAULT_CAP, PermGroup, SylowReport, prime_factors, sylow_report
+from .permgroup import PermGroup, SylowReport, prime_factors, sylow_report
 
 RULE_CYCLIC = "cyclic_kummer"
 RULE_DIHEDRAL = "dihedral_mobius"
@@ -86,12 +86,7 @@ def _rule_for(sylow: SylowReport, p: int, n: int) -> tuple[str, int | None]:
     return RULE_NONE, None
 
 
-def compare_rhs(
-    spec: GroupSpec,
-    group: PermGroup,
-    n: int,
-    cap: int = DEFAULT_CAP,
-) -> CompareReport:
+def compare_rhs(spec: GroupSpec, group: PermGroup, n: int) -> CompareReport:
     """Per-prime baseline bounds, their aggregate, and the strictness flag.
 
     Every Sylow shape is recomputed from scratch; rules never fire on
@@ -101,7 +96,7 @@ def compare_rhs(
     notes: list[str] = []
     entries: list[PrimeEntry] = []
     for p in prime_factors(group.order):
-        sylow = sylow_report(group, p, cap)  # CapExceeded propagates
+        sylow = sylow_report(group, p)  # CapExceeded propagates
         rule, bound = _rule_for(sylow, p, n)
         if rule == RULE_DIHEDRAL and p == 2:
             notes.append(
@@ -122,7 +117,7 @@ def compare_rhs(
     if rhs is None and bounds:
         notes.append("some Sylow shape is outside the three rules; baseline unknown")
 
-    certificate = certify(spec, group, n, COMPUTED, cap)
+    certificate = certify(spec, group, n, COMPUTED)
     strict = certificate.overall == CERTIFIED and rhs is not None and rhs <= 1
     return CompareReport(
         group=spec.canonical(),

@@ -6,10 +6,16 @@ class EdcertError(Exception):
 
 
 class CapExceeded(EdcertError):
-    """An exhaustive computation was refused because the group is too large."""
+    """An exhaustive computation was refused because the group is too large.
 
-    def __init__(self, message, *, needed=None, cap=None):
+    `budget` names the budget that stopped it, one of the keys that
+    certificates print under ``constants.caps``; `needed` is the work asked
+    for and `cap` that budget's limit.
+    """
+
+    def __init__(self, message, *, budget, needed, cap):
         super().__init__(message)
+        self.budget = budget
         self.needed = needed
         self.cap = cap
 

@@ -13,6 +13,10 @@ cheaper than a tuple gather, and chain building dominates the PSL2 tables.
 A byte holds a point only below 256, so larger degrees keep image tuples
 and ``permutation.compose``.
 
+Each group carries its enumeration cap, the largest order it enumerates
+(`DEFAULT_CAP` unless given), and hands it on to every subgroup it makes;
+`PermGroup._check_cap` is the one place it is enforced.
+
 The element-level work stays in that kernel too.  A group lists its
 elements once, as kernel elements with an index of their positions, and
 makes an element an image tuple only when it hands that element out, one
@@ -217,7 +221,7 @@ class StabilizerChain:
 
 # The default enumeration cap: the largest |G| that element-by-element work
 # takes on (`--cap`, `EDCERT_CAP`).  `PermGroup._check_cap` raises
-# CapExceeded past it, and the certifier turns that into `unknown`.
+# CapExceeded past a group's cap, and the certifier turns that into `unknown`.
 DEFAULT_CAP = 100_000
 
 
@@ -228,9 +232,15 @@ class PermGroup:
     degree is taken from the generators.  Generators may be given as
     ``Permutation`` objects or image sequences and are validated once here;
     every element the group hands out or takes is an image tuple.
+
+    `cap` is the enumeration cap: every element-level query raises
+    CapExceeded when the order exceeds it.  It is fixed when the group is
+    built, and the subgroups the group makes carry it over.
     """
 
-    def __init__(self, generators: Iterable[Permutation | Sequence[int]], degree: int | None = None):
+    def __init__(
+        self, generators: Iterable[Permutation | Sequence[int]], degree: int | None = None, cap: int = DEFAULT_CAP
+    ):
         gens = tuple((g if isinstance(g, Permutation) else Permutation(g)).images for g in generators)
         if degree is None:
             if not gens:
@@ -241,6 +251,7 @@ class PermGroup:
                 raise ValidationError("generators must share one degree")
         self.generators = gens
         self.degree = degree
+        self.cap = cap
         self._chain = StabilizerChain(gens, degree)
         self.order = self._chain.order()
         self._elements: list[Element] | None = None  # the chain's enumeration, in its kernel
@@ -266,21 +277,22 @@ class PermGroup:
         return identity_tuple(self.degree)
 
     def subgroup(self, generators: Iterable[tuple[int, ...]]) -> "PermGroup":
-        return PermGroup(tuple(generators), degree=self.degree)
+        return PermGroup(tuple(generators), degree=self.degree, cap=self.cap)
 
-    def _check_cap(self, cap: int) -> None:
-        if self.order > cap:
+    def _check_cap(self) -> None:
+        if self.order > self.cap:
             raise CapExceeded(
-                f"group order {self.order} exceeds the enumeration cap {cap}",
+                f"group order {self.order} exceeds the enumeration cap {self.cap}",
+                budget="enumeration",
                 needed=self.order,
-                cap=cap,
+                cap=self.cap,
             )
 
     # -- element-level queries (capped) -------------------------------------
 
-    def _enumerate(self, cap: int) -> list[Element]:
-        self._check_cap(cap)  # before the cache, so caps behave identically on every call
+    def _enumerate(self) -> list[Element]:
         if self._elements is None:
+            self._check_cap()
             self._elements = self._chain.elements()
             self._index = {x: i for i, x in enumerate(self._elements)}
             self._tuples = [None] * self.order
@@ -292,22 +304,22 @@ class PermGroup:
             t = self._tuples[i] = tuple(self._elements[i])
         return t
 
-    def element(self, i: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    def element(self, i: int) -> tuple[int, ...]:
         """The i-th element in enumeration order, the same tuple on every call."""
-        self._enumerate(cap)
+        self._enumerate()
         return self._tuple(i)
 
-    def elements(self, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
-        self._enumerate(cap)
+    def elements(self) -> tuple[tuple[int, ...], ...]:
+        self._enumerate()
         if type(self._tuples) is list:
             self._tuples = tuple(map(self._tuple, range(self.order)))
         return self._tuples
 
-    def element_orders(self, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    def element_orders(self) -> tuple[int, ...]:
         """Orders in enumeration order, by walking cyclic subgroups in the
         kernel: from each x that no earlier walk reached, x, x^2, ..., x^k = 1,
         and x^j has order k / gcd(k, j)."""
-        els = self._enumerate(cap)
+        els = self._enumerate()
         if self._orders is None:
             index, mul, identity = self._index, self._chain._mul, self._chain._identity
             orders = [0] * len(els)
@@ -322,11 +334,11 @@ class PermGroup:
             self._orders = tuple(orders)
         return self._orders
 
-    def max_element_order(self, cap: int = DEFAULT_CAP) -> int:
-        return max(self.element_orders(cap))
+    def max_element_order(self) -> int:
+        return max(self.element_orders())
 
-    def elements_of_order(self, m: int, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
-        return tuple(self._tuple(i) for i, o in enumerate(self.element_orders(cap)) if o == m)
+    def elements_of_order(self, m: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._tuple(i) for i, o in enumerate(self.element_orders()) if o == m)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -334,14 +346,14 @@ class PermGroup:
 
     # -- conjugacy ----------------------------------------------------------
 
-    def _partition(self, m: int, cap: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    def _partition(self, m: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
         """Classes of the order-m elements with their representatives' indices.
 
         Conjugation preserves order, so the classes of the order-m bucket
         are found without looking at any other element.  Each element is
         conjugated once per generator, in the chain's kernel.
         """
-        els = self._enumerate(cap)
+        els = self._enumerate()
         cached = self._partitions.get(m)
         if cached is not None:
             return cached
@@ -349,7 +361,7 @@ class PermGroup:
         conj_pairs = [(encode(g), encode(invert(g))) for g in self.generators]
         seen = set()
         out = []
-        for i, o in enumerate(self.element_orders(cap)):
+        for i, o in enumerate(self.element_orders()):
             if o != m or i in seen:
                 continue
             seen.add(i)
@@ -367,13 +379,13 @@ class PermGroup:
         self._partitions[m] = tuple(out)
         return self._partitions[m]
 
-    def classes_of_order(self, m: int, cap: int = DEFAULT_CAP) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def classes_of_order(self, m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Conjugacy classes of the elements of order m, partitioned on first
         request for each m; each class leads with its first member in
         enumeration order, and the classes follow their leaders' order."""
-        return tuple(cls for _, cls in self._partition(m, cap))
+        return tuple(cls for _, cls in self._partition(m))
 
-    def conjugacy_classes(self, cap: int = DEFAULT_CAP) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    def conjugacy_classes(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Partition into conjugacy classes; each class leads with the first
         member in enumeration order, which serves as its representative.
 
@@ -381,14 +393,13 @@ class PermGroup:
         merges the per-order partitions of ``classes_of_order``, sorted by
         the enumeration index of each representative.
         """
-        self._check_cap(cap)
         if self._classes is None:
-            keyed = [pair for m in set(self.element_orders(cap)) for pair in self._partition(m, cap)]
+            keyed = [pair for m in set(self.element_orders()) for pair in self._partition(m)]
             self._classes = tuple(cls for _, cls in sorted(keyed, key=lambda pair: pair[0]))
         return self._classes
 
-    def class_representatives(self, cap: int = DEFAULT_CAP) -> tuple[tuple[int, ...], ...]:
-        return tuple(cls[0] for cls in self.conjugacy_classes(cap))
+    def class_representatives(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(cls[0] for cls in self.conjugacy_classes())
 
     # -- normal structure ----------------------------------------------------
 
@@ -414,7 +425,7 @@ class PermGroup:
             sub = StabilizerChain(closure_gens, self.degree)
             for g, ginv in conj_pairs:
                 queue.append(compose(compose(ginv, x), g))
-        return PermGroup(closure_gens, degree=self.degree)
+        return self.subgroup(closure_gens)
 
     def derived_subgroup(self) -> "PermGroup":
         """G', the normal closure of the commutators of the generators."""
@@ -425,7 +436,7 @@ class PermGroup:
             )
         return self._derived
 
-    def is_simple_nonabelian(self, cap: int = DEFAULT_CAP) -> bool:
+    def is_simple_nonabelian(self) -> bool:
         """True iff the group is nonabelian with no proper nontrivial normal
         subgroup.
 
@@ -436,14 +447,14 @@ class PermGroup:
         of each representative of a class of prime order is the whole group.
         The cap applies either way.
         """
-        self._check_cap(cap)
+        self._check_cap()
         if self._simple is None:
             simple = self._simplicity_from_chain()
             if simple is None:
                 simple = all(
                     self.normal_closure([cls[0]]).order == self.order
                     for q in prime_factors(self.order)
-                    for cls in self.classes_of_order(q, cap)
+                    for cls in self.classes_of_order(q)
                 )
             self._simple = simple
         return self._simple
@@ -472,7 +483,7 @@ class PermGroup:
             return False
         if self.orbit_sizes()[:2] != (d, d - 1):
             return None
-        k = PermGroup(self._chain.strong_generators(1), degree=d)
+        k = self.subgroup(self._chain.strong_generators(1))
         while not k.is_abelian():
             derived = k.derived_subgroup()
             if derived.order == k.order:
@@ -558,7 +569,7 @@ def _classify_p_group(sub: PermGroup, p: int, exponent: int) -> tuple[str, int |
     return "other", None
 
 
-def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAP) -> SylowReport:
+def sylow_report(group: PermGroup, p: int) -> SylowReport:
     """Construct a Sylow p-subgroup by iterated extension and classify it.
 
     Starting from a Cauchy element of order p, repeatedly adjoins the first
@@ -577,8 +588,8 @@ def sylow_report(group: PermGroup, p: int, cap: int = DEFAULT_CAP) -> SylowRepor
         n //= p
     target = p ** exponent
 
-    els = group.elements(cap)
-    orders = group.element_orders(cap)
+    els = group.elements()
+    orders = group.element_orders()
 
     seed = next(power(g, o // p) for g, o in zip(els, orders) if o % p == 0)
     sub_gens = [seed]
@@ -632,9 +643,7 @@ def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -
     return frozenset(elems)
 
 
-def max_proper_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAP, limit: int | None = None
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def max_proper_subgroup(group: PermGroup, limit: int | None = None) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Order and generators of the largest proper subgroup a search finds.
 
     Searches the subgroups generated by a conjugacy-class representative
@@ -647,19 +656,20 @@ def max_proper_subgroup(
     at the first subgroup of order `limit`, which no later pair can beat.
     The witness is always a proper subgroup, so |G| / order bounds d(G)
     from above; the search alone does not prove that bound exact.  Raises
-    CapExceeded past `SUBGROUP_SEARCH` or past the enumeration cap `cap`.
+    CapExceeded past `SUBGROUP_SEARCH` or past the group's enumeration cap.
     """
     n = group.order
     if n == 1:
         raise ValidationError("the trivial group has no proper subgroup")
     if n > SUBGROUP_SEARCH:
-        raise CapExceeded(f"order {n} exceeds the subgroup-search cap {SUBGROUP_SEARCH}", needed=n, cap=SUBGROUP_SEARCH)
+        raise CapExceeded(f"order {n} exceeds the subgroup-search cap {SUBGROUP_SEARCH}",
+                          budget="subgroup_search", needed=n, cap=SUBGROUP_SEARCH)
     if limit is None:
         limit = n // 2
 
     identity = group.identity()
-    els = [e for e in group.elements(cap) if e != identity]
-    reps = [r for r in group.class_representatives(cap) if r != identity]
+    els = [e for e in group.elements() if e != identity]
+    reps = [r for r in group.class_representatives() if r != identity]
     best = 1
     witness: tuple[tuple[int, ...], ...] = ()
     for rep in reps:
@@ -679,9 +689,7 @@ def max_proper_subgroup(
     return best, witness
 
 
-def embedding_degree_subgroup(
-    group: PermGroup, cap: int = DEFAULT_CAP
-) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+def embedding_degree_subgroup(group: PermGroup) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
     """A subgroup of index k0 = `first_embedding_degree(|G|)` in a
     nonabelian simple G, as (order, generators), or None if the search
     finds none.
@@ -690,10 +698,10 @@ def embedding_degree_subgroup(
     in A_k, so no proper subgroup has more than |G| // k0 elements and the
     search runs with that limit.  An index-k0 subgroup found is d(G).  Only
     for groups known to be nonabelian simple: S4 has k0 = 5, yet a subgroup
-    of order 12.  `cap` is the enumeration cap, as in `max_proper_subgroup`.
+    of order 12.
     """
     k0 = first_embedding_degree(group.order)
-    best, witness = max_proper_subgroup(group, cap, group.order // k0)
+    best, witness = max_proper_subgroup(group, group.order // k0)
     return (best, witness) if best * k0 == group.order else None
 
 
@@ -711,7 +719,7 @@ def first_embedding_degree(order: int) -> int:
     return k
 
 
-def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAP) -> int | None:
+def min_proper_subgroup_index(group: PermGroup) -> int | None:
     """d(G), the least index of a proper subgroup, or None when unproven.
 
     Let p be the least prime dividing |G|.  No index below p divides |G|, a
@@ -719,8 +727,8 @@ def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAP) -> int |
     derived subgroup G', and the abelian G/G' has a subgroup of index p
     whenever p divides |G : G'|: then d(G) = p.  Otherwise, for G
     nonabelian simple only, d(G) is the index `embedding_degree_subgroup`
-    finds, when it finds one.  `cap` is the enumeration cap; the search
-    raises CapExceeded past it or past `SUBGROUP_SEARCH`.
+    finds, when it finds one.  The search raises CapExceeded past the
+    group's enumeration cap or past `SUBGROUP_SEARCH`.
     """
     n = group.order
     if n == 1:
@@ -728,7 +736,7 @@ def min_proper_subgroup_index(group: PermGroup, cap: int = DEFAULT_CAP) -> int |
     p = prime_factors(n)[0]
     if n // group.derived_subgroup().order % p == 0:
         return p
-    if not group.is_simple_nonabelian(cap):
+    if not group.is_simple_nonabelian():
         return None
-    found = embedding_degree_subgroup(group, cap)
+    found = embedding_degree_subgroup(group)
     return None if found is None else n // found[0]

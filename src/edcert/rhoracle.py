@@ -24,7 +24,7 @@ from itertools import islice
 from typing import Sequence
 
 from .errors import CapExceeded, WidthExceeded
-from .permgroup import DEFAULT_CAP, PermGroup, StabilizerChain
+from .permgroup import PermGroup, StabilizerChain
 from .permutation import Permutation, compose, invert
 
 YES = "yes"
@@ -116,17 +116,17 @@ def rh_genus(order: int, sig: Signature) -> Fraction:
     return (order * total + 2) / 2
 
 
-def _period_choices(group: PermGroup, cap: int) -> list[int]:
+def _period_choices(group: PermGroup) -> list[int]:
     """Divisors >= 2 of element orders: the only admissible periods."""
     divisors: set[int] = set()
-    for o in set(group.element_orders(cap)):
+    for o in set(group.element_orders()):
         for d in range(2, o + 1):
             if o % d == 0:
                 divisors.add(d)
     return sorted(divisors)
 
 
-def _branch_data(group: PermGroup, genus_max: int | None, cap: int):
+def _branch_data(group: PermGroup, genus_max: int | None):
     """Every (genus, Signature) with 0 <= genus <= genus_max (no bound when
     None), lazily, in (genus, quotient genus, periods) order.
 
@@ -138,7 +138,7 @@ def _branch_data(group: PermGroup, genus_max: int | None, cap: int):
     raises t, so data pop in genus order.
     """
     order = group.order
-    choices = _period_choices(group, cap)
+    choices = _period_choices(group)
     lcm = math.lcm(*choices)
     weight = {m: lcm - lcm // m for m in choices}
     raise_to = dict(zip(choices, choices[1:]))
@@ -162,9 +162,7 @@ def _branch_data(group: PermGroup, genus_max: int | None, cap: int):
             heapq.heappush(heap, (t + step, h, periods[:-1] + (raise_to[last],)))
 
 
-def enumerate_signatures(
-    group: PermGroup, genus_max: int, cap: int = DEFAULT_CAP
-) -> list[tuple[int, Signature]]:
+def enumerate_signatures(group: PermGroup, genus_max: int) -> list[tuple[int, Signature]]:
     """All (genus, signature) pairs with genus in [0, genus_max] satisfying
     the Riemann-Hurwitz identity with periods drawn from element orders.
 
@@ -176,13 +174,15 @@ def enumerate_signatures(
     if group.order > limit:
         raise CapExceeded(
             f"order {group.order} exceeds the oracle enumeration cap {limit}",
+            budget="oracle_enumeration",
             needed=group.order,
             cap=limit,
         )
-    results = list(islice(_branch_data(group, genus_max, cap), limit + 1))
+    results = list(islice(_branch_data(group, genus_max), limit + 1))
     if len(results) > limit:
         raise CapExceeded(
             f"more than {limit} branch data up to genus {genus_max} (the oracle enumeration cap)",
+            budget="oracle_enumeration",
             needed=limit + 1,
             cap=limit,
         )
@@ -227,9 +227,7 @@ def _orbit_size(generators: Sequence[tuple[int, ...]], point: int) -> int:
     return len(orbit)
 
 
-def find_generating_vector(
-    group: PermGroup, sig: Signature, cap: int = DEFAULT_CAP
-) -> GeneratingVector | None:
+def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector | None:
     """Depth-first search for a generating vector realizing the signature.
 
     The slots are the 2h hyperbolic entries a_1, b_1, ..., a_h, b_h, then
@@ -250,6 +248,7 @@ def find_generating_vector(
     if group.order > ORACLE_SEARCH:
         raise CapExceeded(
             f"order {group.order} exceeds the vector-search cap {ORACLE_SEARCH}",
+            budget="oracle_search",
             needed=group.order,
             cap=ORACLE_SEARCH,
         )
@@ -260,13 +259,13 @@ def find_generating_vector(
     if rh_genus(group.order, sig).denominator != 1:
         return None
 
-    els = group.elements(cap)
-    order_of = dict(zip(els, group.element_orders(cap)))
-    reps = group.class_representatives(cap)
+    els = group.elements()
+    order_of = dict(zip(els, group.element_orders()))
+    reps = group.class_representatives()
     pools = [
         [p for p in reps if m is None or order_of[p] == m] if i == 0
         else els if m is None
-        else group.elements_of_order(m, cap)
+        else group.elements_of_order(m)
         for i, m in enumerate(slots)
     ]
     if not slots or not all(pools):
@@ -318,7 +317,7 @@ def find_generating_vector(
     return found
 
 
-def acts_on_genus_le(group: PermGroup, genus: int | None, cap: int = DEFAULT_CAP) -> OracleVerdict:
+def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
     """Does the group act nontrivially on some smooth curve of genus <= g?
 
     Requires a nonabelian simple group (there nontrivial means faithful);
@@ -336,7 +335,7 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, cap: int = DEFAULT_CAP
     if group.order > ORACLE_ENUMERATION:
         return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
     try:
-        simple = group.is_simple_nonabelian(cap)
+        simple = group.is_simple_nonabelian()
     except CapExceeded:
         return OracleVerdict(UNKNOWN, reason="simplicity undecided within enumeration cap")
     if not simple:
@@ -347,14 +346,14 @@ def acts_on_genus_le(group: PermGroup, genus: int | None, cap: int = DEFAULT_CAP
     if group.order > ORACLE_SEARCH:
         return OracleVerdict(UNKNOWN, reason=CAPPED)
     count = 0  # data walked so far, searched or excluded by the rule
-    for g, sig in _branch_data(group, genus, cap):
+    for g, sig in _branch_data(group, genus):
         count += 1
         if count > ORACLE_ENUMERATION:
             return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
         if excluded and g < 2:
             continue
         try:
-            vec = find_generating_vector(group, sig, cap)
+            vec = find_generating_vector(group, sig)
         except WidthExceeded:  # unreachable for a simple group, see VECTOR_WIDTH
             return OracleVerdict(UNKNOWN, reason=CAPPED)
         if vec is not None:

@@ -3,14 +3,16 @@ from functools import lru_cache
 import pytest
 
 from edcert.catalogue import build, parse_group_spec
+from edcert.permgroup import DEFAULT_CAP
 
 
 @lru_cache(maxsize=None)
-def _built(text):
-    return build(parse_group_spec(text))
+def _built(text, cap=DEFAULT_CAP):
+    return build(parse_group_spec(text), cap)
 
 
 @pytest.fixture(scope="session")
 def group_of():
-    """Session-cached group builder: group_of('A:7') etc."""
+    """Session-cached group builder: group_of('A:7'), or group_of('A:7', 100)
+    for a group with enumeration cap 100."""
     return _built

@@ -26,26 +26,28 @@ from edcert.certifier import (
     _search_exceptional,
     _search_words,
 )
-from edcert.errors import NotSimple, ValidationError
-from edcert.permgroup import DEFAULT_CAP, closed_subgroup
+from edcert import rhoracle
+from edcert.errors import CapExceeded, NotSimple, ValidationError
+from edcert.permgroup import DEFAULT_CAP, closed_subgroup, max_proper_subgroup
+from edcert.rhoracle import Signature
 from edcert.permutation import Permutation, cycle_string
 
 
 def crt(group_of, text, n, mode=COMPUTED, cap=DEFAULT_CAP):
     spec = parse_group_spec(text)
-    return certify(spec, group_of(text), n, mode, cap)
+    return certify(spec, group_of(text, cap), n, mode)
 
 
 def bound(group_of, text, mode=COMPUTED, cap=DEFAULT_CAP):
     spec = parse_group_spec(text)
-    return max_certified_n(spec, group_of(text), mode, cap)
+    return max_certified_n(spec, group_of(text, cap), mode)
 
 
 # -- condition 1 -----------------------------------------------------------------
 
 
 def test_cond1_divisibility_certifies_a7(group_of):
-    report = cond1_no_small_index(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED, DEFAULT_CAP)
+    report = cond1_no_small_index(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "divisibility")
     checks = {c["k"]: c["half_factorial"] for c in report.detail["divisibility_checks"]}
     assert checks == {k: factorial(k) // 2 for k in range(2, 7)}
@@ -53,12 +55,12 @@ def test_cond1_divisibility_certifies_a7(group_of):
 
 
 def test_cond1_divisibility_certifies_psl2_13(group_of):
-    report = cond1_no_small_index(parse_group_spec("PSL2:13"), group_of("PSL2:13"), 12, COMPUTED, DEFAULT_CAP)
+    report = cond1_no_small_index(parse_group_spec("PSL2:13"), group_of("PSL2:13"), 12, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "divisibility")
 
 
 def test_cond1_brute_force_refutes_a5_at_5(group_of):
-    report = cond1_no_small_index(parse_group_spec("A:5"), group_of("A:5"), 5, COMPUTED, DEFAULT_CAP)
+    report = cond1_no_small_index(parse_group_spec("A:5"), group_of("A:5"), 5, COMPUTED)
     assert (report.verdict, report.method) == (REFUTED, "brute_force")
     assert report.detail["min_proper_index"] == 5
     assert report.detail["witness_subgroup"]["index"] == 5
@@ -69,7 +71,7 @@ def test_cond1_search_index_needs_the_embedding_bound(group_of, monkeypatch):
     # 7!/2, so the k!/2 bound proves only d >= 7 and cannot confirm 9
     monkeypatch.setattr(permgroup, "SUBGROUP_SEARCH", 600)
     text = "perm:9:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5),(0 8)(2 5)(3 6)(4 7)"
-    report = cond1_no_small_index(parse_group_spec(text), group_of(text), 8, COMPUTED, DEFAULT_CAP)
+    report = cond1_no_small_index(parse_group_spec(text), group_of(text), 8, COMPUTED)
     assert report.verdict == UNKNOWN
     assert [c["k"] for c in report.detail["divisibility_checks"] if c["divides"]] == [7]
 
@@ -77,15 +79,15 @@ def test_cond1_search_index_needs_the_embedding_bound(group_of, monkeypatch):
 def test_cond1_literature_override_in_hybrid(group_of):
     spec, g = parse_group_spec("PSL2:199"), group_of("PSL2:199")
     # k < 199 lacks the prime 199, so divisibility alone certifies n = 198
-    report = cond1_no_small_index(spec, g, 198, HYBRID, DEFAULT_CAP)
+    report = cond1_no_small_index(spec, g, 198, HYBRID)
     assert (report.verdict, report.method) == (CERTIFIED, "divisibility")
     # at n = 199 divisibility is inconclusive; Galois's constant d = 200 decides
-    report = cond1_no_small_index(spec, g, 199, HYBRID, DEFAULT_CAP)
+    report = cond1_no_small_index(spec, g, 199, HYBRID)
     assert (report.verdict, report.method) == (CERTIFIED, "literature_override")
-    report = cond1_no_small_index(spec, g, 200, HYBRID, DEFAULT_CAP)
+    report = cond1_no_small_index(spec, g, 200, HYBRID)
     assert (report.verdict, report.method) == (REFUTED, "literature_override")
     # computed mode has no fallback once divisibility fails on a big group
-    report = cond1_no_small_index(spec, g, 199, COMPUTED, DEFAULT_CAP)
+    report = cond1_no_small_index(spec, g, 199, COMPUTED)
     assert report.verdict == UNKNOWN
 
 
@@ -94,18 +96,18 @@ def test_cond1_refuses_non_simple_groups(group_of, mode):
     # 24 divides no k!/2 for k <= 3, yet A4 has index 2 in S4: the k!/2
     # certificate holds for simple groups only
     with pytest.raises(NotSimple):
-        cond1_no_small_index(parse_group_spec("S:4"), group_of("S:4"), 3, mode, DEFAULT_CAP)
+        cond1_no_small_index(parse_group_spec("S:4"), group_of("S:4"), 3, mode)
 
 
 # -- condition 2 -----------------------------------------------------------------
 
 
 def test_cond2_cyclic_witnesses(group_of):
-    report = cond2_mobius_subgroup(parse_group_spec("PSL2:13"), group_of("PSL2:13"), 4, COMPUTED, DEFAULT_CAP)
+    report = cond2_mobius_subgroup(parse_group_spec("PSL2:13"), group_of("PSL2:13"), 4, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "cyclic_search")
     assert report.detail["witness"]["order"] == 13
 
-    report = cond2_mobius_subgroup(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED, DEFAULT_CAP)
+    report = cond2_mobius_subgroup(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "cyclic_search")
     assert report.detail["witness"]["type"] == "cyclic"
     assert report.detail["witness"]["order"] == 7  # a 7-cycle
@@ -113,11 +115,11 @@ def test_cond2_cyclic_witnesses(group_of):
 
 def test_cond2_dihedral_and_exceptional_stages(group_of):
     # max element order 7 bars the cyclic stage at n = 7; S4 of order 24 carries it
-    report = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), 7, COMPUTED, DEFAULT_CAP)
+    report = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), 7, COMPUTED)
     assert report.verdict == CERTIFIED
     assert report.detail["best_order"] in (8, 24)
 
-    exhaustive = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), None, COMPUTED, DEFAULT_CAP)
+    exhaustive = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), None, COMPUTED)
     assert exhaustive.certified_up_to == 23
     assert exhaustive.detail["best_order"] == 24
     assert exhaustive.detail["witness"]["type"] == "S4"
@@ -190,13 +192,13 @@ def test_exceptional_pairs_agree_with_closing_each_pair(gens):
 
 @pytest.mark.parametrize("text", MOBIUS_GROUPS)
 def test_exceptional_search_equals_closing_every_pair(group_of, text):
-    order, witness = _search_exceptional(group_of(text), DEFAULT_CAP)
+    order, witness = _search_exceptional(group_of(text))
     assert (order, witness.get("type"), witness) == exceptional_by_closing_every_pair(group_of(text))
 
 
 @pytest.mark.parametrize("text", MOBIUS_GROUPS + ["C:7", "D:10", "S:4"])
 def test_dihedral_search_equals_scanning_every_class(group_of, text):
-    dihedral, witness = _search_dihedral(group_of(text), DEFAULT_CAP)
+    dihedral, witness = _search_dihedral(group_of(text))
     order, generators = dihedral_by_scanning_every_class(group_of(text))
     assert dihedral == order
     assert witness.get("generators") == generators
@@ -231,11 +233,11 @@ DICKSON_MAX_MOBIUS = {
 def test_hybrid_mobius_range_stops_at_dicksons_bound_without_enumerating(p):
     spec = parse_group_spec(f"PSL2:{p}")
     group = build(spec)  # a fresh group: nothing enumerated yet
-    report = cond2_mobius_subgroup(spec, group, None, HYBRID, DEFAULT_CAP)
+    report = cond2_mobius_subgroup(spec, group, None, HYBRID)
     assert (report.method, report.certified_up_to + 1) == ("witness_search", DICKSON_MAX_MOBIUS[p])
     assert report.detail["best_order"] == report.detail["witness"]["order"] == DICKSON_MAX_MOBIUS[p]
     assert group._elements is None
-    assert max_certified_n(spec, group, HYBRID, DEFAULT_CAP).cond2_max + 1 == DICKSON_MAX_MOBIUS[p]
+    assert max_certified_n(spec, group, HYBRID).cond2_max + 1 == DICKSON_MAX_MOBIUS[p]
     # the genus oracle's vector search lists the elements of PSL2(7) and PSL2(11), within its cap
     assert (group._elements is None) == (p not in (7, 11))
 
@@ -244,7 +246,7 @@ def test_hybrid_mobius_range_stops_at_dicksons_bound_without_enumerating(p):
 def test_mobius_range_falls_back_to_the_stages_when_the_search_misses(monkeypatch, p):
     monkeypatch.setattr(certifier, "_search_words", lambda group, bound: (1, {}))
     spec = parse_group_spec(f"PSL2:{p}")
-    report = cond2_mobius_subgroup(spec, build(spec), None, HYBRID, DEFAULT_CAP)
+    report = cond2_mobius_subgroup(spec, build(spec), None, HYBRID)
     assert report.method in ("dihedral_search", "exceptional_search")
     assert report.certified_up_to + 1 == DICKSON_MAX_MOBIUS[p]
 
@@ -266,7 +268,7 @@ def subgroup_by_permutations(generators):
 def test_witness_search_witnesses_recheck_with_permutations(p):
     spec = parse_group_spec(f"PSL2:{p}")
     group = build(spec)
-    witness = cond2_mobius_subgroup(spec, group, None, HYBRID, DEFAULT_CAP).detail["witness"]
+    witness = cond2_mobius_subgroup(spec, group, None, HYBRID).detail["witness"]
     gens = [_parse_cycles(text, 0, group.degree) for text in witness["generators"]]
     assert all(g.images in group for g in gens)
     one = Permutation.identity(group.degree)
@@ -292,7 +294,7 @@ def test_witness_search_never_beats_the_exhaustive_maximum(gens):
     spec = parse_group_spec(text)
     group = build(spec)
     best, witness = _search_words(group, group.order + 1)  # a bound no subgroup reaches: the whole pool runs
-    assert best <= cond2_mobius_subgroup(spec, group, None, COMPUTED, DEFAULT_CAP).detail["best_order"]
+    assert best <= cond2_mobius_subgroup(spec, group, None, COMPUTED).detail["best_order"]
     assert witness == {} or witness["order"] == best
 
 
@@ -301,10 +303,10 @@ def assert_mobius_refutations_are_exhaustive(text, ns):
     exhaustive computed search, and so does every certification."""
     spec = parse_group_spec(text)
     group = build(spec)
-    best = cond2_mobius_subgroup(spec, group, None, COMPUTED, DEFAULT_CAP).detail["best_order"]
+    best = cond2_mobius_subgroup(spec, group, None, COMPUTED).detail["best_order"]
     for mode in (COMPUTED, HYBRID, PAPER_FORMULA):
         for n in ns:
-            verdict = cond2_mobius_subgroup(spec, group, n, mode, DEFAULT_CAP).verdict
+            verdict = cond2_mobius_subgroup(spec, group, n, mode).verdict
             assert verdict != REFUTED or best <= n, (text, mode, n)
             assert verdict != CERTIFIED or best > n, (text, mode, n)
 
@@ -337,7 +339,7 @@ def test_cond2_reports_are_pinned(group_of):
                for mode in (HYBRID, PAPER_FORMULA)]
     lines = []
     for text, mode, n in inputs:
-        report = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), n, mode, DEFAULT_CAP)
+        report = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), n, mode)
         lines.append(json.dumps([text, mode, n, report.to_json(), report.certified_up_to]))
     assert len(lines) == 515
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -350,15 +352,15 @@ def test_cond2_reports_are_pinned(group_of):
      ("perm:8:(0 1 2),(0 1)(2 3),(4 5 6 7)", "A4", "exceptional_search", "A4")],  # A4 x C4: cyclic 12, A4 12
 )
 def test_cond2_later_stage_wins_a_tie(group_of, text, kind, method, exceptional_kind):
-    ranged = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), None, COMPUTED, DEFAULT_CAP)
+    ranged = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), None, COMPUTED)
     assert (ranged.method, ranged.detail["witness"]["type"]) == (method, kind)
-    at_n = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), ranged.detail["best_order"], COMPUTED, DEFAULT_CAP)
+    at_n = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), ranged.detail["best_order"], COMPUTED)
     assert (at_n.verdict, at_n.detail["witness"]["type"], at_n.detail["exceptional_kind"]) == (
         REFUTED, kind, exceptional_kind)
 
 
 def test_cond2_refutes_tiny_group(group_of):
-    report = cond2_mobius_subgroup(parse_group_spec("C:2"), group_of("C:2"), 2, COMPUTED, DEFAULT_CAP)
+    report = cond2_mobius_subgroup(parse_group_spec("C:2"), group_of("C:2"), 2, COMPUTED)
     assert report.verdict == REFUTED
     assert report.detail["best_order"] == 2
 
@@ -367,33 +369,33 @@ def test_cond2_refutes_tiny_group(group_of):
 
 
 def test_cond3_hurwitz_certifies_a7(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED, DEFAULT_CAP)
+    report = cond3_no_small_genus_action(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "hurwitz")
     assert report.detail["hurwitz_floor"] == 31
     assert report.detail["genus_cap"] == 25
 
 
 def test_cond3_refutes_a5_with_witness(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("A:5"), group_of("A:5"), 2, COMPUTED, DEFAULT_CAP)
+    report = cond3_no_small_genus_action(parse_group_spec("A:5"), group_of("A:5"), 2, COMPUTED)
     assert (report.verdict, report.method) == (REFUTED, "rh_oracle")
     assert report.detail["witness"]["genus"] == 0
     assert report.detail["witness"]["signature"] == "(0; 2,3,5)"
 
 
 def test_cond3_psl2_11(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("PSL2:11"), group_of("PSL2:11"), 3, COMPUTED, DEFAULT_CAP)
+    report = cond3_no_small_genus_action(parse_group_spec("PSL2:11"), group_of("PSL2:11"), 3, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "hurwitz")
     assert report.detail["hurwitz_floor"] == 9
 
 
 def test_cond3_oracle_closes_hurwitz_gap(group_of):
     # (n-1)^2 = 9 reaches past the floor 9; the branch-data oracle decides
-    report = cond3_no_small_genus_action(parse_group_spec("PSL2:11"), group_of("PSL2:11"), 4, COMPUTED, DEFAULT_CAP)
+    report = cond3_no_small_genus_action(parse_group_spec("PSL2:11"), group_of("PSL2:11"), 4, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "rh_oracle")
 
 
 def test_cond3_oracle_refutes_klein_quartic_case(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("PSL2:7"), group_of("PSL2:7"), 3, COMPUTED, DEFAULT_CAP)
+    report = cond3_no_small_genus_action(parse_group_spec("PSL2:7"), group_of("PSL2:7"), 3, COMPUTED)
     assert (report.verdict, report.method) == (REFUTED, "rh_oracle")
     assert report.detail["witness"]["genus"] == 3
 
@@ -611,6 +613,31 @@ def test_maxn_undecidable_simplicity_is_cap_exceeded(group_of):
         bound(group_of, "PSL2:199")  # computed mode cannot settle simplicity
 
 
+def _over_the_data_budget(group_of, monkeypatch):
+    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 443)  # C:6 has 444 data up to genus 20
+    rhoracle.enumerate_signatures(group_of("C:6"), 20)
+
+
+@pytest.mark.parametrize(
+    "budget, trip",
+    [
+        ("enumeration", lambda group_of, _: group_of("S:4", 10).elements()),
+        ("subgroup_search", lambda group_of, _: max_proper_subgroup(group_of("PSL2:11"))),
+        ("oracle_enumeration", lambda group_of, _: rhoracle.enumerate_signatures(group_of("A:8"), 0)),
+        ("oracle_enumeration", _over_the_data_budget),
+        ("oracle_search", lambda group_of, _: rhoracle.find_generating_vector(group_of("PSL2:13"), Signature(0, (2, 7)))),
+        ("enumeration", lambda group_of, _: max_certified_n(parse_group_spec("A:5"), group_of("A:5", 10))),
+    ],
+    ids=["check_cap", "subgroup_search", "oracle_order", "oracle_data", "vector_search", "maxn_simplicity"],
+)
+def test_every_cap_overrun_names_its_budget(group_of, monkeypatch, budget, trip):
+    with pytest.raises(CapExceeded) as raised:
+        trip(group_of, monkeypatch)
+    assert raised.value.budget == budget
+    assert budget in crt(group_of, "A:5", 2).constants["caps"]
+    assert raised.value.needed > raised.value.cap
+
+
 def test_unknown_mode_rejected(group_of):
     with pytest.raises(ValidationError):
         crt(group_of, "A:5", 2, mode="informal")
@@ -620,7 +647,7 @@ def test_unknown_mode_rejected(group_of):
 
 def test_cyclic_witness_is_the_first_element_of_largest_order_and_its_only_tuple():
     group = build(parse_group_spec("PSL2:37"))  # a fresh group: no tuple made yet
-    m, witness = certifier._search_cyclic(group, DEFAULT_CAP)
+    m, witness = certifier._search_cyclic(group)
     orders = group.element_orders()
     assert m == max(orders) == 37
     assert sum(t is not None for t in group._tuples) == 1

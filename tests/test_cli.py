@@ -131,8 +131,8 @@ def test_rh_signature_table(capsys):
 def test_rh_prints_no_vector_that_fails_validation(capsys, monkeypatch):
     search = rhoracle.find_generating_vector
 
-    def corrupted(group, sig, cap):
-        vec = search(group, sig, cap)
+    def corrupted(group, sig):
+        vec = search(group, sig)
         return vec and rhoracle.GeneratingVector(vec.hyperbolic, vec.elliptic[:-1])
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", corrupted)
@@ -259,9 +259,9 @@ def _record_searched_genera(monkeypatch):
     searched = []
     search = rhoracle.find_generating_vector
 
-    def recording(group, sig, cap):
+    def recording(group, sig):
         searched.append(int(rhoracle.rh_genus(group.order, sig)))
-        return search(group, sig, cap)
+        return search(group, sig)
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", recording)
     return searched
@@ -492,3 +492,23 @@ def test_cap_flag_must_be_positive(capsys, cap):
     code, _, err = run(capsys, "certify", "--group", "A:5", "--n", "2", "--cap", cap)
     assert code == 2
     assert "must be positive" in err and "--cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "100"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("castelnuovo", "--n1", "2", "--g1", "0", "--n2", "2", "--g2", "0"),
+        ("h_n", "--n", "6"),
+        ("genus-cap", "--n", "5"),
+        ("hurwitz", "--order", "168"),
+        ("gonality", "--order", "168", "--n", "2", "--action-verdict", "no"),
+    ],
+    ids=["castelnuovo", "h_n", "genus-cap", "hurwitz", "gonality"],
+)
+def test_bounds_take_no_cap(capsys, argv, cap):
+    # the calculators build no group, so an enumeration cap is a usage error
+    assert run(capsys, "bounds", *argv)[0] in (0, 1)
+    code, out, err = run(capsys, "bounds", *argv, f"--cap={cap}")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --cap" in err

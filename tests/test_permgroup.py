@@ -271,17 +271,46 @@ def test_conjugacy_classes_partition(group_of):
 
 def test_cap_exceeded(group_of):
     with pytest.raises(CapExceeded):
-        group_of("A:7").elements(cap=100)
+        group_of("A:7", 100).elements()
     with pytest.raises(CapExceeded):
-        group_of("A:7").is_simple_nonabelian(cap=100)
+        group_of("A:7", 100).is_simple_nonabelian()
 
 
-def test_cap_is_checked_after_orders_are_cached():
-    group = build(parse_group_spec("A:6"))
-    assert group.max_element_order() == 5
+def test_a_group_past_its_cap_raises_on_every_call_and_lists_nothing():
+    assert build(parse_group_spec("A:6")).max_element_order() == 5  # within the default cap
+    group = build(parse_group_spec("A:6"), cap=10)
     for query in (group.elements, group.element_orders, group.max_element_order):
-        with pytest.raises(CapExceeded):
-            query(cap=10)
+        for _ in range(2):
+            with pytest.raises(CapExceeded):
+                query()
+    assert group._elements is None
+
+
+def test_subgroups_carry_the_cap_over():
+    group = build(parse_group_spec("S:4"), cap=10)
+    made = [
+        group.subgroup([(1, 2, 0, 3), (0, 2, 3, 1)]),  # A4
+        group.derived_subgroup(),  # A4
+        group.normal_closure([(1, 0, 2, 3)]),  # S4
+    ]
+    for sub in made:
+        assert sub.cap == 10 and sub.order > 10
+        queries = [sub.elements, sub.element_orders, sub.max_element_order, sub.conjugacy_classes,
+                   sub.class_representatives, sub.is_simple_nonabelian, lambda: sub.element(0),
+                   lambda: sub.elements_of_order(2), lambda: sub.classes_of_order(2)]
+        for query in queries:
+            with pytest.raises(CapExceeded):
+                query()
+
+
+C2_17 = "perm:34:" + ",".join(f"({2 * i} {2 * i + 1})" for i in range(17))
+
+
+def test_sylow_classification_keeps_the_cap_the_group_was_built_with():
+    # C2^17 has order 131,072, past DEFAULT_CAP: the Sylow 2-subgroup is the whole
+    # group, and classifying it lists its elements under the cap it carries over
+    report = sylow_report(build(parse_group_spec(C2_17), cap=200_000), 2)
+    assert (report.order, report.shape, report.rank) == (131_072, "elementary_abelian", 17)
 
 
 def test_sylow_reports_for_a7(group_of):
