@@ -17,28 +17,23 @@ SHOWCASE = [
 def main() -> None:
     print("== certification ==")
     for text, n in SHOWCASE:
-        spec = parse_group_spec(text)
-        group = build(spec)
-        cert = certify(spec, group, n)
+        cert = certify(build(parse_group_spec(text)), n)
         print(f"  {text:10s} n={n}:  {cert.overall}")
         for cond in cert.conditions:
             print(f"      {cond.condition:24s} {cond.verdict:10s} via {cond.method}")
 
     print("\n== the open case: PSL2(7) at n = 3 is not decided either way ==")
-    spec = parse_group_spec("PSL2:7")
-    cert = certify(spec, build(spec), 3)
+    cert = certify(build(parse_group_spec("PSL2:7")), 3)
     print(f"  overall: {cert.overall} (hypothesis 3 fails at genus 3; the bound itself stays open)")
 
     print("\n== prior-methods baseline is stuck at 1 on all four pairs ==")
     for text, n in SHOWCASE:
-        spec = parse_group_spec(text)
-        report = compare_rhs(spec, build(spec), n)
+        report = compare_rhs(build(parse_group_spec(text)), n)
         print(f"  {text:10s} n={n}:  rhs <= {report.rhs_upper_bound}  strict={report.strict}")
 
     print("\n== largest certified n per group (computed mode) ==")
     for text in ("A:7", "PSL2:7", "PSL2:11", "PSL2:13"):
-        spec = parse_group_spec(text)
-        report = max_certified_n(spec, build(spec))
+        report = max_certified_n(build(parse_group_spec(text)))
         print(f"  {text:10s} maxn={report.certified_max_n}  binding={report.binding}")
 
 

@@ -144,7 +144,8 @@ def _cycle(points: list[int], degree: int) -> Permutation:
 
 
 def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> PermGroup:
-    """Construct the permutation group a spec describes, with enumeration cap `cap`.
+    """Construct the permutation group a spec describes, with enumeration cap
+    `cap`; the group carries the spec as its `spec`.
 
     Families use their standard actions: A(n)/S(n) on n points, C(n) as an
     n-cycle, D(n) as rotation plus reflection on n points (n >= 3; the
@@ -175,7 +176,9 @@ def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> PermGroup:
         gens, degree = [Permutation(shift), Permutation(flip)], n + 1
     else:
         raise ValidationError(f"unknown spec kind {kind!r}")
-    return PermGroup(gens, degree=degree, cap=cap)
+    group = PermGroup(gens, degree=degree, cap=cap)
+    group.spec = spec
+    return group
 
 
 @dataclass(frozen=True)

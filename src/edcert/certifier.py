@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, isqrt
 
-from .catalogue import MOBIUS_BOUND_PROVENANCE, GroupSpec, family_overrides
+from .catalogue import MOBIUS_BOUND_PROVENANCE, FamilyConstants, family_overrides
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
 from .permgroup import (
@@ -136,7 +136,8 @@ class BoundReport:
         }
 
 
-def _caps_constants(group: PermGroup) -> dict:
+def _constants(group: PermGroup, simple: bool | None, how: str) -> dict:
+    """The group's order and degree, every cap, and how simplicity was decided."""
     return {
         "order": group.order,
         "degree": group.degree,
@@ -147,18 +148,26 @@ def _caps_constants(group: PermGroup) -> dict:
             "oracle_search": rhoracle.ORACLE_SEARCH,
             "vector_width": rhoracle.VECTOR_WIDTH,
         },
+        "simplicity": {"value": simple, "method": how},
     }
 
 
-def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str) -> tuple[bool | None, str]:
+def _literature(group: PermGroup, mode: str) -> FamilyConstants | None:
+    """The family constants of a group that `build` made, in hybrid and
+    paper_formula modes, else None: the one reader of literature constants."""
+    if mode == COMPUTED or group.spec is None:
+        return None
+    return family_overrides(group.spec)
+
+
+def decide_simplicity(group: PermGroup, mode: str) -> tuple[bool | None, str]:
     """Nonabelian simplicity with the mode's allowed means.
 
     Returns (verdict, how); verdict None means undecidable within caps.
     """
-    if mode in (HYBRID, PAPER_FORMULA):
-        constants = family_overrides(spec)
-        if constants is not None and constants.simple_nonabelian is not None:
-            return constants.simple_nonabelian, "literature_override"
+    constants = _literature(group, mode)
+    if constants is not None and constants.simple_nonabelian is not None:
+        return constants.simple_nonabelian, "literature_override"
     try:
         return group.is_simple_nonabelian(), "computed"
     except CapExceeded:
@@ -168,7 +177,7 @@ def decide_simplicity(spec: GroupSpec, group: PermGroup, mode: str) -> tuple[boo
 # -- condition 1: no proper subgroup of small index ----------------------------
 
 
-def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode: str) -> ConditionReport:
+def cond1_no_small_index(group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify that every proper subgroup has index > n.
 
     Methods, in order: divisibility (a simple group with an index-k
@@ -187,7 +196,7 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     """
     order = group.order
     detail: dict = {"order": order, "n": n}
-    simple, _ = decide_simplicity(spec, group, mode)
+    simple, _ = decide_simplicity(group, mode)
     if simple is False:
         raise NotSimple("condition 1 requires a nonabelian simple group")
     if simple is None:
@@ -196,25 +205,27 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
 
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
     k0 = first_embedding_degree(order)
+    if n is not None:
+        detail["divisibility_checks"] = [
+            {"k": k, "half_factorial": factorial(k) // 2, "divides": k == k0} for k in range(2, min(n, k0) + 1)
+        ]
+        if n < k0:
+            return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
+
+    why = "the k!/2 bound does not prove the searched index"
+    try:
+        found = _min_proper_index(group, mode, search=n is not None or mode == PAPER_FORMULA)
+    except CapExceeded as exc:
+        if exc.budget != "subgroup_search":
+            raise
+        found, why = None, "group exceeds the subgroup-search cap"
     if n is None:
-        found = _min_proper_index(spec, group, mode, search=mode == PAPER_FORMULA)
         if found is None:
             detail = {"first_admissible_embedding_degree": k0}
             return ConditionReport(COND_INDEX, UNKNOWN, "divisibility", detail, k0 - 1)
         method, d, _ = found
         return ConditionReport(COND_INDEX, REFUTED, method, {"min_proper_index": d}, d - 1)
-    detail["divisibility_checks"] = [
-        {"k": k, "half_factorial": factorial(k) // 2, "divides": k == k0} for k in range(2, min(n, k0) + 1)
-    ]
-    if n < k0:
-        return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
-
-    found = _min_proper_index(spec, group, mode)
     if found is None:
-        why = (
-            "group exceeds the subgroup-search cap" if order > permgroup.SUBGROUP_SEARCH
-            else "the k!/2 bound does not prove the searched index"
-        )
         detail["note"] = f"divisibility inconclusive and {why}"
         return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
     method, d, facts = found
@@ -233,22 +244,20 @@ def cond1_no_small_index(spec: GroupSpec, group: PermGroup, n: int | None, mode:
     return ConditionReport(COND_INDEX, CERTIFIED if d > n else REFUTED, method, detail)
 
 
-def _min_proper_index(
-    spec: GroupSpec, group: PermGroup, mode: str, search: bool = True
-) -> tuple[str, int, object] | None:
+def _min_proper_index(group: PermGroup, mode: str, search: bool = True) -> tuple[str, int, object] | None:
     """d(G), the least index of a proper subgroup, as (method, d, facts).
 
     The literature constant in hybrid and paper_formula modes (facts: its
-    provenance), else, if `search`, the brute-force search within the
-    subgroup-search cap for a subgroup of index `first_embedding_degree(|G|)`,
-    the k!/2 lower bound on d(G) for the simple groups condition 1 asks
-    about (facts: that subgroup's order and generators); None otherwise.
+    provenance), else, if `search`, the brute-force search for a subgroup
+    of index `first_embedding_degree(|G|)`, the k!/2 lower bound on d(G)
+    for the simple groups condition 1 asks about (facts: that subgroup's
+    order and generators); None otherwise.  The search raises CapExceeded
+    past its budget.
     """
-    if mode in (HYBRID, PAPER_FORMULA):
-        constants = family_overrides(spec)
-        if constants is not None and constants.min_proper_index is not None:
-            return "literature_override", constants.min_proper_index, constants.provenance
-    if not search or group.order > permgroup.SUBGROUP_SEARCH:
+    constants = _literature(group, mode)
+    if constants is not None and constants.min_proper_index is not None:
+        return "literature_override", constants.min_proper_index, constants.provenance
+    if not search:
         return None
     found = embedding_degree_subgroup(group)
     return None if found is None else ("brute_force", group.order // found[0], found)
@@ -373,7 +382,7 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
     return best, witness
 
 
-def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode: str) -> ConditionReport:
+def cond2_mobius_subgroup(group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify a Moebius subgroup of order > n.
 
     Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
@@ -393,7 +402,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     three stages run only when none does.
     """
     detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
-    constants = family_overrides(spec)
+    constants = _literature(group, mode)
     bound = constants.max_mobius_order if constants is not None and mode == HYBRID else None
     if n is None and bound is not None and group.order <= group.cap:
         best, witness = _search_words(group, bound)
@@ -403,7 +412,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
 
     try:
         if mode == PAPER_FORMULA:
-            return _cond2_cyclic_only(spec, group, n, mode, detail)
+            return _cond2_cyclic_only(group, n, mode, detail)
         best, witness, found = 0, {}, []
         # the stages are looked up per call, so a tracer that wraps them sees them
         for stage in (_search_cyclic, _search_dihedral, _search_exceptional):
@@ -414,7 +423,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
                 best, witness = found[-1]
     except CapExceeded:
         if mode == HYBRID and constants is not None and constants.max_element_order is not None:
-            return _cond2_cyclic_only(spec, group, n, mode, detail)
+            return _cond2_cyclic_only(group, n, mode, detail)
         detail["note"] = "group exceeds the enumeration cap; no literature fallback"
         return ConditionReport(COND_MOBIUS, UNKNOWN, None, detail)
 
@@ -430,7 +439,7 @@ def cond2_mobius_subgroup(spec: GroupSpec, group: PermGroup, n: int | None, mode
     return ConditionReport(COND_MOBIUS, REFUTED, "exceptional_search", detail)
 
 
-def _cond2_cyclic_only(spec, group, n, mode, detail) -> ConditionReport:
+def _cond2_cyclic_only(group, n, mode, detail) -> ConditionReport:
     """Cyclic witness from family constants (paper-formula and hybrid fallback),
     else from the largest element order; raises CapExceeded beyond the cap.
 
@@ -438,7 +447,7 @@ def _cond2_cyclic_only(spec, group, n, mode, detail) -> ConditionReport:
     dihedral or exceptional subgroup may still be larger (PSL2(7) has
     largest element order 7 but contains S4), so the answer is `unknown`.
     """
-    constants = family_overrides(spec)
+    constants = _literature(group, mode)
     if constants is None or constants.max_element_order is None:
         method, m = "cyclic_search", group.max_element_order()
     else:
@@ -458,7 +467,7 @@ def _cond2_cyclic_only(spec, group, n, mode, detail) -> ConditionReport:
 
 
 def cond3_no_small_genus_action(
-    spec: GroupSpec, group: PermGroup, n: int | None, mode: str, simple: bool | None = None
+    group: PermGroup, n: int | None, mode: str, simple: bool | None = None
 ) -> ConditionReport:
     """Certify no nontrivial action on any smooth curve of genus <= (n-1)^2.
 
@@ -480,7 +489,7 @@ def cond3_no_small_genus_action(
         detail["genus_cap"] = cap_genus = riemann_genus_cap(n)
 
     if simple is None:
-        simple, how = decide_simplicity(spec, group, mode)
+        simple, how = decide_simplicity(group, mode)
         detail["simplicity_method"] = how
     if simple is None:
         detail["note"] = "simplicity undecided within caps"
@@ -546,7 +555,7 @@ def _genus_witness(verdict: rhoracle.OracleVerdict) -> dict:
 # -- composition ----------------------------------------------------------------
 
 
-def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED) -> Certificate:
+def certify(group: PermGroup, n: int, mode: str = COMPUTED) -> Certificate:
     """Check all three hypotheses for (G, n) and compose the verdicts.
 
     overall is `certified` iff all three conditions are certified; a
@@ -558,21 +567,18 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED) -> 
     if n < 2:
         raise ValidationError(f"certification needs n >= 2, got {n}")
     notes: list[str] = []
-    simple, how = decide_simplicity(spec, group, mode)
+    simple, how = decide_simplicity(group, mode)
 
     if simple:
-        c1 = cond1_no_small_index(spec, group, n, mode)
+        c1 = cond1_no_small_index(group, n, mode)
     else:
-        reason = (
-            "simplicity undecided within caps"
-            if simple is None
-            else "the implemented index decider requires a nonabelian simple group"
-        )
+        reason = ("simplicity undecided within caps" if simple is None
+                  else "the implemented index decider requires a nonabelian simple group")
         c1 = ConditionReport(COND_INDEX, UNKNOWN, None, {"n": n, "note": reason})
         notes.append(f"condition 1 skipped: {reason}")
 
-    c2 = cond2_mobius_subgroup(spec, group, n, mode)
-    c3 = cond3_no_small_genus_action(spec, group, n, mode, simple=simple)
+    c2 = cond2_mobius_subgroup(group, n, mode)
+    c3 = cond3_no_small_genus_action(group, n, mode, simple=simple)
 
     conditions = (c1, c2, c3)
     if all(c.verdict == CERTIFIED for c in conditions):
@@ -586,20 +592,11 @@ def certify(spec: GroupSpec, group: PermGroup, n: int, mode: str = COMPUTED) -> 
     else:
         overall = UNKNOWN
 
-    constants = _caps_constants(group)
-    constants["simplicity"] = {"value": simple, "method": how}
-    return Certificate(
-        group=spec.canonical(),
-        n=n,
-        mode=mode,
-        conditions=conditions,
-        overall=overall,
-        constants=constants,
-        notes=tuple(notes),
-    )
+    return Certificate(group=group.name(), n=n, mode=mode, conditions=conditions, overall=overall,
+                       constants=_constants(group, simple, how), notes=tuple(notes))
 
 
-def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED) -> BoundReport:
+def max_certified_n(group: PermGroup, mode: str = COMPUTED) -> BoundReport:
     """Per-condition maxima and the largest n certified by all three.
 
     Each maximum is the range its decider certifies when asked without an
@@ -612,7 +609,7 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED) -> 
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
-    simple, how = decide_simplicity(spec, group, mode)
+    simple, how = decide_simplicity(group, mode)
     if simple is None:
         raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps",
                           budget="enumeration", needed=group.order, cap=group.cap)
@@ -625,9 +622,9 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED) -> 
         "admits n equal to the minimal degree itself"
     ]
     reports = {
-        "cond1": cond1_no_small_index(spec, group, None, mode),
-        "cond2": cond2_mobius_subgroup(spec, group, None, mode),
-        "cond3": cond3_no_small_genus_action(spec, group, None, mode, simple=True),
+        "cond1": cond1_no_small_index(group, None, mode),
+        "cond2": cond2_mobius_subgroup(group, None, mode),
+        "cond3": cond3_no_small_genus_action(group, None, mode, simple=True),
     }
     known = {name: r.certified_up_to for name, r in reports.items()}
     if mode == PAPER_FORMULA:
@@ -641,15 +638,6 @@ def max_certified_n(spec: GroupSpec, group: PermGroup, mode: str = COMPUTED) -> 
         certified = min(known.values())
         binding = "+".join(name for name, v in known.items() if v == certified)
 
-    return BoundReport(
-        group=spec.canonical(),
-        mode=mode,
-        cond1_max=known["cond1"],
-        cond2_max=known["cond2"],
-        cond3_max=known["cond3"],
-        certified_max_n=certified,
-        binding=binding,
-        constants=dict(_caps_constants(group), simplicity={"value": simple, "method": how}),
-        details=details,
-        notes=tuple(notes),
-    )
+    return BoundReport(group=group.name(), mode=mode, cond1_max=known["cond1"], cond2_max=known["cond2"],
+                       cond3_max=known["cond3"], certified_max_n=certified, binding=binding,
+                       constants=_constants(group, simple, how), details=details, notes=tuple(notes))

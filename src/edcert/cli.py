@@ -195,10 +195,9 @@ def _cap(args) -> int:
 
 
 def _group(args):
-    """The spec and the group it builds, with the enumeration cap of `_cap`."""
+    """The group --group names, with the enumeration cap of `_cap`."""
     cap = _cap(args)
-    spec = parse_group_spec(args.group)
-    return spec, build(spec, cap)
+    return build(parse_group_spec(args.group), cap)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -206,8 +205,7 @@ def _group(args):
 
 def _cmd_certify(args, started) -> int:
     mode = _MODE_FLAGS[args.mode]
-    spec, group = _group(args)
-    cert = certify(spec, group, args.n, mode)
+    cert = certify(_group(args), args.n, mode)
     lines = [f"{cert.group}  n={cert.n}  mode={cert.mode}  ->  {cert.overall}"]
     for c in cert.conditions:
         lines.append(f"  {c.condition:24s} {c.verdict:10s} via {c.method or '-'}")
@@ -219,8 +217,7 @@ def _cmd_certify(args, started) -> int:
 
 def _cmd_maxn(args, started) -> int:
     mode = _MODE_FLAGS[args.mode]
-    spec, group = _group(args)
-    report = max_certified_n(spec, group, mode)
+    report = max_certified_n(_group(args), mode)
     lines = [
         f"{report.group}  mode={report.mode}  maxn={report.certified_max_n}  binding={report.binding}",
         f"  cond1_max={report.cond1_max}  cond2_max={report.cond2_max}  cond3_max={report.cond3_max}",
@@ -233,10 +230,9 @@ _TABLE_HEADER = ["p", "order", "cond1_max", "cond2_max", "cond3_max", "maxn", "b
 
 
 def _table_row(p: int, mode: str, cap: int) -> dict:
-    spec = parse_group_spec(f"PSL2:{p}")
-    group = build(spec, cap)
+    group = build(parse_group_spec(f"PSL2:{p}"), cap)
     try:
-        report = max_certified_n(spec, group, mode)
+        report = max_certified_n(group, mode)
     except CapExceeded:  # simplicity undecided within caps: this row only is unknown
         return {"p": p, "order": group.order, **dict.fromkeys(_TABLE_HEADER[2:], "unknown")}
     fmt = lambda v: v if v is not None else "unknown"
@@ -276,8 +272,7 @@ def _cmd_table(args, started) -> int:
 
 
 def _cmd_compare(args, started) -> int:
-    spec, group = _group(args)
-    report = compare_rhs(spec, group, args.n)
+    report = compare_rhs(_group(args), args.n)
     lines = [
         f"{report.group}  n={report.n}  baseline rhs <= {report.rhs_upper_bound}  "
         f"strict={report.strict}  (certificate: {report.certificate_overall})"
@@ -294,7 +289,7 @@ def _cmd_compare(args, started) -> int:
 
 
 def _cmd_rh(args, started) -> int:
-    _, group = _group(args)
+    group = _group(args)
     sigs = rhoracle.enumerate_signatures(group, args.genus_max)
     table = []
     for g, sig in sigs:
@@ -319,16 +314,15 @@ def _cmd_rh(args, started) -> int:
 
 def _cmd_oracle(args, started) -> int:
     if args.oracle_command == "min-index":
-        spec, group = _group(args)
+        group = _group(args)
         index = min_proper_subgroup_index(group)
-        payload = {"group": spec.canonical(), "min_index": index}
+        payload = {"group": group.name(), "min_index": index}
         if index is None:
             payload["reason"] = "neither the derived-subgroup test nor the k!/2 embedding bound decides d(G)"
         _emit(args, payload, [f"min proper-subgroup index: {'unknown' if index is None else index}"], started)
         return 0 if index is not None else 1
     if args.oracle_command == "rh":
-        spec, group = _group(args)
-        verdict = rhoracle.acts_on_genus_le(group, args.genus_max)
+        verdict = rhoracle.acts_on_genus_le(_group(args), args.genus_max)
         if verdict.verdict == rhoracle.UNKNOWN:
             _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
             return 1

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalogue import GroupSpec
 from .certifier import CERTIFIED, COMPUTED, certify
 from .permgroup import PermGroup, SylowReport, prime_factors, sylow_report
 
@@ -86,7 +85,7 @@ def _rule_for(sylow: SylowReport, p: int, n: int) -> tuple[str, int | None]:
     return RULE_NONE, None
 
 
-def compare_rhs(spec: GroupSpec, group: PermGroup, n: int) -> CompareReport:
+def compare_rhs(group: PermGroup, n: int) -> CompareReport:
     """Per-prime baseline bounds, their aggregate, and the strictness flag.
 
     Every Sylow shape is recomputed from scratch; rules never fire on
@@ -103,28 +102,13 @@ def compare_rhs(spec: GroupSpec, group: PermGroup, n: int) -> CompareReport:
                 f"p=2: the computed Sylow subgroup has order {sylow.order} and is "
                 "dihedral; the line action of dihedral groups gives the bound"
             )
-        entries.append(
-            PrimeEntry(
-                prime=p,
-                regime="p>n" if p > n else "p<=n",
-                sylow=sylow,
-                rule=rule,
-                bound=bound,
-            )
-        )
+        entries.append(PrimeEntry(prime=p, regime="p>n" if p > n else "p<=n", sylow=sylow, rule=rule, bound=bound))
     bounds = [e.bound for e in entries]
     rhs = max(bounds) if bounds and all(b is not None for b in bounds) else None
     if rhs is None and bounds:
         notes.append("some Sylow shape is outside the three rules; baseline unknown")
 
-    certificate = certify(spec, group, n, COMPUTED)
+    certificate = certify(group, n, COMPUTED)
     strict = certificate.overall == CERTIFIED and rhs is not None and rhs <= 1
-    return CompareReport(
-        group=spec.canonical(),
-        n=n,
-        entries=tuple(entries),
-        rhs_upper_bound=rhs,
-        strict=strict,
-        certificate_overall=certificate.overall,
-        notes=tuple(notes),
-    )
+    return CompareReport(group=group.name(), n=n, entries=tuple(entries), rhs_upper_bound=rhs, strict=strict,
+                         certificate_overall=certificate.overall, notes=tuple(notes))

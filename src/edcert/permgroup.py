@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import CapExceeded, NotDividing, ValidationError
 from .permutation import (
@@ -53,6 +53,9 @@ from .permutation import (
     invert,
     power,
 )
+
+if TYPE_CHECKING:
+    from .catalogue import GroupSpec
 
 
 class EdcertInternalError(AssertionError):
@@ -236,7 +239,14 @@ class PermGroup:
     `cap` is the enumeration cap: every element-level query raises
     CapExceeded when the order exceeds it.  It is fixed when the group is
     built, and the subgroups the group makes carry it over.
+
+    `spec` is the parsed spec of a group that `catalogue.build` made, and
+    None for every other group: one made from generators, and every
+    subgroup, which so never reads the literature constants of the group
+    it came from.
     """
+
+    spec: GroupSpec | None = None
 
     def __init__(
         self, generators: Iterable[Permutation | Sequence[int]], degree: int | None = None, cap: int = DEFAULT_CAP
@@ -272,6 +282,13 @@ class PermGroup:
 
     def __contains__(self, p: tuple[int, ...]) -> bool:
         return len(p) == self.degree and self._chain.contains(p)
+
+    def name(self) -> str:
+        """The spec's canonical text, else the ``perm:<degree>:<cycles>``
+        text of the generators, which is what an explicit spec reads."""
+        if self.spec is not None:
+            return self.spec.canonical()
+        return f"perm:{self.degree}:" + ",".join(map(cycle_string, self.generators))
 
     def identity(self) -> tuple[int, ...]:
         return identity_tuple(self.degree)
@@ -610,7 +627,8 @@ def sylow_report(group: PermGroup, p: int) -> SylowReport:
         sub_gens.append(extension)
         sub = group.subgroup(sub_gens)
 
-    shape, rank = _classify_p_group(sub, p, exponent)
+    # a p-group is its own Sylow subgroup: classify the group, whose orders are cached
+    shape, rank = _classify_p_group(group if sub.order == group.order else sub, p, exponent)
     return SylowReport(
         prime=p,
         exponent=exponent,

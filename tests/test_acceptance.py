@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 from math import factorial, isqrt
 
-from edcert.catalogue import parse_group_spec
 from edcert.certifier import PAPER_FORMULA, certify, max_certified_n
 from edcert.cli import main
 from edcert.comparison import compare_rhs
@@ -69,8 +68,7 @@ def test_criterion_3_psl2_closed_form(group_of):
     for p in range(7, 200):
         if not _is_prime(p):
             continue
-        spec = parse_group_spec(f"PSL2:{p}")
-        report = max_certified_n(spec, group_of(spec.canonical()), PAPER_FORMULA)
+        report = max_certified_n(group_of(f"PSL2:{p}"), PAPER_FORMULA)
         # independent evaluation of min{p-1, 1 + floor(sqrt(1 + p(p^2-1)/168))}
         radicand_num = 168 + p * (p * p - 1)
         hurwitz_term = 1 + isqrt(radicand_num * 168) // 168
@@ -144,9 +142,8 @@ def test_criterion_6_rh_oracle(group_of):
 def test_criterion_7_baseline_strictness(group_of):
     pairs = (("A:7", 6), ("PSL2:7", 2), ("PSL2:11", 3), ("PSL2:13", 4))
     for text, n in pairs:
-        spec = parse_group_spec(text)
         group = group_of(text)
-        report = compare_rhs(spec, group, n)
+        report = compare_rhs(group, n)
         assert report.rhs_upper_bound == 1, text
         assert report.strict, text
         # Sylow witnesses recomputed from scratch
@@ -154,7 +151,7 @@ def test_criterion_7_baseline_strictness(group_of):
             fresh = sylow_report(group, entry.prime)
             assert fresh.order == entry.sylow.order
             assert fresh.shape == entry.sylow.shape
-        assert certify(spec, group, n, "computed").overall == "certified"
+        assert certify(group, n, "computed").overall == "certified"
     _announce(7, "baseline rhs upper bound 1 and strictness for the four "
                  "sample pairs, with Sylow witnesses recomputed")
 

@@ -28,26 +28,24 @@ from edcert.certifier import (
 )
 from edcert import rhoracle
 from edcert.errors import CapExceeded, NotSimple, ValidationError
-from edcert.permgroup import DEFAULT_CAP, closed_subgroup, max_proper_subgroup
-from edcert.rhoracle import Signature
+from edcert.permgroup import DEFAULT_CAP, PermGroup, closed_subgroup, max_proper_subgroup
+from edcert.rhoracle import Signature, acts_on_genus_le
 from edcert.permutation import Permutation, cycle_string
 
 
 def crt(group_of, text, n, mode=COMPUTED, cap=DEFAULT_CAP):
-    spec = parse_group_spec(text)
-    return certify(spec, group_of(text, cap), n, mode)
+    return certify(group_of(text, cap), n, mode)
 
 
 def bound(group_of, text, mode=COMPUTED, cap=DEFAULT_CAP):
-    spec = parse_group_spec(text)
-    return max_certified_n(spec, group_of(text, cap), mode)
+    return max_certified_n(group_of(text, cap), mode)
 
 
 # -- condition 1 -----------------------------------------------------------------
 
 
 def test_cond1_divisibility_certifies_a7(group_of):
-    report = cond1_no_small_index(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED)
+    report = cond1_no_small_index(group_of("A:7"), 6, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "divisibility")
     checks = {c["k"]: c["half_factorial"] for c in report.detail["divisibility_checks"]}
     assert checks == {k: factorial(k) // 2 for k in range(2, 7)}
@@ -55,12 +53,12 @@ def test_cond1_divisibility_certifies_a7(group_of):
 
 
 def test_cond1_divisibility_certifies_psl2_13(group_of):
-    report = cond1_no_small_index(parse_group_spec("PSL2:13"), group_of("PSL2:13"), 12, COMPUTED)
+    report = cond1_no_small_index(group_of("PSL2:13"), 12, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "divisibility")
 
 
 def test_cond1_brute_force_refutes_a5_at_5(group_of):
-    report = cond1_no_small_index(parse_group_spec("A:5"), group_of("A:5"), 5, COMPUTED)
+    report = cond1_no_small_index(group_of("A:5"), 5, COMPUTED)
     assert (report.verdict, report.method) == (REFUTED, "brute_force")
     assert report.detail["min_proper_index"] == 5
     assert report.detail["witness_subgroup"]["index"] == 5
@@ -71,23 +69,24 @@ def test_cond1_search_index_needs_the_embedding_bound(group_of, monkeypatch):
     # 7!/2, so the k!/2 bound proves only d >= 7 and cannot confirm 9
     monkeypatch.setattr(permgroup, "SUBGROUP_SEARCH", 600)
     text = "perm:9:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5),(0 8)(2 5)(3 6)(4 7)"
-    report = cond1_no_small_index(parse_group_spec(text), group_of(text), 8, COMPUTED)
+    report = cond1_no_small_index(group_of(text), 8, COMPUTED)
     assert report.verdict == UNKNOWN
     assert [c["k"] for c in report.detail["divisibility_checks"] if c["divides"]] == [7]
+    assert report.detail["note"] == "divisibility inconclusive and the k!/2 bound does not prove the searched index"
 
 
 def test_cond1_literature_override_in_hybrid(group_of):
-    spec, g = parse_group_spec("PSL2:199"), group_of("PSL2:199")
+    g = group_of("PSL2:199")
     # k < 199 lacks the prime 199, so divisibility alone certifies n = 198
-    report = cond1_no_small_index(spec, g, 198, HYBRID)
+    report = cond1_no_small_index(g, 198, HYBRID)
     assert (report.verdict, report.method) == (CERTIFIED, "divisibility")
     # at n = 199 divisibility is inconclusive; Galois's constant d = 200 decides
-    report = cond1_no_small_index(spec, g, 199, HYBRID)
+    report = cond1_no_small_index(g, 199, HYBRID)
     assert (report.verdict, report.method) == (CERTIFIED, "literature_override")
-    report = cond1_no_small_index(spec, g, 200, HYBRID)
+    report = cond1_no_small_index(g, 200, HYBRID)
     assert (report.verdict, report.method) == (REFUTED, "literature_override")
     # computed mode has no fallback once divisibility fails on a big group
-    report = cond1_no_small_index(spec, g, 199, COMPUTED)
+    report = cond1_no_small_index(g, 199, COMPUTED)
     assert report.verdict == UNKNOWN
 
 
@@ -96,18 +95,18 @@ def test_cond1_refuses_non_simple_groups(group_of, mode):
     # 24 divides no k!/2 for k <= 3, yet A4 has index 2 in S4: the k!/2
     # certificate holds for simple groups only
     with pytest.raises(NotSimple):
-        cond1_no_small_index(parse_group_spec("S:4"), group_of("S:4"), 3, mode)
+        cond1_no_small_index(group_of("S:4"), 3, mode)
 
 
 # -- condition 2 -----------------------------------------------------------------
 
 
 def test_cond2_cyclic_witnesses(group_of):
-    report = cond2_mobius_subgroup(parse_group_spec("PSL2:13"), group_of("PSL2:13"), 4, COMPUTED)
+    report = cond2_mobius_subgroup(group_of("PSL2:13"), 4, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "cyclic_search")
     assert report.detail["witness"]["order"] == 13
 
-    report = cond2_mobius_subgroup(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED)
+    report = cond2_mobius_subgroup(group_of("A:7"), 6, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "cyclic_search")
     assert report.detail["witness"]["type"] == "cyclic"
     assert report.detail["witness"]["order"] == 7  # a 7-cycle
@@ -115,11 +114,11 @@ def test_cond2_cyclic_witnesses(group_of):
 
 def test_cond2_dihedral_and_exceptional_stages(group_of):
     # max element order 7 bars the cyclic stage at n = 7; S4 of order 24 carries it
-    report = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), 7, COMPUTED)
+    report = cond2_mobius_subgroup(group_of("PSL2:7"), 7, COMPUTED)
     assert report.verdict == CERTIFIED
     assert report.detail["best_order"] in (8, 24)
 
-    exhaustive = cond2_mobius_subgroup(parse_group_spec("PSL2:7"), group_of("PSL2:7"), None, COMPUTED)
+    exhaustive = cond2_mobius_subgroup(group_of("PSL2:7"), None, COMPUTED)
     assert exhaustive.certified_up_to == 23
     assert exhaustive.detail["best_order"] == 24
     assert exhaustive.detail["witness"]["type"] == "S4"
@@ -231,13 +230,12 @@ DICKSON_MAX_MOBIUS = {
 
 @pytest.mark.parametrize("p", sorted(DICKSON_MAX_MOBIUS))
 def test_hybrid_mobius_range_stops_at_dicksons_bound_without_enumerating(p):
-    spec = parse_group_spec(f"PSL2:{p}")
-    group = build(spec)  # a fresh group: nothing enumerated yet
-    report = cond2_mobius_subgroup(spec, group, None, HYBRID)
+    group = build(parse_group_spec(f"PSL2:{p}"))  # a fresh group: nothing enumerated yet
+    report = cond2_mobius_subgroup(group, None, HYBRID)
     assert (report.method, report.certified_up_to + 1) == ("witness_search", DICKSON_MAX_MOBIUS[p])
     assert report.detail["best_order"] == report.detail["witness"]["order"] == DICKSON_MAX_MOBIUS[p]
     assert group._elements is None
-    assert max_certified_n(spec, group, HYBRID).cond2_max + 1 == DICKSON_MAX_MOBIUS[p]
+    assert max_certified_n(group, HYBRID).cond2_max + 1 == DICKSON_MAX_MOBIUS[p]
     # the genus oracle's vector search lists the elements of PSL2(7) and PSL2(11), within its cap
     assert (group._elements is None) == (p not in (7, 11))
 
@@ -245,8 +243,7 @@ def test_hybrid_mobius_range_stops_at_dicksons_bound_without_enumerating(p):
 @pytest.mark.parametrize("p", [7, 11, 13, 17, 23])
 def test_mobius_range_falls_back_to_the_stages_when_the_search_misses(monkeypatch, p):
     monkeypatch.setattr(certifier, "_search_words", lambda group, bound: (1, {}))
-    spec = parse_group_spec(f"PSL2:{p}")
-    report = cond2_mobius_subgroup(spec, build(spec), None, HYBRID)
+    report = cond2_mobius_subgroup(build(parse_group_spec(f"PSL2:{p}")), None, HYBRID)
     assert report.method in ("dihedral_search", "exceptional_search")
     assert report.certified_up_to + 1 == DICKSON_MAX_MOBIUS[p]
 
@@ -266,9 +263,8 @@ def subgroup_by_permutations(generators):
 
 @pytest.mark.parametrize("p", sorted(DICKSON_MAX_MOBIUS))
 def test_witness_search_witnesses_recheck_with_permutations(p):
-    spec = parse_group_spec(f"PSL2:{p}")
-    group = build(spec)
-    witness = cond2_mobius_subgroup(spec, group, None, HYBRID).detail["witness"]
+    group = build(parse_group_spec(f"PSL2:{p}"))
+    witness = cond2_mobius_subgroup(group, None, HYBRID).detail["witness"]
     gens = [_parse_cycles(text, 0, group.degree) for text in witness["generators"]]
     assert all(g.images in group for g in gens)
     one = Permutation.identity(group.degree)
@@ -291,22 +287,20 @@ def test_witness_search_witnesses_recheck_with_permutations(p):
 def test_witness_search_never_beats_the_exhaustive_maximum(gens):
     degree = len(gens[0])
     text = f"perm:{degree}:" + ",".join(cycle_string(tuple(g)) for g in gens)
-    spec = parse_group_spec(text)
-    group = build(spec)
+    group = build(parse_group_spec(text))
     best, witness = _search_words(group, group.order + 1)  # a bound no subgroup reaches: the whole pool runs
-    assert best <= cond2_mobius_subgroup(spec, group, None, COMPUTED).detail["best_order"]
+    assert best <= cond2_mobius_subgroup(group, None, COMPUTED).detail["best_order"]
     assert witness == {} or witness["order"] == best
 
 
 def assert_mobius_refutations_are_exhaustive(text, ns):
     """Every mobius_subgroup refutation, in any mode, agrees with the
     exhaustive computed search, and so does every certification."""
-    spec = parse_group_spec(text)
-    group = build(spec)
-    best = cond2_mobius_subgroup(spec, group, None, COMPUTED).detail["best_order"]
+    group = build(parse_group_spec(text))
+    best = cond2_mobius_subgroup(group, None, COMPUTED).detail["best_order"]
     for mode in (COMPUTED, HYBRID, PAPER_FORMULA):
         for n in ns:
-            verdict = cond2_mobius_subgroup(spec, group, n, mode).verdict
+            verdict = cond2_mobius_subgroup(group, n, mode).verdict
             assert verdict != REFUTED or best <= n, (text, mode, n)
             assert verdict != CERTIFIED or best > n, (text, mode, n)
 
@@ -339,7 +333,7 @@ def test_cond2_reports_are_pinned(group_of):
                for mode in (HYBRID, PAPER_FORMULA)]
     lines = []
     for text, mode, n in inputs:
-        report = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), n, mode)
+        report = cond2_mobius_subgroup(group_of(text), n, mode)
         lines.append(json.dumps([text, mode, n, report.to_json(), report.certified_up_to]))
     assert len(lines) == 515
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -352,15 +346,15 @@ def test_cond2_reports_are_pinned(group_of):
      ("perm:8:(0 1 2),(0 1)(2 3),(4 5 6 7)", "A4", "exceptional_search", "A4")],  # A4 x C4: cyclic 12, A4 12
 )
 def test_cond2_later_stage_wins_a_tie(group_of, text, kind, method, exceptional_kind):
-    ranged = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), None, COMPUTED)
+    ranged = cond2_mobius_subgroup(group_of(text), None, COMPUTED)
     assert (ranged.method, ranged.detail["witness"]["type"]) == (method, kind)
-    at_n = cond2_mobius_subgroup(parse_group_spec(text), group_of(text), ranged.detail["best_order"], COMPUTED)
+    at_n = cond2_mobius_subgroup(group_of(text), ranged.detail["best_order"], COMPUTED)
     assert (at_n.verdict, at_n.detail["witness"]["type"], at_n.detail["exceptional_kind"]) == (
         REFUTED, kind, exceptional_kind)
 
 
 def test_cond2_refutes_tiny_group(group_of):
-    report = cond2_mobius_subgroup(parse_group_spec("C:2"), group_of("C:2"), 2, COMPUTED)
+    report = cond2_mobius_subgroup(group_of("C:2"), 2, COMPUTED)
     assert report.verdict == REFUTED
     assert report.detail["best_order"] == 2
 
@@ -369,33 +363,33 @@ def test_cond2_refutes_tiny_group(group_of):
 
 
 def test_cond3_hurwitz_certifies_a7(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("A:7"), group_of("A:7"), 6, COMPUTED)
+    report = cond3_no_small_genus_action(group_of("A:7"), 6, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "hurwitz")
     assert report.detail["hurwitz_floor"] == 31
     assert report.detail["genus_cap"] == 25
 
 
 def test_cond3_refutes_a5_with_witness(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("A:5"), group_of("A:5"), 2, COMPUTED)
+    report = cond3_no_small_genus_action(group_of("A:5"), 2, COMPUTED)
     assert (report.verdict, report.method) == (REFUTED, "rh_oracle")
     assert report.detail["witness"]["genus"] == 0
     assert report.detail["witness"]["signature"] == "(0; 2,3,5)"
 
 
 def test_cond3_psl2_11(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("PSL2:11"), group_of("PSL2:11"), 3, COMPUTED)
+    report = cond3_no_small_genus_action(group_of("PSL2:11"), 3, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "hurwitz")
     assert report.detail["hurwitz_floor"] == 9
 
 
 def test_cond3_oracle_closes_hurwitz_gap(group_of):
     # (n-1)^2 = 9 reaches past the floor 9; the branch-data oracle decides
-    report = cond3_no_small_genus_action(parse_group_spec("PSL2:11"), group_of("PSL2:11"), 4, COMPUTED)
+    report = cond3_no_small_genus_action(group_of("PSL2:11"), 4, COMPUTED)
     assert (report.verdict, report.method) == (CERTIFIED, "rh_oracle")
 
 
 def test_cond3_oracle_refutes_klein_quartic_case(group_of):
-    report = cond3_no_small_genus_action(parse_group_spec("PSL2:7"), group_of("PSL2:7"), 3, COMPUTED)
+    report = cond3_no_small_genus_action(group_of("PSL2:7"), 3, COMPUTED)
     assert (report.verdict, report.method) == (REFUTED, "rh_oracle")
     assert report.detail["witness"]["genus"] == 3
 
@@ -626,7 +620,7 @@ def _over_the_data_budget(group_of, monkeypatch):
         ("oracle_enumeration", lambda group_of, _: rhoracle.enumerate_signatures(group_of("A:8"), 0)),
         ("oracle_enumeration", _over_the_data_budget),
         ("oracle_search", lambda group_of, _: rhoracle.find_generating_vector(group_of("PSL2:13"), Signature(0, (2, 7)))),
-        ("enumeration", lambda group_of, _: max_certified_n(parse_group_spec("A:5"), group_of("A:5", 10))),
+        ("enumeration", lambda group_of, _: max_certified_n(group_of("A:5", 10))),
     ],
     ids=["check_cap", "subgroup_search", "oracle_order", "oracle_data", "vector_search", "maxn_simplicity"],
 )
@@ -652,3 +646,79 @@ def test_cyclic_witness_is_the_first_element_of_largest_order_and_its_only_tuple
     assert m == max(orders) == 37
     assert sum(t is not None for t in group._tuples) == 1
     assert witness["generators"] == [cycle_string(group.elements_of_order(m)[0])]
+
+
+# -- groups without a spec ------------------------------------------------------
+
+
+def test_a_group_made_from_generators_reads_no_literature_constant(group_of):
+    psl2_7 = group_of("PSL2:7")
+    same = psl2_7.subgroup(psl2_7.generators)  # PSL2(7) again, but not made by build
+    assert (same.order, same.spec, psl2_7.spec.canonical()) == (168, None, "PSL2:7")
+    assert all(sub.spec is None for sub in (psl2_7.derived_subgroup(), psl2_7.normal_closure([psl2_7.generators[0]])))
+    borrowed = {"literature_override", "witness_search"}
+    for n in range(2, 10):
+        hybrid, computed = certify(same, n, HYBRID), certify(same, n, COMPUTED)
+        assert not borrowed & {c.method for c in hybrid.conditions}
+        assert hybrid.constants["simplicity"]["method"] == "computed"
+        assert {**hybrid.to_json(), "mode": COMPUTED} == computed.to_json()
+    hybrid, computed = max_certified_n(same, HYBRID), max_certified_n(same, COMPUTED)
+    assert not borrowed & {d["method"] for d in hybrid.details.values()}
+    assert {**hybrid.to_json(), "mode": COMPUTED} == computed.to_json()
+    # its name is the explicit spec of its generators
+    assert hybrid.group == same.name() == parse_group_spec(same.name()).canonical()
+    assert same.name().startswith("perm:8:")
+    # the group build made still reads its family constants
+    assert certify(psl2_7, 2, HYBRID).constants["simplicity"]["method"] == "literature_override"
+    report = max_certified_n(psl2_7, HYBRID)
+    assert [report.details[c]["method"] for c in ("cond1", "cond2")] == ["literature_override", "witness_search"]
+
+
+def gf8_times(a, b):
+    """The product in GF(8) = GF(2)[x]/(x^3 + x + 1), an element as the
+    3-bit integer of its coefficients."""
+    out = 0
+    for i in range(3):
+        if b >> i & 1:
+            out ^= a << i
+    for i in (4, 3):  # x^3 = x + 1
+        if out >> i & 1:
+            out ^= 0b1011 << (i - 3)
+    return out
+
+
+def psl2_8():
+    """PSL2(8) on the projective line over GF(8), infinity the point 8,
+    generated by z -> z + 1, z -> x z and z -> 1/z."""
+    shift = [z ^ 1 for z in range(8)] + [8]
+    scale = [gf8_times(0b010, z) for z in range(8)] + [8]
+    inverse = [8] + [next(w for w in range(1, 8) if gf8_times(z, w) == 1) for z in range(1, 8)] + [0]
+    return PermGroup([shift, scale, inverse])
+
+
+def test_psl2_8_built_from_its_definition():
+    group = psl2_8()
+    assert (group.order, group.orbit_sizes()) == (504, (9, 8, 7))
+    assert group.is_simple_nonabelian() and group._elements is None  # decided from the chain
+    report = max_certified_n(group)
+    assert (report.certified_max_n, report.cond1_max, report.cond2_max, report.cond3_max) == (3, 6, 17, 3)
+    assert report.details["cond1"]["first_admissible_embedding_degree"] == 7  # 504 divides 7!/2
+    witness = report.details["cond2"]["witness"]
+    assert (witness["type"], witness["order"]) == ("dihedral", 18)  # D18, by Dickson's list
+    assert report.details["cond3"]["min_genus"] == 7
+    # Macbeath's curve (Proc. LMS 15, 1965), and nothing below it
+    yes, no = acts_on_genus_le(group, 7), acts_on_genus_le(group, 6)
+    assert (yes.verdict, yes.genus, yes.signature.label()) == ("yes", 7, "(0; 2,3,7)")
+    assert (no.verdict, no.reason) == ("no", "all branch data up to genus 6 exhausted")
+    for n in range(2, 9):
+        cert = certify(group, n)
+        verdicts = [c.verdict for c in cert.conditions]
+        assert cert.group == "perm:9:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5),(0 8)(2 5)(3 6)(4 7)"
+        if n <= 3:
+            assert cert.overall == CERTIFIED, n
+        elif n <= 6:
+            assert verdicts == [CERTIFIED, CERTIFIED, REFUTED], n
+        else:  # d(PSL2(8)) = 9, but order 504 is past the subgroup search
+            assert verdicts[0] == UNKNOWN, n
+            note = cert.condition("no_small_index").detail["note"]
+            assert note == "divisibility inconclusive and group exceeds the subgroup-search cap"

@@ -1,4 +1,3 @@
-from edcert.catalogue import parse_group_spec
 from edcert.comparison import (
     RULE_CYCLIC,
     RULE_DIHEDRAL,
@@ -10,7 +9,7 @@ from edcert.comparison import (
 
 
 def report_for(group_of, text, n):
-    return compare_rhs(parse_group_spec(text), group_of(text), n)
+    return compare_rhs(group_of(text), n)
 
 
 def test_a7_baseline(group_of):

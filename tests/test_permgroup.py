@@ -11,6 +11,7 @@ from edcert.errors import CapExceeded, NotDividing, ValidationError
 from edcert import permgroup
 from edcert.permgroup import (
     PermGroup,
+    StabilizerChain,
     closed_subgroup,
     embedding_degree_subgroup,
     first_embedding_degree,
@@ -306,11 +307,16 @@ def test_subgroups_carry_the_cap_over():
 C2_17 = "perm:34:" + ",".join(f"({2 * i} {2 * i + 1})" for i in range(17))
 
 
-def test_sylow_classification_keeps_the_cap_the_group_was_built_with():
+def test_sylow_classification_keeps_the_cap_the_group_was_built_with(monkeypatch):
     # C2^17 has order 131,072, past DEFAULT_CAP: the Sylow 2-subgroup is the whole
-    # group, and classifying it lists its elements under the cap it carries over
+    # group, and classifying it lists its elements under the cap it was built with,
+    # once: the group itself is classified, with the orders it has already cached
+    listings = []
+    elements = StabilizerChain.elements
+    monkeypatch.setattr(StabilizerChain, "elements", lambda chain: listings.append(chain) or elements(chain))
     report = sylow_report(build(parse_group_spec(C2_17), cap=200_000), 2)
     assert (report.order, report.shape, report.rank) == (131_072, "elementary_abelian", 17)
+    assert len(listings) == 1
 
 
 def test_sylow_reports_for_a7(group_of):
