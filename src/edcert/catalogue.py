@@ -38,7 +38,6 @@ class GroupSpec:
     n: int | None = None
     degree: int | None = None
     cycles: tuple[str, ...] = ()
-    source_text: str = ""
 
     def canonical(self) -> str:
         if self.kind == EXPLICIT:
@@ -98,7 +97,7 @@ def parse_group_spec(text: str) -> GroupSpec:
         n = int(body)
         kind = _FAMILY_PREFIXES[head_clean]
         _validate_family(kind, n)
-        return GroupSpec(kind=kind, n=n, source_text=text)
+        return GroupSpec(kind=kind, n=n)
 
     if head_clean == "perm":
         deg_text, sep2, gens_text = rest.partition(":")
@@ -122,7 +121,7 @@ def parse_group_spec(text: str) -> GroupSpec:
             perms.append(p)
             canon.append(p.cycle_string())
             running += len(part) + 1
-        return GroupSpec(kind=EXPLICIT, degree=degree, cycles=tuple(canon), source_text=text)
+        return GroupSpec(kind=EXPLICIT, degree=degree, cycles=tuple(canon))
 
     raise ParseError(f"unknown group family {head_clean!r}", 0)
 

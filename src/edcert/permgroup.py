@@ -8,10 +8,14 @@ in a fixed order.  Groups are immutable after construction; all methods
 are pure and cache only values derived from the group itself.
 
 Inside the chain, on degree <= 256, an element is a ``bytes`` string of
-images and a product is one C-level ``bytes.translate``: several times
-cheaper than a tuple gather, and chain building dominates the PSL2 tables.
-A byte holds a point only below 256, so larger degrees keep image tuples
-and ``permutation.compose``.
+images and a product is the bare C method ``bytes.translate``: several
+times cheaper than a tuple gather, and chain building dominates the PSL2
+tables.  Its right factor must be a 256-entry table, so each right factor
+that is used again and again (a level generator, a transversal inverse, an
+element whose powers are walked) is padded to one once, and a transversal
+inverse is made as a table directly, with ``bytes.maketrans``.  A byte
+holds a point only below 256, so larger degrees keep image tuples,
+``permutation.compose`` and ``invert``.
 
 Each group carries its enumeration cap, the largest order it enumerates
 (`DEFAULT_CAP` unless given), and hands it on to every subgroup it makes;
@@ -69,12 +73,13 @@ Element = Union[bytes, tuple[int, ...]]
 class _Level:
     __slots__ = ("point", "gens", "transversal", "inverses")
 
-    def __init__(self, point: int, identity: Element):
+    def __init__(self, point: int, identity: Element, identity_table: Element):
         self.point = point
         self.gens: list[Element] = []
         # transversal[q] maps the base point to q; inverses[q] is its inverse
+        # as a right-factor table (see StabilizerChain)
         self.transversal: dict[int, Element] = {point: identity}
-        self.inverses: dict[int, Element] = dict(self.transversal)
+        self.inverses: dict[int, Element] = {point: identity_table}
 
 
 def _first_moved(p: Sequence[int]) -> int:
@@ -88,16 +93,19 @@ class StabilizerChain:
     """Base, strong generators and transversals for ⟨generators⟩.
 
     On degree <= 256 every element the chain stores is a ``bytes`` string
-    of images, and a product is one ``bytes.translate`` with the right
-    factor padded to the 256-entry table; above 256 a point no longer fits
-    in a byte, and the chain stores image tuples and multiplies with
-    ``compose``.  The kernel is picked once per chain, and both kernels run
-    the same construction, so base, strong generators and transversals are
-    the same permutations either way.  Strong generators leave the chain
-    as tuples; ``elements`` lists kernel elements for `PermGroup`.
+    of images, and ``_mul(p, t)`` is ``bytes.translate`` itself: p then q,
+    where t = ``_table(q)`` is q padded to the 256-entry table.  A caller
+    makes the table once per right factor it reuses, and the transversal
+    inverses are stored as tables, made by ``bytes.maketrans``.  Above 256
+    a point no longer fits in a byte: the chain stores image tuples,
+    ``_mul`` is ``compose``, ``_table`` returns its argument and an inverse
+    is ``invert``.  The kernel is picked once per chain, and both kernels
+    run the same construction, so base, strong generators and transversals
+    are the same permutations either way.  Strong generators leave the
+    chain as tuples; ``elements`` lists kernel elements for `PermGroup`.
     """
 
-    __slots__ = ("degree", "levels", "_identity", "_encode", "_mul", "_inv")
+    __slots__ = ("degree", "levels", "_identity", "_encode", "_mul", "_table", "_inverse_table")
 
     def __init__(self, generators: Iterable[Sequence[int]], degree: int):
         self.degree = degree
@@ -106,11 +114,12 @@ class StabilizerChain:
             raise ValidationError("generator degree mismatch")
         if degree <= 256:
             pad = bytes(256 - degree)
-            self._encode = bytes
-            self._mul = lambda p, q: p.translate(q + pad)
-            self._inv = lambda p: bytes(invert(p))
+            identity = bytes(range(degree))
+            self._encode, self._mul = bytes, bytes.translate
+            self._table = lambda q: q + pad
+            self._inverse_table = lambda u: bytes.maketrans(u, identity)
         else:
-            self._encode, self._mul, self._inv = tuple, compose, invert
+            self._encode, self._mul, self._table, self._inverse_table = tuple, compose, tuple, invert
         self._identity = self._encode(range(degree))
         self.levels: list[_Level] = []
         gens = [g for g in map(self._encode, gens) if g != self._identity]
@@ -125,7 +134,7 @@ class StabilizerChain:
     # -- construction internals ------------------------------------------
 
     def _append_level(self, point: int) -> None:
-        self.levels.append(_Level(point, self._identity))
+        self.levels.append(_Level(point, self._identity, self._inverse_table(self._identity)))
 
     def _insert_generator(self, g: Element) -> None:
         """Attach g to every level whose base prefix it fixes."""
@@ -134,26 +143,24 @@ class StabilizerChain:
             if g[lvl.point] != lvl.point:
                 return
 
-    def _rebuild_orbit(self, i: int) -> None:
+    def _rebuild_orbit(self, i: int, gen_pairs: list[tuple[Element, Element]]) -> None:
+        """Breadth-first orbit of level i under its (generator, table) pairs."""
         lvl = self.levels[i]
-        mul = self._mul
+        mul, inverse_table = self._mul, self._inverse_table
         transversal = {lvl.point: self._identity}
-        inverses = {lvl.point: self._identity}
-        gen_pairs = [(s, self._inv(s)) for s in lvl.gens]
         queue = [lvl.point]
         head = 0
         while head < len(queue):
             gamma = queue[head]
             head += 1
-            u, u_inv = transversal[gamma], inverses[gamma]
-            for s, s_inv in gen_pairs:
+            u = transversal[gamma]
+            for s, s_table in gen_pairs:
                 delta = s[gamma]
                 if delta not in transversal:
-                    transversal[delta] = mul(u, s)
-                    inverses[delta] = mul(s_inv, u_inv)
+                    transversal[delta] = mul(u, s_table)
                     queue.append(delta)
         lvl.transversal = transversal
-        lvl.inverses = inverses
+        lvl.inverses = {q: inverse_table(u) for q, u in transversal.items()}
 
     def _sift(self, g: Element, start: int) -> tuple[Element, int]:
         """Strip g against levels start.. ; returns (residue, stuck level)."""
@@ -171,17 +178,21 @@ class StabilizerChain:
 
         Residues are inserted as strong generators on the deeper levels and
         those levels are re-completed deepest first, the textbook recursion.
+        The Schreier generator u s u_δ⁻¹ (δ = γ^s) is the identity exactly
+        when u s = u_δ, so most pairs are settled by one product.
         """
         lvl = self.levels[i]
         mul = self._mul
-        self._rebuild_orbit(i)
-        for gamma in list(lvl.transversal):
-            u = lvl.transversal[gamma]
-            for s in lvl.gens:
-                schreier = mul(mul(u, s), lvl.inverses[s[gamma]])
-                if schreier == self._identity:
+        gen_pairs = [(s, self._table(s)) for s in lvl.gens]
+        self._rebuild_orbit(i, gen_pairs)
+        transversal, inverses = lvl.transversal, lvl.inverses
+        for gamma, u in transversal.items():  # deeper levels change below, never this one
+            for s, s_table in gen_pairs:
+                delta = s[gamma]
+                us = mul(u, s_table)
+                if us == transversal[delta]:
                     continue
-                residue, j = self._sift(schreier, i + 1)
+                residue, j = self._sift(mul(us, inverses[delta]), i + 1)
                 if residue == self._identity:
                     continue
                 if j == len(self.levels):
@@ -218,7 +229,8 @@ class StabilizerChain:
         mul = self._mul
         elems = [self._identity]
         for lvl in reversed(self.levels):
-            elems = [mul(h, u) for _, u in sorted(lvl.transversal.items()) for h in elems]
+            tables = [self._table(u) for _, u in sorted(lvl.transversal.items())]
+            elems = [mul(h, t) for t in tables for h in elems]
         return elems
 
 
@@ -338,13 +350,14 @@ class PermGroup:
         and x^j has order k / gcd(k, j)."""
         els = self._enumerate()
         if self._orders is None:
-            index, mul, identity = self._index, self._chain._mul, self._chain._identity
+            chain = self._chain
+            index, mul, table, identity = self._index, chain._mul, chain._table, chain._identity
             orders = [0] * len(els)
             for i, x in enumerate(els):
                 if not orders[i]:
-                    walk, y = [i], x
+                    walk, y, x_table = [i], x, table(x)
                     while y != identity:
-                        y = mul(y, x)
+                        y = mul(y, x_table)
                         walk.append(index[y])
                     for j, w in enumerate(walk, 1):
                         orders[w] = len(walk) // gcd(len(walk), j)
@@ -374,8 +387,9 @@ class PermGroup:
         cached = self._partitions.get(m)
         if cached is not None:
             return cached
-        index, mul, encode = self._index, self._chain._mul, self._chain._encode
-        conj_pairs = [(encode(g), encode(invert(g))) for g in self.generators]
+        chain = self._chain
+        index, mul, table = self._index, chain._mul, chain._table
+        conj_pairs = [(table(chain._encode(g)), chain._encode(invert(g))) for g in self.generators]
         seen = set()
         out = []
         for i, o in enumerate(self.element_orders()):
@@ -385,9 +399,9 @@ class PermGroup:
             members = [self._tuple(i)]
             queue = [els[i]]
             while queue:
-                x = queue.pop()
-                for g, ginv in conj_pairs:
-                    j = index[mul(mul(ginv, x), g)]
+                x_table = table(queue.pop())
+                for g_table, ginv in conj_pairs:
+                    j = index[mul(mul(ginv, x_table), g_table)]
                     if j not in seen:
                         seen.add(j)
                         members.append(self._tuple(j))

@@ -11,10 +11,15 @@ from edcert.permgroup import _is_prime, min_proper_subgroup_index
 
 
 def test_parse_families():
-    assert parse_group_spec("A:7") == GroupSpec(kind="alternating", n=7, source_text="A:7")
+    assert parse_group_spec("A:7") == GroupSpec(kind="alternating", n=7)
     assert parse_group_spec("PSL2:13").kind == "psl2"
     assert parse_group_spec(" S : 5 ").n == 5
     assert parse_group_spec("D:9").canonical() == "D:9"
+
+
+def test_specs_differing_only_in_whitespace_are_equal():
+    assert parse_group_spec(" A:7") == parse_group_spec("A : 7 ") == parse_group_spec("A:7")
+    assert parse_group_spec("perm:4: (0 1 2 3), (0 1)") == parse_group_spec("perm:4:(0 1 2 3),(0 1)")
 
 
 def test_parse_explicit():

@@ -19,7 +19,11 @@ provenance and the witness; PSL2(23) now shows a dihedral group of order
 The files pin every method `maxn` and `certify` report.  The last three
 were recorded before the subgroup search stopped at |G| // k0 and the
 vector search at its orbit check, and pin the witnesses both searches
-return.
+return.  The two PSL2 tables 7..199, in paper-formula and hybrid mode, were
+recorded before the chain multiplied against prepared right-factor tables
+and skipped identity Schreier generators: every one of their 43 rows builds
+a stabilizer chain, and the hybrid rows up to p = 53 enumerate it, so they
+pin what the chain's products feed into across the paper's whole range.
 """
 
 from pathlib import Path
@@ -34,6 +38,11 @@ JSON = ["--json", "--no-timing"]
 CASES = [
     ("table_psl2_7_31_hybrid.csv",
      ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "31", "--mode", "hybrid", "--csv"], 0),
+] + [
+    # the paper's whole PSL2 table, whose rows all start with a chain build
+    (f"table_psl2_7_199_{mode.replace('-', '_')}.csv",
+     ["table", "--family", "PSL2", "--pmin", "7", "--pmax", "199", "--mode", mode, "--csv"], 0)
+    for mode in ("paper-formula", "hybrid")
 ] + [
     (f"maxn_psl2_{p}_hybrid.json", ["maxn", "--group", f"PSL2:{p}", "--mode", "hybrid", *JSON], 0)
     for p in (23, 29, 41)  # word-search witnesses: dihedral, A5 and dihedral

@@ -113,6 +113,12 @@ def test_byte_and_tuple_chains_build_the_same_chain(gens):
     assert type(small._chain._identity) is bytes and type(big._chain._identity) is tuple
     assert small.orbit_sizes() == big.orbit_sizes()
     assert [lvl.point for lvl in small._chain.levels] == [lvl.point for lvl in big._chain.levels]
+    # the kernels make their inverse tables differently; the chains they build must still agree
+    for i, (lvl, big_lvl) in enumerate(zip(small._chain.levels, big._chain.levels)):
+        assert small._chain.strong_generators(i) == [g[:d] for g in big._chain.strong_generators(i)]
+        assert [(q, tuple(u)) for q, u in lvl.transversal.items()] == [
+            (q, u[:d]) for q, u in big_lvl.transversal.items()
+        ]
     assert small.elements() == tuple(e[:d] for e in big.elements())
 
 
@@ -140,6 +146,25 @@ def test_enumeration_order_is_pinned(group_of, text, digest, orbits):
     assert all(type(e) is tuple for e in els)
     assert hashlib.sha256(repr(els).encode()).hexdigest()[:16] == digest
     assert g.orbit_sizes() == orbits
+
+
+@pytest.mark.parametrize(
+    "text,kernel,digest",
+    [
+        ("PSL2:199", bytes, "2db7a65c31fe9492"),  # the closed-form table's largest row, never enumerated
+        ("PSL2:257", tuple, "12a7d040a45d14f8"),
+    ],
+)
+def test_chain_is_pinned(group_of, text, kernel, digest):
+    # base points, strong generators and transversals, level by level in dict
+    # order: the enumeration order and every sift rest on them
+    chain = group_of(text)._chain
+    assert type(chain._identity) is kernel
+    h = hashlib.sha256()
+    for i, lvl in enumerate(chain.levels):
+        transversal = [(q, tuple(u)) for q, u in lvl.transversal.items()]
+        h.update(repr((lvl.point, chain.strong_generators(i), transversal)).encode())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_max_element_order_divides_exponent_and_order(group_of):
