@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import factorial
 
 from .errors import ParseError, ValidationError
 from .permgroup import DEFAULT_CAP, PermGroup, _is_prime
@@ -142,9 +143,23 @@ def _cycle(points: list[int], degree: int) -> Permutation:
     return Permutation.from_cycles([points], degree)
 
 
+# The order of the group each family's generators lie in and generate, so
+# that a family group answers its order with no stabilizer chain.  z -> z + 1
+# and z -> -1/z have determinant 1, so they lie in PSL2(p); a 3-cycle and an
+# even cycle lie in A_n.
+_FAMILY_ORDERS = {
+    ALTERNATING: lambda n: max(factorial(n) // 2, 1),
+    SYMMETRIC: factorial,
+    CYCLIC: lambda n: n,
+    DIHEDRAL: lambda n: 2 * n,
+    PSL2: lambda p: p * (p * p - 1) // 2,
+}
+
+
 def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> PermGroup:
     """Construct the permutation group a spec describes, with enumeration cap
-    `cap`; the group carries the spec as its `spec`.
+    `cap`; the group carries the spec as its `spec`, and a family group its
+    order from `_FAMILY_ORDERS`, which its chain checks when built.
 
     Families use their standard actions: A(n)/S(n) on n points, C(n) as an
     n-cycle, D(n) as rotation plus reflection on n points (n >= 3; the
@@ -175,7 +190,8 @@ def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> PermGroup:
         gens, degree = [Permutation(shift), Permutation(flip)], n + 1
     else:
         raise ValidationError(f"unknown spec kind {kind!r}")
-    group = PermGroup(gens, degree=degree, cap=cap)
+    order = _FAMILY_ORDERS[kind](n) if kind in _FAMILY_ORDERS else None
+    group = PermGroup(gens, degree=degree, cap=cap, order=order)
     group.spec = spec
     return group
 

@@ -4,8 +4,14 @@ The chain is built with the classical (non-randomized) Schreier-Sims
 algorithm, so orders, membership tests and element enumeration are exact
 and reproducible bit for bit: generators are processed in the order given,
 orbits in breadth-first discovery order, and every search below iterates
-in a fixed order.  Groups are immutable after construction; all methods
-are pure and cache only values derived from the group itself.
+in a fixed order.  A group fixes its generators, degree, cap and spec
+when it is made, and builds its chain only when a question needs it:
+membership, orbits, simplicity, enumeration or any element-level query.
+`catalogue.build` gives a family group the order of the group its
+generators lie in, so `PermGroup.order` answers it with no chain; when
+the chain is built, it stops once it reaches that order and must equal
+it.  Every method is pure and caches only values derived from the group
+itself.
 
 Inside the chain, on degree <= 256, an element is a ``bytes`` string of
 images and a product is the bare C method ``bytes.translate``: several
@@ -103,11 +109,16 @@ class StabilizerChain:
     run the same construction, so base, strong generators and transversals
     are the same permutations either way.  Strong generators leave the
     chain as tuples; ``elements`` lists kernel elements for `PermGroup`.
+
+    `bound`, when given, must be an upper bound on the order of the group
+    the generators generate, such as the order of a group they are known
+    to lie in.  Construction then stops once the orbit sizes multiply to
+    it (see ``_complete``), and builds the same chain with fewer products.
     """
 
     __slots__ = ("degree", "levels", "_identity", "_encode", "_mul", "_table", "_inverse_table")
 
-    def __init__(self, generators: Iterable[Sequence[int]], degree: int):
+    def __init__(self, generators: Iterable[Sequence[int]], degree: int, bound: int | None = None):
         self.degree = degree
         gens = [tuple(g) for g in generators]
         if any(len(g) != degree for g in gens):
@@ -129,7 +140,7 @@ class StabilizerChain:
         for g in gens:
             self._insert_generator(g)
         for i in reversed(range(len(self.levels))):
-            self._complete(i)
+            self._complete(i, bound if i == 0 else None)
 
     # -- construction internals ------------------------------------------
 
@@ -173,18 +184,30 @@ class StabilizerChain:
             g = mul(g, u_inv)
         return g, len(self.levels)
 
-    def _complete(self, i: int) -> None:
+    def _complete(self, i: int, bound: int | None = None) -> None:
         """Make level i complete: every Schreier generator sifts to identity.
 
         Residues are inserted as strong generators on the deeper levels and
         those levels are re-completed deepest first, the textbook recursion.
         The Schreier generator u s u_δ⁻¹ (δ = γ^s) is the identity exactly
         when u s = u_δ, so most pairs are settled by one product.
+
+        `bound`, an upper bound on |G|, is given for level 0 alone (Seress,
+        Permutation Group Algorithms, 2003, ch. 4).  There, once every
+        deeper level is complete, the orbit sizes multiply to |orbit| |H|
+        for the group H the deeper levels generate, a subgroup of the
+        stabilizer of the first base point; reaching the bound makes H that
+        whole stabilizer, so every pending Schreier generator would sift to
+        the identity and the chain is final.  While a deeper level is being
+        completed, the levels above it have stale transversals and the
+        product means nothing, so no other level may stop early.
         """
         lvl = self.levels[i]
         mul = self._mul
         gen_pairs = [(s, self._table(s)) for s in lvl.gens]
         self._rebuild_orbit(i, gen_pairs)
+        if bound is not None and self.order() >= bound:
+            return
         transversal, inverses = lvl.transversal, lvl.inverses
         for gamma, u in transversal.items():  # deeper levels change below, never this one
             for s, s_table in gen_pairs:
@@ -201,6 +224,8 @@ class StabilizerChain:
                     self.levels[k].gens.append(residue)
                 for k in range(j, i, -1):
                     self._complete(k)
+                if bound is not None and self.order() >= bound:
+                    return
 
     # -- queries -----------------------------------------------------------
 
@@ -241,12 +266,26 @@ DEFAULT_CAP = 100_000
 
 
 class PermGroup:
-    """An immutable permutation group of fixed degree.
+    """A permutation group of fixed degree, with its stabilizer chain built
+    on first use.
 
     The trivial group is written ``PermGroup((), degree=d)``; otherwise the
     degree is taken from the generators.  Generators may be given as
     ``Permutation`` objects or image sequences and are validated once here;
-    every element the group hands out or takes is an image tuple.
+    every element the group hands out or takes is an image tuple.  The
+    generators, degree, cap and spec are fixed here.  The chain is built
+    when a question first needs it (membership, orbits, simplicity,
+    enumeration or any element-level query), and it and every value
+    derived from it are cached.
+
+    `order`, when given, is the order of a group the generators lie in and
+    are known to generate, from a formula (`catalogue.build` gives one for
+    each family).  The `order` property answers from it with no chain.
+    The chain stops once it reaches it and must then equal it, or building
+    the chain raises EdcertInternalError.  Since the value bounds |G| from above,
+    that check can catch only a group smaller than the formula.  The
+    simplicity test builds the chain before it reads the order, so no
+    computed decision rests on the formula unchecked.
 
     `cap` is the enumeration cap: every element-level query raises
     CapExceeded when the order exceeds it.  It is fixed when the group is
@@ -261,7 +300,11 @@ class PermGroup:
     spec: GroupSpec | None = None
 
     def __init__(
-        self, generators: Iterable[Permutation | Sequence[int]], degree: int | None = None, cap: int = DEFAULT_CAP
+        self,
+        generators: Iterable[Permutation | Sequence[int]],
+        degree: int | None = None,
+        cap: int = DEFAULT_CAP,
+        order: int | None = None,
     ):
         gens = tuple((g if isinstance(g, Permutation) else Permutation(g)).images for g in generators)
         if degree is None:
@@ -274,8 +317,8 @@ class PermGroup:
         self.generators = gens
         self.degree = degree
         self.cap = cap
-        self._chain = StabilizerChain(gens, degree)
-        self.order = self._chain.order()
+        self._order = order  # the given order until the chain is built, then the chain's
+        self._built: StabilizerChain | None = None
         self._elements: list[Element] | None = None  # the chain's enumeration, in its kernel
         self._index: dict[Element, int] = {}  # element -> enumeration index
         # the i-th element's tuple, made when first handed out; all of them once elements() is asked
@@ -288,6 +331,22 @@ class PermGroup:
         self._derived: PermGroup | None = None
 
     # -- basic structure ---------------------------------------------------
+
+    @property
+    def _chain(self) -> StabilizerChain:
+        """The stabilizer chain, built on first use and checked against a
+        given order."""
+        if self._built is None:
+            chain = StabilizerChain(self.generators, self.degree, self._order)
+            if self._order is not None and chain.order() != self._order:
+                raise EdcertInternalError(f"chain order {chain.order()} differs from the given order {self._order}")
+            self._order, self._built = chain.order(), chain
+        return self._built
+
+    @property
+    def order(self) -> int:
+        """|G|: the order given at construction, else the chain's."""
+        return self._chain.order() if self._order is None else self._order
 
     def orbit_sizes(self) -> tuple[int, ...]:
         return self._chain.orbit_sizes()
@@ -476,7 +535,8 @@ class PermGroup:
         element of some prime order q dividing |G|, and with it that
         element's whole class, so the group is simple iff the normal closure
         of each representative of a class of prime order is the whole group.
-        The cap applies either way.
+        The cap applies either way, and is checked before the chain is
+        built.
         """
         self._check_cap()
         if self._simple is None:
@@ -505,12 +565,13 @@ class PermGroup:
           abelian K, is trivial because G is perfect.
 
         None when the series reaches a perfect term, K = 1, the closure of K
-        is proper, or G is not 2-transitive.
+        is proper, or G is not 2-transitive.  The order is the chain's:
+        building the chain checks a given order first.
         """
-        d = self.degree
-        if d >= 5 and self.order == factorial(d) // 2:
+        d, order = self.degree, self._chain.order()
+        if d >= 5 and order == factorial(d) // 2:
             return True
-        if self.is_abelian() or self.derived_subgroup().order < self.order:
+        if self.is_abelian() or self.derived_subgroup().order < order:
             return False
         if self.orbit_sizes()[:2] != (d, d - 1):
             return None
@@ -520,7 +581,7 @@ class PermGroup:
             if derived.order == k.order:
                 return None
             k = derived
-        if k.order > 1 and self.normal_closure(k.generators).order == self.order:
+        if k.order > 1 and self.normal_closure(k.generators).order == order:
             return True
         return None
 

@@ -7,7 +7,7 @@ from edcert.catalogue import (
     parse_group_spec,
 )
 from edcert.errors import ParseError, ValidationError
-from edcert.permgroup import _is_prime, min_proper_subgroup_index
+from edcert.permgroup import EdcertInternalError, PermGroup, StabilizerChain, _is_prime, min_proper_subgroup_index
 
 
 def test_parse_families():
@@ -93,8 +93,44 @@ def test_psl2_orders_match_formula(group_of):
         if not _is_prime(p):
             continue
         g = group_of(f"PSL2:{p}")
-        assert g.order == p * (p * p - 1) // 2
+        # the family order, against a chain built without it as a bound
+        assert StabilizerChain(g.generators, g.degree).order() == g.order == p * (p * p - 1) // 2
         assert g.degree == p + 1
+
+
+@pytest.mark.parametrize(
+    "text", [f"{family}:{n}" for family in "ASC" for n in range(1, 13)] + [f"D:{n}" for n in range(2, 13)] + ["PSL2:7"]
+)
+def test_family_order_is_the_chains(text):
+    # a fresh group answers its order from the formula, with no chain; a
+    # chain built without the formula as a bound must reach it exactly
+    # (PSL2(p) for p < 200 in test_psl2_orders_match_formula)
+    g = build(parse_group_spec(text))
+    assert g._built is None
+    assert StabilizerChain(g.generators, g.degree).order() == g.order
+    assert g._chain.order() == g.order
+    assert g._built is not None
+
+
+def test_a_wrong_family_order_fails_on_first_chain_use():
+    # |A5| = 60, not 120: every question that builds the chain raises, and
+    # none of them answers from the wrong order
+    gens = build(parse_group_spec("A:5")).generators
+    for use in (
+        lambda g: g.is_simple_nonabelian(),
+        lambda g: g._simplicity_from_chain(),
+        lambda g: g.elements(),
+        lambda g: g.element_orders(),
+        lambda g: g.conjugacy_classes(),
+        lambda g: g.orbit_sizes(),
+        lambda g: g.generators[0] in g,
+    ):
+        g = PermGroup(gens, degree=5, order=120)
+        assert g.order == 120  # read from the formula, which the chain has not checked yet
+        with pytest.raises(EdcertInternalError, match="differs from the given order 120"):
+            use(g)
+        with pytest.raises(EdcertInternalError):
+            use(g)  # no second use answers either
 
 
 def test_family_overrides():

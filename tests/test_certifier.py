@@ -648,6 +648,50 @@ def test_cyclic_witness_is_the_first_element_of_largest_order_and_its_only_tuple
     assert witness["generators"] == [cycle_string(group.elements_of_order(m)[0])]
 
 
+COMPUTED_SWEEP = ["A:5", "A:6", "A:7", "A:8", "S:5", "PSL2:7", "PSL2:11", "PSL2:13", "PSL2:17", "PSL2:19",
+                  "PSL2:23", "C:7", "D:6"]
+
+
+@pytest.mark.parametrize("text", COMPUTED_SWEEP)
+def test_computed_mode_builds_the_chain_before_any_decider(monkeypatch, text):
+    # computed mode decides simplicity first, and that builds the chain, which
+    # checks the family order: no computed verdict rests on the formula alone
+    entered = []  # for each decider call: was the group's chain built when it began?
+
+    def recording(decider):
+        def call(group, *args, **kwargs):
+            entered.append(group._built is not None)
+            return decider(group, *args, **kwargs)
+        return call
+
+    for name in ("cond1_no_small_index", "cond2_mobius_subgroup", "cond3_no_small_genus_action"):
+        monkeypatch.setattr(certifier, name, recording(getattr(certifier, name)))
+    for n in (3, 8):
+        group = build(parse_group_spec(text))  # a fresh group: no chain yet
+        assert group._built is None
+        certify(group, n, COMPUTED)
+        assert group._built is not None
+    group = build(parse_group_spec(text))
+    try:
+        max_certified_n(group, COMPUTED)
+    except NotSimple:
+        pass
+    assert group._built is not None
+    assert entered and all(entered)
+
+
+@pytest.mark.parametrize("text", ["PSL2:59", "PSL2:61"])
+def test_an_over_cap_computed_group_reads_the_order_only_to_give_up(text):
+    # the one computed run with no chain: |G| exceeds the enumeration cap,
+    # so every condition reads unknown and maxn raises CapExceeded
+    group = build(parse_group_spec(text))
+    assert certify(group, 6, COMPUTED).overall == UNKNOWN
+    with pytest.raises(CapExceeded) as raised:
+        max_certified_n(group, COMPUTED)
+    assert raised.value.needed == group.order > group.cap
+    assert group._built is None
+
+
 # -- groups without a spec ------------------------------------------------------
 
 

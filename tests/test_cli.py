@@ -353,6 +353,47 @@ def test_oracle_rh_builds_chains_only_for_vectors_with_the_full_orbit(capsys, mo
     assert 0 < len(chains) <= 100
 
 
+@pytest.fixture
+def chain_builds(monkeypatch):
+    """The degrees of the stabilizer chains built while a test runs."""
+    built = []
+    init = permgroup.StabilizerChain.__init__
+
+    def counting(chain, generators, degree, *rest):
+        built.append(degree)
+        init(chain, generators, degree, *rest)
+
+    monkeypatch.setattr(permgroup.StabilizerChain, "__init__", counting)
+    return built
+
+
+def test_paper_formula_table_builds_no_chain(capsys, chain_builds):
+    # every paper-formula value is a literature constant or the family order
+    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "7", "--pmax", "199",
+                       "--mode", "paper-formula", "--csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 43
+    assert chain_builds == []
+
+
+def test_hybrid_table_builds_no_chain_from_p_29(capsys, chain_builds):
+    # past the oracle's enumeration cap the hybrid row reads the generators
+    # (the witness words) and literature constants, never the chain
+    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "29", "--pmax", "199",
+                       "--mode", "hybrid", "--csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 37
+    assert chain_builds == []
+    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "23", "--pmax", "23", "--mode", "hybrid", "--csv")
+    assert code == 0 and chain_builds  # the oracle decides simplicity within its cap
+
+
+@pytest.mark.parametrize("mode", ["paper-formula", "hybrid"])
+def test_maxn_on_a_large_psl2_builds_no_chain(capsys, chain_builds, mode):
+    # a chain of PSL2(2003) holds millions of image entries; the row needs none of them
+    code, envelope = run_json(capsys, "maxn", "--group", "PSL2:2003", "--mode", mode)
+    assert code == 0 and envelope["payload"]["constants"]["order"] == 2003 * (2003**2 - 1) // 2
+    assert chain_builds == []
+
+
 def test_oracle_bounds_h_n(capsys):
     # the h_n table has one path, `bounds h_n`
     assert cli.main(["oracle", "bounds", "h_n", "--n", "6", "--json"]) == 2

@@ -552,6 +552,17 @@ def test_perfect_non_simple_groups_fall_back_to_the_class_check(group_of, text):
     assert not group.is_simple_nonabelian()
 
 
+def test_simplicity_never_reads_a_wrong_alternating_order():
+    # D5 on 5 points, claimed to have |A5| = 60 elements: the d!/2 test reads
+    # the chain's order, so building the chain catches the claim first
+    d5 = PermGroup([(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)], order=60)
+    with pytest.raises(permgroup.EdcertInternalError):
+        d5._simplicity_from_chain()
+    with pytest.raises(permgroup.EdcertInternalError):
+        d5.is_simple_nonabelian()
+    assert not PermGroup(d5.generators).is_simple_nonabelian()
+
+
 @pytest.mark.parametrize("text", ["PSL2:53", "A:8"])  # Iwasawa's criterion; the order of A_8
 def test_chain_decides_simplicity_without_enumerating(text):
     group = build(parse_group_spec(text))  # a fresh group: no cached elements
