@@ -113,13 +113,11 @@ def parse_group_spec(text: str) -> GroupSpec:
         gen_base = text.index(":", text.index(":") + 1) + 1
         gen_parts = gens_text.split(",")
         running = gen_base
-        perms: list[Permutation] = []
         canon: list[str] = []
         for part in gen_parts:
             if not part.strip():
                 raise ParseError("empty generator", running)
             p = _parse_cycles(part, running, degree)
-            perms.append(p)
             canon.append(p.cycle_string())
             running += len(part) + 1
         return GroupSpec(kind=EXPLICIT, degree=degree, cycles=tuple(canon))

@@ -368,7 +368,7 @@ def _cmd_bounds(args, started) -> int:
         _emit(args, {"hurwitz_min_genus": value}, [f"least genus not excluded: {value}"], started)
         return 0
     if args.bound == "gonality":
-        verdict = gonality_obstruction(args.order, args.n, lambda cap: args.action_verdict)
+        verdict = gonality_obstruction(args.order, args.n, args.action_verdict)
         payload = {"order": args.order, "n": args.n, "verdict": verdict}
         _emit(args, payload, [f"gonality obstruction: {verdict}"], started)
         return 0 if verdict == "obstructed" else 1

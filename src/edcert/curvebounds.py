@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .errors import DomainError, ValidationError
 
@@ -77,20 +76,16 @@ def hurwitz_min_genus(order: int) -> int:
     return max(2, -(-(order + 84) // 84))  # ceil((order + 84) / 84)
 
 
-def gonality_obstruction(
-    order: int,
-    n: int,
-    acts_on_genus_le: Callable[[int], str],
-) -> str:
+def gonality_obstruction(order: int, n: int, verdict: str) -> str:
     """Whether a faithful curve for a group of this order can be barred from
     having a degree-n map to the line.
 
-    Returns "obstructed" when order does not divide n and the injected
-    predicate certifies there is no nontrivial action on any curve of genus
-    <= (n-1)^2; "not_obstructed" when the divisibility or action hypothesis
-    fails; "unknown" when the predicate cannot decide.  The predicate is
-    injected because deciders of different strength exist (genus<=1 rule,
-    Hurwitz floor, exhaustive branch-data search) and the certifier chooses.
+    `verdict` answers whether the group acts nontrivially on some curve of
+    genus <= (n-1)^2 (`riemann_genus_cap(n)`): "yes", "no" or "unknown",
+    from whichever decider the caller trusts (genus <= 1 rule, Hurwitz
+    floor, exhaustive branch-data search).  Returns "obstructed" when order
+    does not divide n and the verdict is "no"; "not_obstructed" when the
+    divisibility or action hypothesis fails; "unknown" otherwise.
     """
     if order < 1:
         raise ValidationError(f"need order >= 1, got {order}")
@@ -98,7 +93,6 @@ def gonality_obstruction(
         raise ValidationError(f"need n >= 1, got {n}")
     if n % order == 0:
         return NOT_OBSTRUCTED
-    verdict = acts_on_genus_le(riemann_genus_cap(n))
     if verdict == NO_ACTION:
         return OBSTRUCTED
     if verdict == ACTS:

@@ -496,26 +496,27 @@ class PermGroup:
     def normal_closure(self, seeds: Iterable[tuple[int, ...]]) -> "PermGroup":
         """Smallest normal subgroup containing the seeds.
 
-        Closes the seed set under conjugation by the group generators,
-        regenerating the chain whenever a conjugate falls outside the
-        subgroup found so far.
+        Grows one subgroup from the trivial one.  Each seed, and each
+        conjugate of an added generator by a group generator, is tested for
+        membership in the subgroup grown so far; one that lies outside is
+        added to its generators.  The first test after an addition builds
+        the grown subgroup's chain, and the group returned is the last one
+        grown, so its chain is already built.
         """
         queue = list(seeds)
         for s in queue:
             if s not in self:
                 raise ValidationError("normal_closure seeds must lie in the group")
-        closure_gens: list[tuple[int, ...]] = []
-        sub = StabilizerChain((), self.degree)
+        closure = self.subgroup(())
         conj_pairs = [(g, invert(g)) for g in self.generators]
         while queue:
             x = queue.pop(0)
-            if sub.contains(x):
+            if x in closure:
                 continue
-            closure_gens.append(x)
-            sub = StabilizerChain(closure_gens, self.degree)
+            closure = self.subgroup((*closure.generators, x))
             for g, ginv in conj_pairs:
                 queue.append(compose(compose(ginv, x), g))
-        return self.subgroup(closure_gens)
+        return closure
 
     def derived_subgroup(self) -> "PermGroup":
         """G', the normal closure of the commutators of the generators."""

@@ -322,18 +322,25 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
 
     Requires a nonabelian simple group (there nontrivial means faithful);
     anything else, or any cap overrun, degrades to `unknown`, never to a
-    wrong verdict.  Genus <= 1 is settled by `genus_le1_excluded`: a bound
-    below 2 answers `no`, and data of genus <= 1 are counted, not searched.
-    Past the vector-search cap the answer is `unknown` before any search.
-    Otherwise branch data are walked once, in genus order, and searched as
-    they come, so the cost follows the least genus with a witness, which a
-    `yes` reports; walking more data than the oracle enumeration cap
-    answers `unknown`.  With g None there is no bound.
+    wrong verdict.  With g None there is no bound.  The gates, in order:
+    a bound below 0 answers `no`; past the oracle enumeration cap, and past
+    the vector-search cap for a bound the genus <= 1 rule cannot settle
+    (None or >= 2), `unknown`, before simplicity is decided; a group not
+    decided nonabelian simple, `unknown`; a bound below 2 is settled by
+    `genus_le1_excluded` (`no` for every order but 60).  Then branch data
+    are walked once, in genus order, and searched as they come (data of
+    genus <= 1 the rule excludes are counted, not searched), so the cost
+    follows the least genus with a witness, which a `yes` reports; walking
+    more data than the oracle enumeration cap answers `unknown`.  The walk
+    yields (1; -) of genus 1 for every order, and a bound of 0 reaches it
+    only for order 60, where A5 yields (0; 2,3,5), so it is never empty.
     """
     if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
     if group.order > ORACLE_ENUMERATION:
         return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
+    if (genus is None or genus >= 2) and group.order > ORACLE_SEARCH:
+        return OracleVerdict(UNKNOWN, reason=CAPPED)
     try:
         simple = group.is_simple_nonabelian()
     except CapExceeded:
@@ -343,8 +350,6 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
     excluded = genus_le1_excluded(group.order)
     if excluded and genus is not None and genus < 2:
         return OracleVerdict(NO, reason=f"the genus <= 1 rule excludes genus <= {genus}")
-    if group.order > ORACLE_SEARCH:
-        return OracleVerdict(UNKNOWN, reason=CAPPED)
     count = 0  # data walked so far, searched or excluded by the rule
     for g, sig in _branch_data(group, genus):
         count += 1
@@ -360,6 +365,4 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
             if not validate_vector(group, sig, vec):
                 raise AssertionError(f"search produced an invalid vector for {sig.label()}")
             return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
-    if not count:
-        return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
     return OracleVerdict(NO, reason=f"all branch data up to genus {genus} exhausted")

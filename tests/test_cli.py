@@ -353,20 +353,6 @@ def test_oracle_rh_builds_chains_only_for_vectors_with_the_full_orbit(capsys, mo
     assert 0 < len(chains) <= 100
 
 
-@pytest.fixture
-def chain_builds(monkeypatch):
-    """The degrees of the stabilizer chains built while a test runs."""
-    built = []
-    init = permgroup.StabilizerChain.__init__
-
-    def counting(chain, generators, degree, *rest):
-        built.append(degree)
-        init(chain, generators, degree, *rest)
-
-    monkeypatch.setattr(permgroup.StabilizerChain, "__init__", counting)
-    return built
-
-
 def test_paper_formula_table_builds_no_chain(capsys, chain_builds):
     # every paper-formula value is a literature constant or the family order
     code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "7", "--pmax", "199",
@@ -375,15 +361,16 @@ def test_paper_formula_table_builds_no_chain(capsys, chain_builds):
     assert chain_builds == []
 
 
-def test_hybrid_table_builds_no_chain_from_p_29(capsys, chain_builds):
-    # past the oracle's enumeration cap the hybrid row reads the generators
-    # (the witness words) and literature constants, never the chain
-    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "29", "--pmax", "199",
+def test_hybrid_table_builds_no_chain_from_p_13(capsys, chain_builds):
+    # past the oracle's vector-search cap the hybrid row reads the generators
+    # (the witness words) and literature constants, never the chain: the
+    # oracle answers `unknown` before it decides simplicity
+    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "13", "--pmax", "199",
                        "--mode", "hybrid", "--csv")
-    assert code == 0 and len(out.splitlines()) == 1 + 37
+    assert code == 0 and len(out.splitlines()) == 1 + 41
     assert chain_builds == []
-    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "23", "--pmax", "23", "--mode", "hybrid", "--csv")
-    assert code == 0 and chain_builds  # the oracle decides simplicity within its cap
+    code, out, _ = run(capsys, "table", "--family", "PSL2", "--pmin", "11", "--pmax", "11", "--mode", "hybrid", "--csv")
+    assert code == 0 and chain_builds  # the oracle searches PSL2(11), of order 660
 
 
 @pytest.mark.parametrize("mode", ["paper-formula", "hybrid"])

@@ -114,29 +114,27 @@ def test_hurwitz_min_genus_definition_full_sweep():
 
 
 def test_gonality_obstruction_routes():
-    assert gonality_obstruction(60, 60, lambda cap: "no") == NOT_OBSTRUCTED
-    assert gonality_obstruction(2520, 6, lambda cap: "no") == OBSTRUCTED
-    assert gonality_obstruction(2520, 6, lambda cap: "unknown") == UNKNOWN
-    assert gonality_obstruction(60, 2, lambda cap: "yes") == NOT_OBSTRUCTED
+    assert gonality_obstruction(60, 60, "no") == NOT_OBSTRUCTED
+    assert gonality_obstruction(2520, 6, "no") == OBSTRUCTED
+    assert gonality_obstruction(2520, 6, "unknown") == UNKNOWN
+    assert gonality_obstruction(60, 2, "yes") == NOT_OBSTRUCTED
 
 
 @pytest.mark.parametrize("order", [0, -3])
 def test_gonality_obstruction_rejects_orders_below_one(order):
     with pytest.raises(ValidationError):
-        gonality_obstruction(order, 2, lambda cap: "no")
+        gonality_obstruction(order, 2, "no")
 
 
 def test_gonality_obstruction_with_real_deciders(group_of):
     from edcert.rhoracle import acts_on_genus_le
 
     # Hurwitz floor 31 > 25 stands in for the action decider at n = 6
-    verdict = gonality_obstruction(
-        2520, 6, lambda cap: "no" if cap < hurwitz_min_genus(2520) else "unknown"
-    )
+    verdict = gonality_obstruction(2520, 6, "no" if riemann_genus_cap(6) < hurwitz_min_genus(2520) else "unknown")
     assert verdict == OBSTRUCTED
 
     psl7 = group_of("PSL2:7")
-    verdict = gonality_obstruction(168, 2, lambda cap: acts_on_genus_le(psl7, cap).verdict)
+    verdict = gonality_obstruction(168, 2, acts_on_genus_le(psl7, riemann_genus_cap(2)).verdict)
     assert verdict == OBSTRUCTED
 
 
@@ -146,4 +144,4 @@ def test_validation_guards():
     with pytest.raises(ValidationError):
         hurwitz_min_genus(1)
     with pytest.raises(ValidationError):
-        gonality_obstruction(60, 0, lambda cap: "no")
+        gonality_obstruction(60, 0, "no")

@@ -253,6 +253,18 @@ def test_normal_closure_examples(group_of):
     assert a5.normal_closure([Permutation.identity(5).images]).order == 1
 
 
+@pytest.mark.parametrize("text, order", [("PSL2:13", 1092), ("A:7", 2520), ("S:5", 60)])
+def test_derived_subgroup_builds_one_chain_per_closure_generator(chain_builds, text, order):
+    # the closure grows from the trivial group, one chain per added generator,
+    # and is returned with its chain built
+    group = build(parse_group_spec(text))
+    group.orbit_sizes()  # the group's own chain, which the seed check needs
+    chain_builds.clear()
+    derived = group.derived_subgroup()
+    assert len(chain_builds) == len(derived.generators) + 1
+    assert derived.order == order and len(chain_builds) == len(derived.generators) + 1
+
+
 def test_a5_simplicity_against_all_element_closures(group_of):
     # the stated oracle: every one of the 59 nontrivial elements has full closure
     a5 = group_of("A:5")
