@@ -180,28 +180,30 @@ def decide_simplicity(group: PermGroup, mode: str) -> tuple[bool | None, str]:
 def cond1_no_small_index(group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify that every proper subgroup has index > n.
 
-    Methods, in order: divisibility (a simple group with an index-k
-    subgroup embeds in the alternating group of degree k, so |G| must
-    divide k!/2), then d(G) from `_min_proper_index`: literature constants
-    (hybrid and paper_formula modes) or brute-force subgroup search (the
-    oracle, for |G| within the subgroup-search cap).  Both rest on G being
-    nonabelian simple: raises NotSimple when `decide_simplicity` says it is
-    not, and answers `unknown` when simplicity is undecided.
+    The methods below rest on G being nonabelian simple, so a group that
+    `decide_simplicity` does not decide simple gets `unknown`, with a note
+    that says whether simplicity was undecided or false.  Methods, in
+    order: divisibility (a simple group with an index-k subgroup embeds in
+    the alternating group of degree k, so |G| must divide k!/2), then d(G):
+    the literature constant (hybrid and paper_formula modes), else the
+    brute-force search for a subgroup of index k0 =
+    `first_embedding_degree(|G|)` (the oracle, for |G| within the
+    subgroup-search cap).  The search runs only once divisibility has
+    failed at n >= k0, so a subgroup it finds refutes.
 
     Without an n the range is d(G) - 1 from the literature constant, else
-    k0 - 1 from divisibility alone, k0 = `first_embedding_degree(|G|)`: a
-    search index counts only when it equals k0, so the search could only
-    refute at k0.  Asked for the range, the search runs in paper_formula
-    mode only, whose closed form prints d(G) itself.
+    k0 - 1 from divisibility alone: a search index counts only when it
+    equals k0, so the search could only refute at k0.  Asked for the range,
+    the search runs in paper_formula mode only, whose closed form prints
+    d(G) itself.
     """
+    simple, _ = decide_simplicity(group, mode)
+    if not simple:
+        note = ("simplicity undecided within caps" if simple is None
+                else "the implemented index decider requires a nonabelian simple group")
+        return ConditionReport(COND_INDEX, UNKNOWN, None, {"n": n, "note": note})
     order = group.order
     detail: dict = {"order": order, "n": n}
-    simple, _ = decide_simplicity(group, mode)
-    if simple is False:
-        raise NotSimple("condition 1 requires a nonabelian simple group")
-    if simple is None:
-        detail["note"] = "simplicity undecided within caps"
-        return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
 
     # divisibility certificate: |G| divides no k!/2 for k = 2..n
     k0 = first_embedding_degree(order)
@@ -212,55 +214,34 @@ def cond1_no_small_index(group: PermGroup, n: int | None, mode: str) -> Conditio
         if n < k0:
             return ConditionReport(COND_INDEX, CERTIFIED, "divisibility", detail)
 
-    why = "the k!/2 bound does not prove the searched index"
-    try:
-        found = _min_proper_index(group, mode, search=n is not None or mode == PAPER_FORMULA)
-    except CapExceeded as exc:
-        if exc.budget != "subgroup_search":
-            raise
-        found, why = None, "group exceeds the subgroup-search cap"
-    if n is None:
-        if found is None:
-            detail = {"first_admissible_embedding_degree": k0}
-            return ConditionReport(COND_INDEX, UNKNOWN, "divisibility", detail, k0 - 1)
-        method, d, _ = found
-        return ConditionReport(COND_INDEX, REFUTED, method, {"min_proper_index": d}, d - 1)
-    if found is None:
-        detail["note"] = f"divisibility inconclusive and {why}"
-        return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
-    method, d, facts = found
-    detail["min_proper_index"] = d
-    if method == "literature_override":
-        detail["provenance"] = facts
-    else:
-        best, witness = facts
-        detail["max_proper_subgroup_order"] = best
-        if d <= n:
-            detail["witness_subgroup"] = {
-                "index": d,
-                "order": best,
-                "generators": [cycle_string(w) for w in witness],
-            }
-    return ConditionReport(COND_INDEX, CERTIFIED if d > n else REFUTED, method, detail)
-
-
-def _min_proper_index(group: PermGroup, mode: str, search: bool = True) -> tuple[str, int, object] | None:
-    """d(G), the least index of a proper subgroup, as (method, d, facts).
-
-    The literature constant in hybrid and paper_formula modes (facts: its
-    provenance), else, if `search`, the brute-force search for a subgroup
-    of index `first_embedding_degree(|G|)`, the k!/2 lower bound on d(G)
-    for the simple groups condition 1 asks about (facts: that subgroup's
-    order and generators); None otherwise.  The search raises CapExceeded
-    past its budget.
-    """
     constants = _literature(group, mode)
     if constants is not None and constants.min_proper_index is not None:
-        return "literature_override", constants.min_proper_index, constants.provenance
-    if not search:
-        return None
-    found = embedding_degree_subgroup(group)
-    return None if found is None else ("brute_force", group.order // found[0], found)
+        d = constants.min_proper_index
+        if n is None:
+            return ConditionReport(COND_INDEX, REFUTED, "literature_override", {"min_proper_index": d}, d - 1)
+        detail.update(min_proper_index=d, provenance=constants.provenance)
+        return ConditionReport(COND_INDEX, CERTIFIED if d > n else REFUTED, "literature_override", detail)
+
+    found, why = None, "the k!/2 bound does not prove the searched index"
+    if n is not None or mode == PAPER_FORMULA:
+        try:
+            found = embedding_degree_subgroup(group)
+        except CapExceeded as exc:
+            if exc.budget != "subgroup_search":
+                raise
+            why = "group exceeds the subgroup-search cap"
+    if found is None:
+        if n is None:
+            detail = {"first_admissible_embedding_degree": k0}
+            return ConditionReport(COND_INDEX, UNKNOWN, "divisibility", detail, k0 - 1)
+        detail["note"] = f"divisibility inconclusive and {why}"
+        return ConditionReport(COND_INDEX, UNKNOWN, None, detail)
+    if n is None:
+        return ConditionReport(COND_INDEX, REFUTED, "brute_force", {"min_proper_index": k0}, k0 - 1)
+    best, witness = found
+    detail.update(min_proper_index=k0, max_proper_subgroup_order=best, witness_subgroup={
+        "index": k0, "order": best, "generators": [cycle_string(w) for w in witness]})
+    return ConditionReport(COND_INDEX, REFUTED, "brute_force", detail)
 
 
 # -- condition 2: a large Moebius subgroup -------------------------------------
@@ -466,9 +447,7 @@ def _cond2_cyclic_only(group, n, mode, detail) -> ConditionReport:
 # -- condition 3: no action on curves of small genus ---------------------------
 
 
-def cond3_no_small_genus_action(
-    group: PermGroup, n: int | None, mode: str, simple: bool | None = None
-) -> ConditionReport:
+def cond3_no_small_genus_action(group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify no nontrivial action on any smooth curve of genus <= (n-1)^2.
 
     (a) genus <= 1 is excluded for every nonabelian simple group other than
@@ -479,6 +458,11 @@ def cond3_no_small_genus_action(
         floor leaves a gap, the branch-data oracle decides it exactly when
         the group is within its caps.
 
+    Both rest on G being nonabelian simple, so a group that
+    `decide_simplicity` does not decide simple gets `unknown`; the detail
+    names how simplicity was tried (`simplicity_method`) only when it was
+    undecided.
+
     Without an n the oracle is asked once, with no genus bound: its least
     genus g_min with an action gives the range, the largest n with
     (n-1)^2 < g_min.  Where it cannot answer, the Hurwitz floor does.
@@ -488,11 +472,9 @@ def cond3_no_small_genus_action(
     if n is not None:
         detail["genus_cap"] = cap_genus = riemann_genus_cap(n)
 
+    simple, how = decide_simplicity(group, mode)
     if simple is None:
-        simple, how = decide_simplicity(group, mode)
-        detail["simplicity_method"] = how
-    if simple is None:
-        detail["note"] = "simplicity undecided within caps"
+        detail.update(simplicity_method=how, note="simplicity undecided within caps")
         return ConditionReport(COND_GENUS, UNKNOWN, None, detail)
     if not simple:
         detail["note"] = "decider requires a nonabelian simple group"
@@ -558,29 +540,20 @@ def _genus_witness(verdict: rhoracle.OracleVerdict) -> dict:
 def certify(group: PermGroup, n: int, mode: str = COMPUTED) -> Certificate:
     """Check all three hypotheses for (G, n) and compose the verdicts.
 
-    overall is `certified` iff all three conditions are certified; a
-    `refuted` condition refutes only this certificate's hypotheses, never
-    the underlying lower bound.
+    Each decider checks simplicity itself; a group not decided simple
+    gets condition 1's note as a "condition 1 skipped" note.  overall is
+    `certified` iff all three conditions are certified; a `refuted`
+    condition refutes only this certificate's hypotheses, never the
+    underlying lower bound.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
     if n < 2:
         raise ValidationError(f"certification needs n >= 2, got {n}")
-    notes: list[str] = []
     simple, how = decide_simplicity(group, mode)
-
-    if simple:
-        c1 = cond1_no_small_index(group, n, mode)
-    else:
-        reason = ("simplicity undecided within caps" if simple is None
-                  else "the implemented index decider requires a nonabelian simple group")
-        c1 = ConditionReport(COND_INDEX, UNKNOWN, None, {"n": n, "note": reason})
-        notes.append(f"condition 1 skipped: {reason}")
-
-    c2 = cond2_mobius_subgroup(group, n, mode)
-    c3 = cond3_no_small_genus_action(group, n, mode, simple=simple)
-
-    conditions = (c1, c2, c3)
+    conditions = (cond1_no_small_index(group, n, mode), cond2_mobius_subgroup(group, n, mode),
+                  cond3_no_small_genus_action(group, n, mode))
+    notes = [] if simple else [f"condition 1 skipped: {conditions[0].detail['note']}"]
     if all(c.verdict == CERTIFIED for c in conditions):
         overall = CERTIFIED
     elif any(c.verdict == REFUTED for c in conditions):
@@ -624,7 +597,7 @@ def max_certified_n(group: PermGroup, mode: str = COMPUTED) -> BoundReport:
     reports = {
         "cond1": cond1_no_small_index(group, None, mode),
         "cond2": cond2_mobius_subgroup(group, None, mode),
-        "cond3": cond3_no_small_genus_action(group, None, mode, simple=True),
+        "cond3": cond3_no_small_genus_action(group, None, mode),
     }
     known = {name: r.certified_up_to for name, r in reports.items()}
     if mode == PAPER_FORMULA:

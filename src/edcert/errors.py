@@ -25,7 +25,10 @@ class NotDividing(EdcertError):
 
 
 class NotSimple(EdcertError):
-    """An operation requiring a nonabelian simple group got something else."""
+    """`max_certified_n` got a group decided not nonabelian simple.
+
+    The condition deciders answer `unknown` for such a group instead.
+    """
 
 
 class DomainError(EdcertError):

@@ -239,11 +239,13 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
     entry is forced by the product condition, and with no elliptic slot
     the commutators alone must multiply to one.
 
-    Element orders are read from the group's order table; the forced last
-    entry, the inverse of the product so far, has that product's order, so
-    it is inverted only when the order fits.  A complete vector builds a
-    stabilizer chain only when it moves the point with G's largest orbit
-    over that whole orbit: a smaller orbit cannot be G's.
+    The pools come from the group's per-order caches: slot 0 of period m
+    partitions only the classes of order m.  The forced last entry, the
+    inverse of the product so far, has that product's order, so it is
+    inverted only when the product lies among the elements of its period.
+    A complete vector builds a stabilizer chain only when it moves the
+    point with G's largest orbit over that whole orbit: a smaller orbit
+    cannot be G's.
     """
     if group.order > ORACLE_SEARCH:
         raise CapExceeded(
@@ -259,12 +261,10 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
     if rh_genus(group.order, sig).denominator != 1:
         return None
 
-    els = group.elements()
-    order_of = dict(zip(els, group.element_orders()))
-    reps = group.class_representatives()
     pools = [
-        [p for p in reps if m is None or order_of[p] == m] if i == 0
-        else els if m is None
+        group.class_representatives() if i == 0 and m is None
+        else [cls[0] for cls in group.classes_of_order(m)] if i == 0
+        else group.elements() if m is None
         else group.elements_of_order(m)
         for i, m in enumerate(slots)
     ]
@@ -272,6 +272,7 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
         return None  # no slots (only the trivial group), or a period no element has
     identity = group.identity()
     last = len(slots) - 1
+    forced = None if slots[last] is None else frozenset(group.elements_of_order(slots[last]))
 
     degree = group.degree
     point = max(range(degree), key=lambda x: _orbit_size(group.generators, x))
@@ -294,7 +295,7 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
         if i > last:  # no elliptic slot: the commutators alone must multiply to one
             return found_vector(chosen) if prefix == identity and generates(chosen) else None
         if i == last and slots[i] is not None:  # forced: the inverse of the product so far
-            if order_of[prefix] != slots[i]:
+            if prefix not in forced:
                 return None
             parts = chosen + [invert(prefix)]
             return found_vector(parts) if generates(parts) else None

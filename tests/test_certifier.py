@@ -94,8 +94,31 @@ def test_cond1_literature_override_in_hybrid(group_of):
 def test_cond1_refuses_non_simple_groups(group_of, mode):
     # 24 divides no k!/2 for k <= 3, yet A4 has index 2 in S4: the k!/2
     # certificate holds for simple groups only
-    with pytest.raises(NotSimple):
-        cond1_no_small_index(group_of("S:4"), 3, mode)
+    report = cond1_no_small_index(group_of("S:4"), 3, mode)
+    assert (report.verdict, report.method) == (UNKNOWN, None)
+    note = "the implemented index decider requires a nonabelian simple group"
+    assert report.detail == {"n": 3, "note": note}
+    assert f"condition 1 skipped: {note}" in crt(group_of, "S:4", 3, mode).notes
+
+
+F20 = "perm:5:(0 1 2 3 4),(1 2 4 3)"
+
+
+@pytest.mark.parametrize("text, mode", [
+    *((text, mode) for text in ("S:4", "D:6", "C:7", F20) for mode in (COMPUTED, HYBRID)),
+    ("A:9", COMPUTED),  # over the enumeration cap: simplicity undecided
+])
+def test_deciders_guard_their_own_simplicity(group_of, text, mode):
+    # a direct call answers as `certify` does for a group not decided simple
+    group = group_of(text)
+    for n in (3, 6):
+        cert = certify(group, n, mode)
+        assert cert.constants["simplicity"]["value"] is not True
+        for decide, name in ((cond1_no_small_index, "no_small_index"),
+                             (cond3_no_small_genus_action, "no_small_genus_action")):
+            report = decide(group, n, mode)
+            assert report.to_json() == cert.condition(name).to_json()
+            assert report.verdict != CERTIFIED
 
 
 # -- condition 2 -----------------------------------------------------------------
