@@ -41,6 +41,10 @@ subgroups (``element_orders``), and the classes rest on two facts:
 * every nontrivial normal subgroup contains an element of prime order, so
   the normal closures of the classes of prime order decide simplicity.
 
+The genus oracle's generating-vector search works on kernel elements as
+well: ``vector_pool`` hands it, once per group and per (slot kind, order),
+the elements with their right-factor and inverse tables.
+
 Simplicity is first tried from the chain alone, before any element is
 enumerated: the derived subgroup, the order of the alternating group, and
 Iwasawa's criterion for 2-transitive groups (Iwasawa, Proc. Imp. Acad.
@@ -327,6 +331,14 @@ class PermGroup:
         # order m -> (enumeration index of the representative, class) pairs
         self._partitions: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
         self._classes: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        # the generating-vector search's state, see vector_pool: enumeration
+        # index -> right-factor table, made when a pool first needs it;
+        # (first slot, order) -> pool; order -> the kernel elements of that
+        # order; the largest orbit's point and size
+        self._tables: dict[int, Element] = {}
+        self._pools: dict[tuple[bool, int | None], tuple[tuple[Element, Element, Element], ...]] = {}
+        self._of_order: dict[int, frozenset[Element]] = {}
+        self._largest_orbit: tuple[int, int] | None = None
         self._simple: bool | None = None
         self._derived: PermGroup | None = None
 
@@ -429,6 +441,14 @@ class PermGroup:
     def elements_of_order(self, m: int) -> tuple[tuple[int, ...], ...]:
         return tuple(self._tuple(i) for i, o in enumerate(self.element_orders()) if o == m)
 
+    def kernel_elements_of_order(self, m: int) -> frozenset[Element]:
+        """The elements of order m as kernel elements, cached per m."""
+        found = self._of_order.get(m)
+        if found is None:
+            els = self._enumerate()
+            found = self._of_order[m] = frozenset(x for x, o in zip(els, self.element_orders()) if o == m)
+        return found
+
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(compose(a, b) == compose(b, a) for i, a in enumerate(gens) for b in gens[i + 1:])
@@ -490,6 +510,60 @@ class PermGroup:
 
     def class_representatives(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cls[0] for cls in self.conjugacy_classes())
+
+    # -- generating-vector search support ------------------------------------
+
+    def vector_pool(self, m: int | None, first: bool) -> tuple[tuple[Element, Element, Element], ...]:
+        """What one slot of a generating-vector search ranges over, as
+        (element, right-factor table, inverse table) triples of the chain's
+        kernel, in enumeration order: for the first slot the class
+        representatives, for a later slot the elements; those of order m,
+        or of every order when m is None.
+
+        Each pool is built once per group and per (first, m), and only when
+        a search asks for it.  An element's inverse table is the table of
+        its inverse, so each element has one table per group, shared by
+        every pool that holds the element or its inverse.
+        """
+        pool = self._pools.get((first, m))
+        if pool is None:
+            chain, els, index, tables = self._chain, self._enumerate(), self._index, self._tables
+
+            def table(x: Element) -> Element:
+                i = index[x]
+                if i not in tables:
+                    tables[i] = chain._table(els[i])
+                return tables[i]
+
+            if first:
+                classes = self.conjugacy_classes() if m is None else self.classes_of_order(m)
+                xs = [els[index[chain._encode(cls[0])]] for cls in classes]
+            else:
+                xs = [x for x, o in zip(els, self.element_orders()) if m is None or o == m]
+            pool = self._pools[(first, m)] = tuple(
+                (x, table(x), table(chain._inverse_table(x)[:self.degree])) for x in xs
+            )
+        return pool
+
+    def largest_orbit(self) -> tuple[int, int]:
+        """The first point whose orbit under the generators is largest, and
+        that orbit's size; cached."""
+        if self._largest_orbit is None:
+            size = [0] * self.degree
+            for start in range(self.degree):
+                if size[start]:
+                    continue
+                orbit, seen = [start], {start}
+                for x in orbit:
+                    for g in self.generators:
+                        if g[x] not in seen:
+                            seen.add(g[x])
+                            orbit.append(g[x])
+                for x in orbit:
+                    size[x] = len(orbit)
+            point = max(range(self.degree), key=size.__getitem__)
+            self._largest_orbit = (point, size[point])
+        return self._largest_orbit
 
     # -- normal structure ----------------------------------------------------
 

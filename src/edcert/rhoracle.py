@@ -12,6 +12,13 @@ prod [a_i, b_i] * prod c_j = 1, generating the whole group.  This module
 enumerates all candidate data up to a genus bound and, above the genus <= 1
 rule's range, searches vectors exhaustively, so for groups within its caps
 it decides "acts on genus <= g" outright, not by the Hurwitz 84(g-1) floor.
+
+The vector search runs in the stabilizer chain's kernel (see ``permgroup``):
+its candidates are kernel elements, each product is one ``chain._mul``
+against a prepared table, and its pools and tables are built once per group
+by ``PermGroup.vector_pool``, not once per datum.  Image tuples are made only
+for the chain that tests whether a complete vector generates, and for the
+witness, which ``validate_vector`` checks again from scratch.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from itertools import islice
 from typing import Sequence
 
 from .errors import CapExceeded, WidthExceeded
-from .permgroup import PermGroup, StabilizerChain
-from .permutation import Permutation, compose, invert
+from .permgroup import Element, PermGroup, StabilizerChain
+from .permutation import Permutation
 
 YES = "yes"
 NO = "no"
@@ -239,13 +246,18 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
     entry is forced by the product condition, and with no elliptic slot
     the commutators alone must multiply to one.
 
-    The pools come from the group's per-order caches: slot 0 of period m
-    partitions only the classes of order m.  The forced last entry, the
-    inverse of the product so far, has that product's order, so it is
-    inverted only when the product lies among the elements of its period.
-    A complete vector builds a stabilizer chain only when it moves the
-    point with G's largest orbit over that whole orbit: a smaller orbit
-    cannot be G's.
+    The search runs in the group's stabilizer-chain kernel (bytes up to
+    degree 256, image tuples above).  Its pools come from
+    ``PermGroup.vector_pool``, built once per group, slot kind and period,
+    with each element's right-factor and inverse tables, so a node's
+    product is one ``chain._mul`` and a commutator four, by the tables of
+    a, b, a^-1 and b^-1.  The forced last entry, the inverse of the
+    product so far, has that product's order: it is read from the
+    product's inverse table only when the product lies among the kernel
+    elements of its period.  A complete vector builds a stabilizer chain
+    only when it moves the point with G's largest orbit (cached per group)
+    over that whole orbit: a smaller orbit cannot be G's.  Image tuples
+    are made only for that chain and for the witness.
     """
     if group.order > ORACLE_SEARCH:
         raise CapExceeded(
@@ -260,28 +272,24 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
         raise WidthExceeded(f"signature needs {len(slots)} slots, width cap is {VECTOR_WIDTH}")
     if rh_genus(group.order, sig).denominator != 1:
         return None
-
-    pools = [
-        group.class_representatives() if i == 0 and m is None
-        else [cls[0] for cls in group.classes_of_order(m)] if i == 0
-        else group.elements() if m is None
-        else group.elements_of_order(m)
-        for i, m in enumerate(slots)
-    ]
-    if not slots or not all(pools):
-        return None  # no slots (only the trivial group), or a period no element has
-    identity = group.identity()
+    if not slots:
+        return None  # only the trivial group has no slots
     last = len(slots) - 1
-    forced = None if slots[last] is None else frozenset(group.elements_of_order(slots[last]))
+    forced = None if slots[last] is None else group.kernel_elements_of_order(slots[last])
+    searched = slots if forced is None else slots[:last]
+    pools = [group.vector_pool(m, i == 0) for i, m in enumerate(searched)]
+    if not all(pools) or forced == frozenset():
+        return None  # a period no element has
 
     degree = group.degree
-    point = max(range(degree), key=lambda x: _orbit_size(group.generators, x))
-    orbit = _orbit_size(group.generators, point)
+    point, orbit = group.largest_orbit()
+    chain = group._chain
+    mul, identity = chain._mul, chain._identity
 
-    def generates(parts: list[tuple[int, ...]]) -> bool:
+    def generates(parts: list[Element]) -> bool:
         return _orbit_size(parts, point) == orbit and StabilizerChain(parts, degree).order() == group.order
 
-    def found_vector(parts: list[tuple[int, ...]]) -> GeneratingVector:
+    def found_vector(parts: list[Element]) -> GeneratingVector:
         """The witness, as validated Permutations for the independent re-check."""
         perms = [Permutation(p) for p in parts]
         return GeneratingVector(
@@ -289,23 +297,28 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
             elliptic=tuple(perms[2 * h:]),
         )
 
-    chosen: list[tuple[int, ...]] = []
+    chosen: list[tuple[Element, Element, Element]] = []  # the pool entries picked so far
 
-    def search(i: int, prefix: tuple[int, ...]) -> GeneratingVector | None:
+    def search(i: int, prefix: Element) -> GeneratingVector | None:
         if i > last:  # no elliptic slot: the commutators alone must multiply to one
-            return found_vector(chosen) if prefix == identity and generates(chosen) else None
-        if i == last and slots[i] is not None:  # forced: the inverse of the product so far
+            if prefix != identity:
+                return None
+            parts = [x for x, _, _ in chosen]
+            return found_vector(parts) if generates(parts) else None
+        if i == last and forced is not None:  # the inverse of the product so far
             if prefix not in forced:
                 return None
-            parts = chosen + [invert(prefix)]
+            parts = [x for x, _, _ in chosen] + [chain._inverse_table(prefix)[:degree]]
             return found_vector(parts) if generates(parts) else None
-        for x in pools[i]:
-            chosen.append(x)
-            if slots[i] is not None:
-                found = search(i + 1, compose(prefix, x))
+        elliptic = slots[i] is not None
+        for entry in pools[i]:
+            chosen.append(entry)
+            if elliptic:
+                found = search(i + 1, mul(prefix, entry[1]))
             elif i % 2:
-                a = chosen[-2]
-                found = search(i + 1, compose(prefix, compose(compose(compose(a, x), invert(a)), invert(x))))
+                _, a_table, a_inverse = chosen[-2]
+                _, x_table, x_inverse = entry
+                found = search(i + 1, mul(mul(mul(mul(prefix, a_table), x_table), a_inverse), x_inverse))
             else:
                 found = search(i + 1, prefix)
             if found:

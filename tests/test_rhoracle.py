@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -10,7 +11,7 @@ from edcert.catalogue import build, parse_group_spec
 from edcert.errors import CapExceeded, WidthExceeded
 from edcert import rhoracle
 from edcert.permgroup import StabilizerChain
-from edcert.permutation import Permutation, compose
+from edcert.permutation import Permutation, cycle_string
 from edcert.rhoracle import (
     CAPPED,
     NO,
@@ -301,17 +302,22 @@ def test_vector_search_order_is_pinned(group_of, monkeypatch):
     # (0; 2,2,2,2,2,2,2,2) of C:2, too wide.  The search returns the first
     # witness in its order, so the digest moves if the order does; the
     # products it forms per datum also pin how far it walks to get there.
+    # It forms them with its group's chain product, counted once the group's
+    # orders and classes, which use that product too, are cached.
     monkeypatch.setattr(rhoracle, "VECTOR_WIDTH", 7)
     products = []
 
-    def counting_compose(p, q):
-        products.append(None)
-        return compose(p, q)
+    def counting(mul):
+        def counting_mul(p, t):
+            products.append(None)
+            return mul(p, t)
+        return counting_mul
 
-    monkeypatch.setattr(rhoracle, "compose", counting_compose)
     outcomes = []
     for text, genus_max in PINNED_SEARCH:
         g = group_of(text)
+        g.conjugacy_classes()
+        monkeypatch.setattr(g._chain, "_mul", counting(g._chain._mul))
         for genus, sig in enumerate_signatures(g, genus_max):
             products.clear()
             try:
@@ -324,3 +330,82 @@ def test_vector_search_order_is_pinned(group_of, monkeypatch):
     assert sum("'too wide'" in o for o in outcomes) == 1
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "698c068d192634b80a8b979427ba6b7b3253ee294d5138e8ce4b886d4585f563"
+
+
+def _relabel(text, shift):
+    """The text with every number in it moved up by `shift`."""
+    return re.sub(r"\d+", lambda point: str(int(point.group()) + shift), text)
+
+
+def _searched(group, genus_max, shift=0):
+    out = []
+    for genus, sig in enumerate_signatures(group, genus_max):
+        vec = find_generating_vector(group, sig)
+        if vec is not None:
+            assert validate_vector(group, sig, vec)
+            vec = _relabel(repr(vec.to_json()), shift)  # only the cycles hold digits
+        out.append((genus, sig.label(), vec))
+    return out
+
+
+@pytest.mark.parametrize(
+    "small, big, shift, genus_max",
+    [
+        ("perm:5:(0 1 2 3 4),(0 1 2)", "perm:300:(0 1 2 3 4),(0 1 2)", 0, 6),
+        ("perm:5:(0 1 2 3 4),(0 1 2)", "perm:300:(295 296 297 298 299),(295 296 297)", 295, 6),
+        ("PSL2:7", None, 0, 3),
+    ],
+    ids=["a5-degree-300", "a5-points-295-299", "psl2-7-degree-257"],
+)
+def test_both_kernels_search_the_same_vectors(group_of, small, big, shift, genus_max):
+    # The search runs in the chain's kernel: bytes up to degree 256, image
+    # tuples above.  A copy of the group on more points, or on points shifted
+    # up, enumerates its elements in the same order, so it must find the same
+    # vectors, relabelled.
+    small_group = group_of(small)
+    if big is None:
+        big = "perm:257:" + ",".join(map(cycle_string, small_group.generators))
+    big_group = group_of(big)
+    assert type(small_group._chain._identity) is bytes and type(big_group._chain._identity) is tuple
+    expected = _searched(small_group, genus_max)
+    assert any(vec is None for *_, vec in expected) and any(vec is not None for *_, vec in expected)
+    assert _searched(big_group, genus_max, -shift) == expected
+
+
+def test_pools_and_tables_are_built_once_per_group(monkeypatch):
+    # The search's pools and their tables belong to the group: a second search
+    # whose slots need only pools an earlier search built makes no table, and
+    # reads an inverse table only for each forced last entry, each of which
+    # the orbit check then sees.
+    a6 = build(parse_group_spec("A:6"))
+    chain = a6._chain
+    calls = []
+
+    def counting(name, make):
+        def wrapper(*args):
+            calls.append(name)
+            return make(*args)
+
+        return wrapper
+
+    for name in ("_table", "_inverse_table"):
+        monkeypatch.setattr(chain, name, counting(name, getattr(chain, name)))
+    monkeypatch.setattr(rhoracle, "_orbit_size", counting("forced", rhoracle._orbit_size))
+    assert rh_genus(360, Signature(0, (2, 4, 5))) == 10
+    find_generating_vector(a6, Signature(0, (2, 4, 5)))
+    assert calls.count("_table") > 0
+    assert rh_genus(360, Signature(0, (4, 4, 5))) == 55
+    for sig in (Signature(0, (4, 4, 5)), Signature(0, (2, 4, 5))):
+        calls.clear()
+        find_generating_vector(a6, sig)
+        assert calls.count("_table") == 0
+        assert 0 < calls.count("_inverse_table") == calls.count("forced")
+
+
+@pytest.mark.parametrize(
+    "text", ["A:5", "perm:7:(0 1 2 3 4),(0 1 2),(5 6)", "perm:9:(0 1),(2 3),(4 5),(6 7 8),(6 7)", "C:1"]
+)
+def test_largest_orbit_is_the_first_point_of_largest_orbit(group_of, text):
+    g = group_of(text)
+    sizes = [rhoracle._orbit_size(g.generators, x) for x in range(g.degree)]
+    assert g.largest_orbit() == (sizes.index(max(sizes)), max(sizes))
