@@ -26,17 +26,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, isqrt
+from typing import Iterable, Sequence
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, FamilyConstants, family_overrides
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
 from .errors import CapExceeded, NotSimple, ValidationError
 from .permgroup import (
+    Element,
+    Kernel,
     PermGroup,
     embedding_degree_subgroup,
     first_embedding_degree,
     inverting_involution,
+    kernel,
 )
-from .permutation import compose, cycle_string, invert, power, tuple_order
+from .permutation import cycle_string, invert
 from . import permgroup, rhoracle
 
 COMPUTED = "computed"
@@ -247,13 +251,13 @@ def cond1_no_small_index(group: PermGroup, n: int | None, mode: str) -> Conditio
 # -- condition 2: a large Moebius subgroup -------------------------------------
 
 
-def _witness(kind: str, order: int, *generators: tuple[int, ...]) -> dict:
+def _witness(kind: str, order: int, *generators: Sequence[int]) -> dict:
     return {"type": kind, "order": order, "generators": [cycle_string(g) for g in generators]}
 
 
-def _exceptional_pairs(involutions, threes):
+def _exceptional_pairs(kern: Kernel, involutions: Iterable[Element], threes: Iterable[Element]):
     """(order, kind, a, b), in loop order, for each involution a and
-    order-3 element b that generate A4, S4 or A5.
+    order-3 element b, kernel elements of `kern`, that generate A4, S4 or A5.
 
     With a^2 = b^3 = 1, <a, b> is a quotient of the (2, 3, k) triangle
     group, k = ord(ab), in which a, b and ab keep their orders.  For
@@ -262,12 +266,24 @@ def _exceptional_pairs(involutions, threes):
     and Relations for Discrete Groups), so <a, b> is the triangle group
     itself.  k = 2 gives at most S3, and k >= 6 puts an element of order k
     in <a, b>, which none of A4, S4, A5 has.
+
+    ab != 1, as a and b differ in order, so k is the least j in 2..5 with
+    (ab)^j = 1, when there is one: at most five products, ab and its
+    powers up to the fifth, decide a pair.
     """
+    mul, table, identity = kern.mul, kern.table, kern.identity
+    three_tables = [(b, table(b)) for b in threes]
     for a in involutions:
-        for b in threes:
-            found = _TRIANGLE_GROUPS.get(tuple_order(compose(a, b)))
-            if found is not None:
-                yield found[1], found[0], a, b
+        for b, b_table in three_tables:
+            x = y = mul(a, b_table)
+            x_table = table(x)
+            for j in (2, 3, 4, 5):
+                y = mul(y, x_table)
+                if y == identity:
+                    found = _TRIANGLE_GROUPS.get(j)
+                    if found is not None:
+                        yield found[1], found[0], a, b
+                    break
 
 
 def _search_cyclic(group: PermGroup) -> tuple[int, dict]:
@@ -295,10 +311,13 @@ def _search_exceptional(group: PermGroup) -> tuple[int, dict]:
     """Largest of A4/S4/A5 inside the group, read off the (involution,
     order-3 element) pairs by `_exceptional_pairs` -- each of the three is
     generated by such a pair.  The involutions run over class
-    representatives; the witness is the first pair of the largest kind."""
-    invol_reps = [cls[0] for cls in group.classes_of_order(2)]
+    representatives, the order-3 elements over the group, both as kernel
+    elements in enumeration order; the witness is the first pair of the
+    largest kind."""
+    kern = kernel(group.degree)
+    invol_reps = [kern.encode(cls[0]) for cls in group.classes_of_order(2)]
     best, witness = 0, {}
-    for order, kind, a, b in _exceptional_pairs(invol_reps, group.elements_of_order(3)):
+    for order, kind, a, b in _exceptional_pairs(kern, invol_reps, group.kernel_elements_of_order(3)):
         if order > best:
             best, witness = order, _witness(kind, order, a, b)
             if order == 60:
@@ -306,18 +325,19 @@ def _search_exceptional(group: PermGroup) -> tuple[int, dict]:
     return best, witness
 
 
-def _word_pool(group: PermGroup) -> list[tuple[int, ...]]:
+def _word_pool(kern: Kernel, generators: Sequence[tuple[int, ...]]) -> list[Element]:
     """The first `_WITNESS_WORDS` distinct nontrivial elements reached by a
     breadth-first walk over products of the generators and their inverses:
-    the shortest words, ties in generator order."""
-    steps = list(dict.fromkeys([*group.generators, *(invert(g) for g in group.generators)]))
-    identity = group.identity()
-    seen, pool, frontier = {identity}, [], [identity]
+    the shortest words, ties in generator order.  The words are kernel
+    elements of `kern`."""
+    steps = [kern.table(s) for s in dict.fromkeys(map(kern.encode, [*generators, *map(invert, generators)]))]
+    mul = kern.mul
+    seen, pool, frontier = {kern.identity}, [], [kern.identity]
     while frontier:
         reached = []
         for w in frontier:
             for s in steps:
-                y = compose(w, s)
+                y = mul(w, s)
                 if y not in seen:
                     seen.add(y)
                     pool.append(y)
@@ -338,23 +358,37 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
     <st>, as a cyclic group has one involution); and (involution, order-3)
     pairs whose kind `_exceptional_pairs` reads off ord(ab).  Every witness
     is checked by construction; the bound only ends the search.
+
+    The search runs in the chain's kernel for the group's degree
+    (`permgroup.kernel`) and builds no chain.  One walk over a word's
+    powers gives its order m, w^(m/2) and w^(m/3); a dihedral candidate st
+    is one product against t's table, and its order the length of a walk.
+    Only the witness's generators are written out, as cycle strings.
     """
-    words = _word_pool(group)
-    orders = [tuple_order(w) for w in words]
-    best = max(orders, default=1)
-    witness = _witness("cyclic", best, words[orders.index(best)]) if words else {}
-    involutions = list(dict.fromkeys(power(w, m // 2) for w, m in zip(words, orders) if m % 2 == 0))
-    threes = list(dict.fromkeys(power(w, m // 3) for w, m in zip(words, orders) if m % 3 == 0))
+    kern = kernel(group.degree)
+    best, best_word, involutions, threes = 1, None, {}, {}  # the dicts are ordered sets
+    for w in _word_pool(kern, group.generators):
+        walk = kern.powers(w)
+        m = len(walk)
+        if m > best:
+            best, best_word = m, w
+        if m % 2 == 0:
+            involutions.setdefault(walk[m // 2 - 1])
+        if m % 3 == 0:
+            threes.setdefault(walk[m // 3 - 1])
+    witness = {} if best_word is None else _witness("cyclic", best, best_word)
+    involutions = list(involutions)
 
     def dihedral():
+        mul, powers, tables = kern.mul, kern.powers, [kern.table(t) for t in involutions]
         for i, s in enumerate(involutions):
-            for t in involutions[i + 1:]:
-                x = compose(s, t)
-                yield 2 * tuple_order(x), "dihedral", x, t
+            for t, t_table in zip(involutions[i + 1:], tables[i + 1:]):
+                x = mul(s, t_table)
+                yield 2 * len(powers(x)), "dihedral", x, t
 
     if best >= bound:
         return best, witness
-    for candidates in (dihedral(), _exceptional_pairs(involutions, threes)):
+    for candidates in (dihedral(), _exceptional_pairs(kern, involutions, threes)):
         for order, kind, *generators in candidates:
             if order > best:
                 best, witness = order, _witness(kind, order, *generators)

@@ -21,7 +21,9 @@ that is used again and again (a level generator, a transversal inverse, an
 element whose powers are walked) is padded to one once, and a transversal
 inverse is made as a table directly, with ``bytes.maketrans``.  A byte
 holds a point only below 256, so larger degrees keep image tuples,
-``permutation.compose`` and ``invert``.
+``permutation.compose`` and ``invert``.  One helper, ``kernel(degree)``,
+makes that choice; the chain takes its kernel from it, and so does the
+Moebius word search, which builds no chain.
 
 Each group carries its enumeration cap, the largest order it enumerates
 (`DEFAULT_CAP` unless given), and hands it on to every subgroup it makes;
@@ -43,7 +45,9 @@ subgroups (``element_orders``), and the classes rest on two facts:
 
 The genus oracle's generating-vector search works on kernel elements as
 well: ``vector_pool`` hands it, once per group and per (slot kind, order),
-the elements with their right-factor and inverse tables.
+the elements with their right-factor and inverse tables.  So do the
+certifier's Moebius searches: the word search on the generators' words,
+and the exceptional-pair test on ``kernel_elements_of_order(3)``.
 
 Simplicity is first tried from the chain alone, before any element is
 enumerated: the derived subgroup, the order of the alternating group, and
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gcd
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import CapExceeded, NotDividing, ValidationError
 from .permutation import (
@@ -78,6 +82,39 @@ class EdcertInternalError(AssertionError):
 
 # an element as the stabilizer chain stores it: images as bytes, or as a tuple above degree 256
 Element = Union[bytes, tuple[int, ...]]
+
+
+class Kernel(NamedTuple):
+    """How elements of one degree are stored and multiplied; see `kernel`."""
+
+    identity: Element
+    encode: Callable[[Iterable[int]], Element]
+    mul: Callable[[Element, Element], Element]  # mul(p, table(q)) is p then q
+    table: Callable[[Element], Element]
+    inverse_table: Callable[[Element], Element]  # table(p^-1), made from p directly
+
+    def powers(self, x: Element) -> list[Element]:
+        """x, x^2, ..., x^m = 1, for x of order m."""
+        mul, identity, x_table = self.mul, self.identity, self.table(x)
+        walk = [x]
+        while x != identity:
+            x = mul(x, x_table)
+            walk.append(x)
+        return walk
+
+
+def kernel(degree: int) -> Kernel:
+    """The element kernel for `degree`: ``bytes`` images up to 256 points,
+    where a product is ``bytes.translate`` against the right factor padded
+    to a 256-entry table, and image tuples with ``compose`` above, where a
+    table is the element itself.  ``inverse_table(p)[:degree]`` is p^-1 in
+    either kernel.  Made afresh on each call, so it multiplies with the
+    ``compose`` the module holds at that moment."""
+    if degree <= 256:
+        pad = bytes(256 - degree)
+        identity = bytes(range(degree))
+        return Kernel(identity, bytes, bytes.translate, lambda q: q + pad, lambda u: bytes.maketrans(u, identity))
+    return Kernel(identity_tuple(degree), tuple, compose, tuple, invert)
 
 
 class _Level:
@@ -109,8 +146,8 @@ class StabilizerChain:
     inverses are stored as tables, made by ``bytes.maketrans``.  Above 256
     a point no longer fits in a byte: the chain stores image tuples,
     ``_mul`` is ``compose``, ``_table`` returns its argument and an inverse
-    is ``invert``.  The kernel is picked once per chain, and both kernels
-    run the same construction, so base, strong generators and transversals
+    is ``invert``.  The chain takes these slots from ``kernel(degree)``,
+    once per chain, and both kernels run the same construction, so base, strong generators and transversals
     are the same permutations either way.  Strong generators leave the
     chain as tuples; ``elements`` lists kernel elements for `PermGroup`.
 
@@ -127,15 +164,7 @@ class StabilizerChain:
         gens = [tuple(g) for g in generators]
         if any(len(g) != degree for g in gens):
             raise ValidationError("generator degree mismatch")
-        if degree <= 256:
-            pad = bytes(256 - degree)
-            identity = bytes(range(degree))
-            self._encode, self._mul = bytes, bytes.translate
-            self._table = lambda q: q + pad
-            self._inverse_table = lambda u: bytes.maketrans(u, identity)
-        else:
-            self._encode, self._mul, self._table, self._inverse_table = tuple, compose, tuple, invert
-        self._identity = self._encode(range(degree))
+        self._identity, self._encode, self._mul, self._table, self._inverse_table = kernel(degree)
         self.levels: list[_Level] = []
         gens = [g for g in map(self._encode, gens) if g != self._identity]
         for g in gens:
@@ -337,7 +366,7 @@ class PermGroup:
         # order; the largest orbit's point and size
         self._tables: dict[int, Element] = {}
         self._pools: dict[tuple[bool, int | None], tuple[tuple[Element, Element, Element], ...]] = {}
-        self._of_order: dict[int, frozenset[Element]] = {}
+        self._of_order: dict[int, dict[Element, None]] = {}
         self._largest_orbit: tuple[int, int] | None = None
         self._simple: bool | None = None
         self._derived: PermGroup | None = None
@@ -441,12 +470,13 @@ class PermGroup:
     def elements_of_order(self, m: int) -> tuple[tuple[int, ...], ...]:
         return tuple(self._tuple(i) for i, o in enumerate(self.element_orders()) if o == m)
 
-    def kernel_elements_of_order(self, m: int) -> frozenset[Element]:
-        """The elements of order m as kernel elements, cached per m."""
+    def kernel_elements_of_order(self, m: int) -> dict[Element, None]:
+        """The elements of order m as kernel elements, in enumeration order,
+        as the keys of a dict (an ordered set); cached per m."""
         found = self._of_order.get(m)
         if found is None:
             els = self._enumerate()
-            found = self._of_order[m] = frozenset(x for x, o in zip(els, self.element_orders()) if o == m)
+            found = self._of_order[m] = dict.fromkeys(x for x, o in zip(els, self.element_orders()) if o == m)
         return found
 
     def is_abelian(self) -> bool:

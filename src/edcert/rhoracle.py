@@ -278,7 +278,7 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
     forced = None if slots[last] is None else group.kernel_elements_of_order(slots[last])
     searched = slots if forced is None else slots[:last]
     pools = [group.vector_pool(m, i == 0) for i, m in enumerate(searched)]
-    if not all(pools) or forced == frozenset():
+    if not all(pools) or forced == {}:
         return None  # a period no element has
 
     degree = group.degree

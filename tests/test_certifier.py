@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from math import factorial, isqrt
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edcert import certifier, permgroup
+from edcert import certifier, permgroup, permutation
 from edcert.catalogue import _parse_cycles, build, parse_group_spec
 from edcert.certifier import (
     CERTIFIED,
@@ -28,7 +29,7 @@ from edcert.certifier import (
 )
 from edcert import rhoracle
 from edcert.errors import CapExceeded, NotSimple, ValidationError
-from edcert.permgroup import DEFAULT_CAP, PermGroup, closed_subgroup, max_proper_subgroup
+from edcert.permgroup import DEFAULT_CAP, PermGroup, closed_subgroup, kernel, max_proper_subgroup
 from edcert.rhoracle import Signature, acts_on_genus_le
 from edcert.permutation import Permutation, cycle_string
 
@@ -209,7 +210,9 @@ def test_exceptional_pairs_agree_with_closing_each_pair(gens):
                 name, fingerprint = FINGERPRINTS[len(sub)]
                 if Counter(Permutation(x).order() for x in sub) == fingerprint:
                     expected.append((len(sub), name, a, b))
-    assert list(_exceptional_pairs(involutions, threes)) == expected
+    k = kernel(degree)
+    pairs = _exceptional_pairs(k, map(k.encode, involutions), map(k.encode, threes))
+    assert [(order, kind, tuple(a), tuple(b)) for order, kind, a, b in pairs] == expected
 
 
 @pytest.mark.parametrize("text", MOBIUS_GROUPS)
@@ -284,10 +287,8 @@ def subgroup_by_permutations(generators):
     return elements
 
 
-@pytest.mark.parametrize("p", sorted(DICKSON_MAX_MOBIUS))
-def test_witness_search_witnesses_recheck_with_permutations(p):
-    group = build(parse_group_spec(f"PSL2:{p}"))
-    witness = cond2_mobius_subgroup(group, None, HYBRID).detail["witness"]
+def assert_witness_rechecks(group, witness):
+    """A cond2 witness names a Moebius subgroup of its order, by Permutation arithmetic."""
     gens = [_parse_cycles(text, 0, group.degree) for text in witness["generators"]]
     assert all(g.images in group for g in gens)
     one = Permutation.identity(group.degree)
@@ -303,6 +304,75 @@ def test_witness_search_witnesses_recheck_with_permutations(p):
         closure = subgroup_by_permutations(gens)
         assert (witness["type"], len(closure)) == (name, witness["order"])
         assert Counter(g.order() for g in closure) == fingerprint
+
+
+@pytest.mark.parametrize("p", sorted(DICKSON_MAX_MOBIUS))
+def test_witness_search_witnesses_recheck_with_permutations(p):
+    group = build(parse_group_spec(f"PSL2:{p}"))
+    assert_witness_rechecks(group, cond2_mobius_subgroup(group, None, HYBRID).detail["witness"])
+
+
+WHOLE_POOL_GROUPS = [f"PSL2:{p}" for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)] + [
+    "A:5", "A:6", "A:7", "A:8", "S:5", "perm:7:(0 1 2 3 4 5 6),(0 1)(2 4)"]  # the last is PSL(3,2)
+
+
+def test_whole_pool_word_search_is_pinned():
+    # a bound no subgroup reaches runs every cyclic, dihedral and exceptional
+    # loop to its end, so every word, power and pair the search visits, and
+    # the order it visits them in, can move the digest
+    lines = []
+    for text in WHOLE_POOL_GROUPS:
+        group = build(parse_group_spec(text))
+        best, witness = _search_words(group, group.order + 1)
+        lines.append(json.dumps([text, best, witness]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d5207c12326676e99e26d1e094fa574e3b3219098f22fdc98b28a8a9278461c2"
+
+
+@pytest.mark.parametrize("text, largest", [("PSL2:7", 24), ("PSL2:11", 60), ("A:6", 60)])
+def test_both_kernels_search_words_alike(group_of, text, largest):
+    # padding the generators with fixed points to degree 300 moves the search
+    # from bytes to image tuples; no word, order or witness may change, whether
+    # the search stops at the largest Moebius order or runs the whole pool
+    group = group_of(text)
+    padded = PermGroup([g + tuple(range(group.degree, 300)) for g in group.generators], degree=300)
+    assert type(kernel(group.degree).identity) is bytes and type(kernel(300).identity) is tuple
+    for bound in (largest, group.order + 1):
+        assert _search_words(padded, bound) == _search_words(group, bound)
+        assert _search_words(group, bound)[0] == largest
+
+
+def test_psl2_257_word_search_runs_on_the_tuple_kernel():
+    # the only family group whose hybrid word search multiplies image tuples
+    group = build(parse_group_spec("PSL2:257"), cap=10**8)
+    report = cond2_mobius_subgroup(group, None, HYBRID)
+    assert (report.method, report.detail["best_order"], report.detail["witness"]["type"]) == (
+        "witness_search", 514, "dihedral")
+    assert group._elements is None
+    assert_witness_rechecks(group, report.detail["witness"])
+
+
+def test_hybrid_word_search_multiplies_no_image_tuples(monkeypatch):
+    # PSL2(13..53) run the search on bytes: no tuple product, no Python-level
+    # order, wherever in the package compose and tuple_order are reached
+    calls = []
+    for name in ("compose", "tuple_order"):
+        original = getattr(permutation, name)
+
+        def counting(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key == "edcert" or key.startswith("edcert.")]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    for p in (13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
+        group = build(parse_group_spec(f"PSL2:{p}"))
+        report = cond2_mobius_subgroup(group, None, HYBRID)
+        assert (report.method, report.detail["best_order"]) == ("witness_search", DICKSON_MAX_MOBIUS[p])
+        assert group._built is None
+    assert calls == []
 
 
 @settings(max_examples=25, deadline=None)
