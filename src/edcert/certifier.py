@@ -58,7 +58,7 @@ COND_GENUS = "no_small_genus_action"
 
 # k -> the (2, 3, k) triangle group and its order, for k = 3, 4, 5
 _TRIANGLE_GROUPS = {3: ("A4", 12), 4: ("S4", 24), 5: ("A5", 60)}
-# Words in the hybrid witness search's pool.  The search reaches Dickson's
+# Words in the witness search's pool.  The search reaches Dickson's
 # bound on every PSL2(p) within the enumeration cap (7 <= p <= 53) from 180
 # words on: p = 53 needs 180 for its D_106, and 170 find only D_54.  256
 # leaves a margin above 180.
@@ -400,15 +400,27 @@ def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
 def cond2_mobius_subgroup(group: PermGroup, n: int | None, mode: str) -> ConditionReport:
     """Certify a Moebius subgroup of order > n.
 
-    Searches cyclic, then dihedral, then the exceptional types A4/S4/A5,
-    read off ord(ab) for an involution a and an order-3 element b
+    One witness certifies, and only a refutation needs every element.  So
+    with an n, in computed and hybrid mode, `_search_words` looks first
+    for a word witness of order >= n + 1.  It builds no chain and
+    enumerates no element, so the enumeration cap does not bind it.  A
+    hit certifies with method `word_search`; a miss goes on to the stages
+    below.  The search is skipped above `permgroup.BYTES_DEGREE`, where a
+    word is an image tuple of the full degree and each step of a walk over
+    its powers is a `compose`.
+
+    The stages search cyclic, then dihedral, then the exceptional types
+    A4/S4/A5, read off ord(ab) for an involution a and an order-3 element b
     (`_exceptional_pairs`), stopping at the first stage that certifies.
     Each stage returns its (order, witness), and a later stage wins a tie.
     Refutation is sound because each stage is exhaustive up to conjugacy
     for its subgroup type.  The paper-formula mode, and the hybrid fallback
     beyond the enumeration cap, consider cyclic subgroups only and so never
     refute.  Without an n all three stages run, and the range is the
-    largest order found minus one.
+    largest order found minus one.  With an n, the detail keys
+    `cyclic_max`, `dihedral_max`, `exceptional_max` and `exceptional_kind`
+    appear only when the stages ran; a `word_search` report has none of
+    them, and a cyclic-only report has `cyclic_max` alone.
 
     Without an n in hybrid mode, within the enumeration cap, a group whose
     family constants give the largest Moebius order (Dickson's list for
@@ -424,6 +436,11 @@ def cond2_mobius_subgroup(group: PermGroup, n: int | None, mode: str) -> Conditi
         if best >= bound:
             detail = {"best_order": best, "witness": witness, "bound_provenance": MOBIUS_BOUND_PROVENANCE}
             return ConditionReport(COND_MOBIUS, REFUTED, "witness_search", detail, best - 1)
+    if n is not None and mode != PAPER_FORMULA and group.degree <= permgroup.BYTES_DEGREE:
+        best, witness = _search_words(group, n + 1)
+        if best > n:
+            detail.update(best_order=best, witness=witness)
+            return ConditionReport(COND_MOBIUS, CERTIFIED, "word_search", detail)
 
     try:
         if mode == PAPER_FORMULA:

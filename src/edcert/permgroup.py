@@ -82,6 +82,8 @@ class EdcertInternalError(AssertionError):
 
 # an element as the stabilizer chain stores it: images as bytes, or as a tuple above degree 256
 Element = Union[bytes, tuple[int, ...]]
+# the largest degree whose elements are bytes: a byte holds a point only below 256
+BYTES_DEGREE = 256
 
 
 class Kernel(NamedTuple):
@@ -110,8 +112,8 @@ def kernel(degree: int) -> Kernel:
     table is the element itself.  ``inverse_table(p)[:degree]`` is p^-1 in
     either kernel.  Made afresh on each call, so it multiplies with the
     ``compose`` the module holds at that moment."""
-    if degree <= 256:
-        pad = bytes(256 - degree)
+    if degree <= BYTES_DEGREE:
+        pad = bytes(BYTES_DEGREE - degree)
         identity = bytes(range(degree))
         return Kernel(identity, bytes, bytes.translate, lambda q: q + pad, lambda u: bytes.maketrans(u, identity))
     return Kernel(identity_tuple(degree), tuple, compose, tuple, invert)
@@ -318,7 +320,8 @@ class PermGroup:
     the chain raises EdcertInternalError.  Since the value bounds |G| from above,
     that check can catch only a group smaller than the formula.  The
     simplicity test builds the chain before it reads the order, so no
-    computed decision rests on the formula unchecked.
+    computed decision rests on the formula unchecked (an abelian group it
+    decides from its generators alone).
 
     `cap` is the enumeration cap: every element-level query raises
     CapExceeded when the order exceeds it.  It is fixed when the group is
@@ -658,9 +661,11 @@ class PermGroup:
     def _simplicity_from_chain(self) -> bool | None:
         """Nonabelian simplicity from chain-only facts, or None.
 
+        * An abelian group is not simple.  Its generators commute, which
+          decides it before the chain is built.
         * A group of order d!/2 on d >= 5 points is the alternating group
           A_d, the only subgroup of index 2 in S_d, and is simple.
-        * An abelian group, or one whose derived subgroup is proper, is not.
+        * A group whose derived subgroup is proper is not.
         * Iwasawa's criterion: let G be perfect and 2-transitive (the chain's
           orbits begin d, d - 1), H the stabilizer of the first base point
           and K != 1 the first abelian term of H's derived series, normal in
@@ -673,10 +678,12 @@ class PermGroup:
         is proper, or G is not 2-transitive.  The order is the chain's:
         building the chain checks a given order first.
         """
+        if self.is_abelian():
+            return False
         d, order = self.degree, self._chain.order()
         if d >= 5 and order == factorial(d) // 2:
             return True
-        if self.is_abelian() or self.derived_subgroup().order < order:
+        if self.derived_subgroup().order < order:
             return False
         if self.orbit_sizes()[:2] != (d, d - 1):
             return None

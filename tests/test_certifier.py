@@ -23,6 +23,7 @@ from edcert.certifier import (
     cond3_no_small_genus_action,
     max_certified_n,
     _exceptional_pairs,
+    _search_cyclic,
     _search_dihedral,
     _search_exceptional,
     _search_words,
@@ -126,14 +127,18 @@ def test_deciders_guard_their_own_simplicity(group_of, text, mode):
 
 
 def test_cond2_cyclic_witnesses(group_of):
-    report = cond2_mobius_subgroup(group_of("PSL2:13"), 4, COMPUTED)
-    assert (report.verdict, report.method) == (CERTIFIED, "cyclic_search")
-    assert report.detail["witness"]["order"] == 13
+    order, witness = _search_cyclic(group_of("PSL2:13"))
+    assert order == witness["order"] == 13
 
-    report = cond2_mobius_subgroup(group_of("A:7"), 6, COMPUTED)
-    assert (report.verdict, report.method) == (CERTIFIED, "cyclic_search")
-    assert report.detail["witness"]["type"] == "cyclic"
-    assert report.detail["witness"]["order"] == 7  # a 7-cycle
+    order, witness = _search_cyclic(group_of("A:7"))
+    assert (order, witness["type"], witness["order"]) == (7, "cyclic", 7)  # a 7-cycle
+
+    # with an n, a word witness certifies before the cyclic stage runs
+    for text, n, order in (("PSL2:13", 4, 13), ("A:7", 6, 7)):
+        report = cond2_mobius_subgroup(group_of(text), n, COMPUTED)
+        assert (report.verdict, report.method) == (CERTIFIED, "word_search")
+        assert (report.detail["witness"]["type"], report.detail["witness"]["order"]) == ("cyclic", order)
+        assert "cyclic_max" not in report.detail
 
 
 def test_cond2_dihedral_and_exceptional_stages(group_of):
@@ -231,8 +236,9 @@ def test_dihedral_search_equals_scanning_every_class(group_of, text):
 
 @pytest.mark.parametrize(
     "text, n, mode, cyclic_max",
-    [("PSL2:59", 59, HYBRID, 59),  # beyond the enumeration cap; contains A5 and D60
-     ("PSL2:61", 100, HYBRID, 61),  # contains D122, as 61 = 1 mod 4
+    # beyond the enumeration cap, at an n that no word witness reaches
+    [("PSL2:59", 60, HYBRID, 59),  # its largest Moebius subgroups, A5 and D60, have order 60
+     ("PSL2:61", 122, HYBRID, 61),  # its largest is D122, as 61 = 1 mod 4
      ("PSL2:7", 7, PAPER_FORMULA, 7)],  # contains S4
 )
 def test_cyclic_only_search_does_not_refute(group_of, text, n, mode, cyclic_max):
@@ -292,7 +298,10 @@ def assert_witness_rechecks(group, witness):
     gens = [_parse_cycles(text, 0, group.degree) for text in witness["generators"]]
     assert all(g.images in group for g in gens)
     one = Permutation.identity(group.degree)
-    if witness["type"] == "dihedral":
+    if witness["type"] == "cyclic":
+        (g,) = gens
+        assert g.order() == witness["order"]
+    elif witness["type"] == "dihedral":
         x, t = gens
         s = x * t  # x = st
         assert s * s == t * t == one and s != t
@@ -310,6 +319,56 @@ def assert_witness_rechecks(group, witness):
 def test_witness_search_witnesses_recheck_with_permutations(p):
     group = build(parse_group_spec(f"PSL2:{p}"))
     assert_witness_rechecks(group, cond2_mobius_subgroup(group, None, HYBRID).detail["witness"])
+
+
+WORD_SEARCH_GROUPS = ["A:5", "A:6", "A:7", "A:8", "A:9"] + [
+    f"PSL2:{p}" for p in (7, 11, 13, 17, 23, 29, 41, 53, 59, 61, 101, 113, 157, 199)]
+
+
+@pytest.mark.parametrize("text", WORD_SEARCH_GROUPS)
+def test_word_search_witnesses_recheck_with_permutations(text):
+    # every condition-2 word witness certify emits names a Moebius subgroup of
+    # order > n, and a direct call that certifies this way enumerates nothing
+    group = build(parse_group_spec(text))
+    emitted = 0
+    for mode in (COMPUTED, HYBRID):
+        for n in (2, 5, 9, 14, 24, 59, 60, 100, 150, 198):
+            report = cond2_mobius_subgroup(build(parse_group_spec(text)), n, mode)
+            if report.method == "word_search":
+                assert report.verdict == CERTIFIED
+                assert report.detail["witness"]["order"] == report.detail["best_order"] > n
+            mobius = certify(group, n, mode).condition("mobius_subgroup")
+            assert mobius.to_json() == report.to_json()
+            if mobius.method == "word_search":
+                assert_witness_rechecks(group, mobius.detail["witness"])
+                emitted += 1
+        assert cond2_mobius_subgroup(group, 2, mode).method == "word_search"
+    assert emitted >= 2
+
+
+def test_word_search_leaves_the_group_unenumerated():
+    for text, n in (("A:8", 14), ("PSL2:53", 60), ("PSL2:37", 18)):
+        for mode in (COMPUTED, HYBRID):
+            group = build(parse_group_spec(text))
+            report = cond2_mobius_subgroup(group, n, mode)
+            assert (report.verdict, report.method) == (CERTIFIED, "word_search")
+            assert group._elements is None and group._built is None
+
+
+def test_no_word_search_above_the_bytes_degree(monkeypatch):
+    # above 256 points a word is an image tuple of the full degree, and each
+    # step of a walk over its powers a compose: on D:100000 the pool alone
+    # would hold 256 tuples of 100,000 points
+    assert cond2_mobius_subgroup(build(parse_group_spec("C:256")), 10, COMPUTED).method == "word_search"
+
+    def refuse(group, bound):
+        raise AssertionError(f"word search on degree {group.degree}")
+
+    monkeypatch.setattr(certifier, "_search_words", refuse)
+    expected = {"C:300": (CERTIFIED, "cyclic_search"), "D:100000": (UNKNOWN, None), "PSL2:257": (UNKNOWN, None)}
+    for text, (verdict, method) in expected.items():
+        report = cond2_mobius_subgroup(build(parse_group_spec(text)), 10, COMPUTED)
+        assert (report.verdict, report.method) == (verdict, method)
 
 
 WHOLE_POOL_GROUPS = [f"PSL2:{p}" for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)] + [
@@ -417,9 +476,11 @@ PINNED_COND2_NS = [None, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13, 23, 24, 59, 60]
 
 def test_cond2_reports_are_pinned(group_of):
     # Every report condition 2 gives on these inputs, JSON key order
-    # included: the witness each stage returns, the per-stage maxima and
-    # the exceptional kind all move the digest.  None of these groups has
-    # two stages of equal order; the tie rule is pinned below.
+    # included: the word witness, the witness each stage returns, the
+    # per-stage maxima and the exceptional kind all move the digest.  A word
+    # witness certifies 250 of the reports before any stage runs, so each
+    # stage's own (order, witness) on each group is pinned as well.  None of
+    # these groups has two stages of equal order; the tie rule is pinned below.
     inputs = [(text, mode, n) for text in PINNED_COND2_GROUPS
               for mode in (COMPUTED, HYBRID, PAPER_FORMULA) for n in PINNED_COND2_NS]
     inputs += [(f"PSL2:{p}", mode, None) for p in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -429,8 +490,12 @@ def test_cond2_reports_are_pinned(group_of):
         report = cond2_mobius_subgroup(group_of(text), n, mode)
         lines.append(json.dumps([text, mode, n, report.to_json(), report.certified_up_to]))
     assert len(lines) == 515
+    assert sum(json.loads(line)[3]["method"] == "word_search" for line in lines) == 250
+    for text in PINNED_COND2_GROUPS:
+        for stage in (_search_cyclic, _search_dihedral, _search_exceptional):
+            lines.append(json.dumps([text, stage.__name__, stage(group_of(text))]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "5c71aaf62eca97d399b62553f3f5ab652c9dabc010dfccb8b8c2dacf288f7e0f"
+    assert digest == "72c979e998318baaa0caf457bedd1d80e22af3a8cfb3dd2bb06b1fa3f17772f7"
 
 
 @pytest.mark.parametrize(
@@ -530,15 +595,23 @@ def test_certify_monotone_in_n(group_of):
 
 
 def test_certify_cap_degrades_to_unknown(group_of):
-    cert = crt(group_of, "PSL2:19", 2, cap=100)
+    group = group_of("PSL2:19", 100)
+    cert = certify(group, 2, COMPUTED)
     assert cert.overall == UNKNOWN
-    assert all(c.verdict == UNKNOWN for c in cert.conditions)
+    assert cert.condition("no_small_index").verdict == cert.condition("no_small_genus_action").verdict == UNKNOWN
+    # a word witness enumerates nothing, so the cap does not bind it
+    mobius = cert.condition("mobius_subgroup")
+    assert (mobius.verdict, mobius.method) == (CERTIFIED, "word_search")
+    assert group._elements is None
 
 
 def test_certify_hybrid_reaches_big_groups(group_of):
-    cert = crt(group_of, "PSL2:199", 166, mode=HYBRID)
+    group = group_of("PSL2:199")
+    cert = certify(group, 166, HYBRID)
     assert cert.overall == CERTIFIED
-    assert cert.condition("mobius_subgroup").method == "literature_override"
+    mobius = cert.condition("mobius_subgroup")
+    assert (mobius.method, mobius.detail["witness"]["order"]) == ("word_search", 199)
+    assert_witness_rechecks(group, mobius.detail["witness"])
 
 
 # -- max_certified_n ----------------------------------------------------------------
@@ -748,7 +821,10 @@ COMPUTED_SWEEP = ["A:5", "A:6", "A:7", "A:8", "S:5", "PSL2:7", "PSL2:11", "PSL2:
 @pytest.mark.parametrize("text", COMPUTED_SWEEP)
 def test_computed_mode_builds_the_chain_before_any_decider(monkeypatch, text):
     # computed mode decides simplicity first, and that builds the chain, which
-    # checks the family order: no computed verdict rests on the formula alone
+    # checks the family order: no computed verdict rests on the formula alone.
+    # The one exception reads no order: commuting generators (C:7) decide
+    # "not simple" with no chain.
+    abelian = build(parse_group_spec(text)).is_abelian()
     entered = []  # for each decider call: was the group's chain built when it began?
 
     def recording(decider):
@@ -763,14 +839,14 @@ def test_computed_mode_builds_the_chain_before_any_decider(monkeypatch, text):
         group = build(parse_group_spec(text))  # a fresh group: no chain yet
         assert group._built is None
         certify(group, n, COMPUTED)
-        assert group._built is not None
+        assert group._built is not None or abelian
     group = build(parse_group_spec(text))
     try:
         max_certified_n(group, COMPUTED)
     except NotSimple:
         pass
-    assert group._built is not None
-    assert entered and all(entered)
+    assert (group._built is not None) != abelian
+    assert entered and all(entered) != abelian
 
 
 @pytest.mark.parametrize("text", ["PSL2:59", "PSL2:61"])
