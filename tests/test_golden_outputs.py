@@ -16,7 +16,11 @@ subgroup, so `maxn_psl2_{23,29,41}_hybrid.json` were re-recorded: in each,
 only `details.cond2` changed (method `witness_search`, the bound's
 provenance and the witness; PSL2(23) now shows a dihedral group of order
 24 instead of S4).  The same order, and so every maximum, is unchanged.
-The files pin every method `maxn` and `certify` report.  The last three
+Computed `certify` now takes condition 2 from a word witness before any
+search stage runs, so `certify_a5_n5.json`, `certify_a6_n6.json` and
+`certify_psl2_11_n6.json` were re-recorded: in each, only condition 2
+changed (method `word_search`, the word witness, and no per-stage maxima),
+and its verdict did not.  The files pin every method `maxn` and `certify` report.  The last three
 were recorded before the subgroup search stopped at |G| // k0 and the
 vector search at its orbit check, and pin the witnesses both searches
 return.  The two PSL2 tables 7..199, in paper-formula and hybrid mode, were
