@@ -25,7 +25,7 @@ Three modes separate what is being verified:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, isqrt
+from math import factorial, inf, isqrt
 from typing import Iterable, Sequence
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, FamilyConstants, family_overrides
@@ -40,7 +40,7 @@ from .permgroup import (
     inverting_involution,
     kernel,
 )
-from .permutation import cycle_string, invert
+from .permutation import cycle_string, invert, tuple_order
 from . import permgroup, rhoracle
 
 COMPUTED = "computed"
@@ -348,51 +348,62 @@ def _word_pool(kern: Kernel, generators: Sequence[tuple[int, ...]]) -> list[Elem
     return pool
 
 
-def _search_words(group: PermGroup, bound: int) -> tuple[int, dict]:
+def _search_words(group: PermGroup, bound: int | None) -> tuple[int, dict]:
     """Largest Moebius witness (order, witness) among short words, without
-    enumerating the group; stops as soon as the order reaches `bound`.
+    enumerating the group; stops as soon as the order reaches `bound`, and
+    with no bound runs every loop to its end.
 
     In order: the words themselves (cyclic); pairs of distinct involutions
     s != t among the words' powers, which generate a dihedral group of
     order 2 * ord(st), with witness [st, t] (t inverts st and lies outside
     <st>, as a cyclic group has one involution); and (involution, order-3)
-    pairs whose kind `_exceptional_pairs` reads off ord(ab).  Every witness
-    is checked by construction; the bound only ends the search.
+    pairs whose kind `_exceptional_pairs` reads off ord(ab).  The last loop
+    gives at most A5, of order 60, so it is skipped for a bound above 60.
+    Every witness is checked by construction; the bound only ends the
+    search.
 
     The search runs in the chain's kernel for the group's degree
-    (`permgroup.kernel`) and builds no chain.  One walk over a word's
-    powers gives its order m, w^(m/2) and w^(m/3); a dihedral candidate st
-    is one product against t's table, and its order the length of a walk.
-    Only the witness's generators are written out, as cycle strings.
+    (`permgroup.kernel`) and builds no chain.  A word's walk over its
+    powers (`Kernel.powers`) gives its order m, w^(m/2) and w^(m/3); past
+    `permgroup.WALK` powers, or on image tuples, m is the lcm of the cycle
+    lengths and the two powers come by repeated squaring, so neither time
+    nor memory grows with m.  A dihedral candidate st is one product
+    against t's table, and its order `Kernel.order`.  Only the witness's
+    generators are written out, as cycle strings.
     """
     kern = kernel(group.degree)
     best, best_word, involutions, threes = 1, None, {}, {}  # the dicts are ordered sets
+    powers, power = kern.powers, kern.power
     for w in _word_pool(kern, group.generators):
-        walk = kern.powers(w)
-        m = len(walk)
+        walk = powers(w)
+        m = len(walk) if walk else tuple_order(w)
         if m > best:
             best, best_word = m, w
         if m % 2 == 0:
-            involutions.setdefault(walk[m // 2 - 1])
+            involutions.setdefault(walk[m // 2 - 1] if walk else power(w, m // 2))
         if m % 3 == 0:
-            threes.setdefault(walk[m // 3 - 1])
+            threes.setdefault(walk[m // 3 - 1] if walk else power(w, m // 3))
     witness = {} if best_word is None else _witness("cyclic", best, best_word)
     involutions = list(involutions)
 
     def dihedral():
-        mul, powers, tables = kern.mul, kern.powers, [kern.table(t) for t in involutions]
+        mul, order_of, tables = kern.mul, kern.order, [kern.table(t) for t in involutions]
         for i, s in enumerate(involutions):
             for t, t_table in zip(involutions[i + 1:], tables[i + 1:]):
                 x = mul(s, t_table)
-                yield 2 * len(powers(x)), "dihedral", x, t
+                yield 2 * order_of(x), "dihedral", x, t
 
-    if best >= bound:
+    stop = inf if bound is None else bound
+    if best >= stop:
         return best, witness
-    for candidates in (dihedral(), _exceptional_pairs(kern, involutions, threes)):
+    loops = [dihedral()]
+    if bound is None or bound <= 60:
+        loops.append(_exceptional_pairs(kern, involutions, threes))
+    for candidates in loops:
         for order, kind, *generators in candidates:
             if order > best:
                 best, witness = order, _witness(kind, order, *generators)
-                if best >= bound:
+                if best >= stop:
                     return best, witness
     return best, witness
 
@@ -406,8 +417,9 @@ def cond2_mobius_subgroup(group: PermGroup, n: int | None, mode: str) -> Conditi
     enumerates no element, so the enumeration cap does not bind it.  A
     hit certifies with method `word_search`; a miss goes on to the stages
     below.  The search is skipped above `permgroup.BYTES_DEGREE`, where a
-    word is an image tuple of the full degree and each step of a walk over
-    its powers is a `compose`.
+    word is an image tuple of the full degree and each product a
+    `compose`.  Its time and memory do not grow with the order of a word,
+    which may pass the cap by far (`_search_words`).
 
     The stages search cyclic, then dihedral, then the exceptional types
     A4/S4/A5, read off ord(ab) for an involution a and an order-3 element b
@@ -424,21 +436,25 @@ def cond2_mobius_subgroup(group: PermGroup, n: int | None, mode: str) -> Conditi
 
     Without an n in hybrid mode, within the enumeration cap, a group whose
     family constants give the largest Moebius order (Dickson's list for
-    PSL2(p)) first tries `_search_words`, which enumerates no element: a
-    witness that reaches the constant gives the range at once, and the
-    three stages run only when none does.
+    PSL2(p)) first tries `_search_words` with that order as the target,
+    which enumerates no element: a witness that reaches it gives the range
+    at once (method `witness_search`), and the three stages run only when
+    none does.
     """
     detail: dict = {} if n is None else {"n": n, "required_order": n + 1}
     constants = _literature(group, mode)
-    bound = constants.max_mobius_order if constants is not None and mode == HYBRID else None
-    if n is None and bound is not None and group.order <= group.cap:
-        best, witness = _search_words(group, bound)
-        if best >= bound:
+    if n is not None:
+        target = n + 1 if mode != PAPER_FORMULA and group.degree <= permgroup.BYTES_DEGREE else None
+    elif mode == HYBRID and constants is not None and group.order <= group.cap:
+        target = constants.max_mobius_order
+    else:
+        target = None
+    if target is not None:
+        best, witness = _search_words(group, target)
+        if best >= target and n is None:
             detail = {"best_order": best, "witness": witness, "bound_provenance": MOBIUS_BOUND_PROVENANCE}
             return ConditionReport(COND_MOBIUS, REFUTED, "witness_search", detail, best - 1)
-    if n is not None and mode != PAPER_FORMULA and group.degree <= permgroup.BYTES_DEGREE:
-        best, witness = _search_words(group, n + 1)
-        if best > n:
+        if best >= target:
             detail.update(best_order=best, witness=witness)
             return ConditionReport(COND_MOBIUS, CERTIFIED, "word_search", detail)
 

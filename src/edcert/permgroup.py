@@ -23,7 +23,9 @@ inverse is made as a table directly, with ``bytes.maketrans``.  A byte
 holds a point only below 256, so larger degrees keep image tuples,
 ``permutation.compose`` and ``invert``.  One helper, ``kernel(degree)``,
 makes that choice; the chain takes its kernel from it, and so does the
-Moebius word search, which builds no chain.
+Moebius word search, which builds no chain.  There an element's order
+comes from a walk over at most `WALK` of its powers, and past that, or on
+image tuples, from its cycle lengths; a power comes by repeated squaring.
 
 Each group carries its enumeration cap, the largest order it enumerates
 (`DEFAULT_CAP` unless given), and hands it on to every subgroup it makes;
@@ -70,6 +72,7 @@ from .permutation import (
     identity_tuple,
     invert,
     power,
+    tuple_order,
 )
 
 if TYPE_CHECKING:
@@ -84,6 +87,8 @@ class EdcertInternalError(AssertionError):
 Element = Union[bytes, tuple[int, ...]]
 # the largest degree whose elements are bytes: a byte holds a point only below 256
 BYTES_DEGREE = 256
+# the most powers `Kernel.powers` walks; past it an order comes from the cycles
+WALK = 256
 
 
 class Kernel(NamedTuple):
@@ -95,14 +100,39 @@ class Kernel(NamedTuple):
     table: Callable[[Element], Element]
     inverse_table: Callable[[Element], Element]  # table(p^-1), made from p directly
 
-    def powers(self, x: Element) -> list[Element]:
-        """x, x^2, ..., x^m = 1, for x of order m."""
+    def powers(self, x: Element) -> list[Element] | None:
+        """x, x^2, ..., x^m = 1 for x of order m <= `WALK`, on bytes, where
+        a step is one ``translate``; else None, after at most `WALK` steps,
+        so neither time nor memory grows with the order.  Image tuples are
+        not walked: a step there is a full ``compose``."""
+        if type(x) is not bytes:
+            return None
         mul, identity, x_table = self.mul, self.identity, self.table(x)
         walk = [x]
         while x != identity:
+            if len(walk) == WALK:
+                return None
             x = mul(x, x_table)
             walk.append(x)
         return walk
+
+    def order(self, x: Element) -> int:
+        """Order of x: the length of its walk, else the lcm of its cycle
+        lengths (``tuple_order``), one Python step per point."""
+        walk = self.powers(x)
+        return len(walk) if walk else tuple_order(x)
+
+    def power(self, x: Element, k: int) -> Element:
+        """x^k for k >= 0, by repeated squaring: about 2 log2(k) products."""
+        mul, table, result = self.mul, self.table, self.identity
+        while k:
+            x_table = table(x)
+            if k & 1:
+                result = mul(result, x_table)
+            k >>= 1
+            if k:
+                x = mul(x, x_table)
+        return result
 
 
 def kernel(degree: int) -> Kernel:

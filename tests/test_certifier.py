@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
 import sys
 from collections import Counter
 from math import factorial, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -351,8 +355,8 @@ def test_word_search_witnesses_recheck_with_permutations(text):
 
 def test_no_word_search_above_the_bytes_degree(monkeypatch):
     # above 256 points a word is an image tuple of the full degree, and each
-    # step of a walk over its powers a compose: on D:100000 the pool alone
-    # would hold 256 tuples of 100,000 points
+    # product a compose: on D:100000 the pool alone would hold 256 tuples of
+    # 100,000 points
     assert cond2_mobius_subgroup(build(parse_group_spec("C:256")), 10, COMPUTED).method == "word_search"
 
     def refuse(group, bound):
@@ -365,18 +369,85 @@ def test_no_word_search_above_the_bytes_degree(monkeypatch):
         assert (report.verdict, report.method) == (verdict, method)
 
 
+# disjoint cycles of these lengths fill 100 points, and their lcm, 223,092,870,
+# is the order of an element whose powers no walk may list
+LARGE_ORDER_CYCLES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+LARGE_ORDER = 223092870
+
+
+def large_order_specs():
+    """perm:100 specs: <g> for g of order LARGE_ORDER, and the dihedral group
+    of order 2 * LARGE_ORDER made by two reflections s, t of each cycle's
+    points, with st = g."""
+    g, s, t, start = list(range(100)), list(range(100)), list(range(100)), 0
+    for length in LARGE_ORDER_CYCLES:
+        for i in range(length):
+            g[start + i] = start + (i + 1) % length
+            s[start + i] = start + -i % length
+            t[start + i] = start + (1 - i) % length
+        start += length
+    return f"perm:100:{cycle_string(tuple(g))}", f"perm:100:{cycle_string(tuple(s))},{cycle_string(tuple(t))}"
+
+
+def test_kernel_order_and_powers_do_not_grow_with_the_order():
+    cyclic, _ = large_order_specs()
+    (g,) = build(parse_group_spec(cyclic)).generators
+    for kern in (kernel(100), kernel(300)):
+        x = kern.encode(g + tuple(range(100, len(kern.identity))))
+        assert kern.powers(x) is None and kern.order(x) == LARGE_ORDER
+        for k in (0, 1, 2, LARGE_ORDER // 2, LARGE_ORDER // 3, LARGE_ORDER - 1, LARGE_ORDER):
+            assert tuple(kern.power(x, k)[:100]) == permutation.power(g, k)
+    small = kernel(7).encode((1, 2, 3, 4, 5, 6, 0))
+    assert kernel(7).powers(small) == [kernel(7).power(small, k) for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("mode", [COMPUTED, HYBRID])
+def test_words_of_large_order_certify_within_bounded_memory(mode):
+    # a walk over the powers of the cyclic spec's generator, or of st in the
+    # dihedral one, would list 223,092,870 elements: certify must answer
+    # within 300 MB of address space, as at n where the search misses
+    root = Path(__file__).resolve().parents[1]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    cyclic, dihedral = large_order_specs()
+    cases = [(cyclic, 10, CERTIFIED, LARGE_ORDER), (dihedral, LARGE_ORDER, CERTIFIED, 2 * LARGE_ORDER),
+             (dihedral, 2 * LARGE_ORDER, UNKNOWN, None)]
+    for text, n, verdict, order in cases:
+        run = subprocess.run([sys.executable, "-m", "edcert", "certify", "--group", text, "--n", str(n),
+                              "--mode", mode, "--json", "--no-timing"], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(root / "src")}, preexec_fn=limit, timeout=120)
+        assert (run.returncode, run.stderr) == (1, ""), run.stderr  # conditions 1 and 3 stay unknown
+        (mobius,) = [c for c in json.loads(run.stdout)["payload"]["conditions"] if c["condition"] == "mobius_subgroup"]
+        assert mobius["verdict"] == verdict
+        if order is None:
+            continue
+        witness = mobius["detail"]["witness"]
+        assert (mobius["method"], witness["order"]) == ("word_search", order)
+        group = build(parse_group_spec(text))
+        assert cond2_mobius_subgroup(group, n, mode).to_json() == mobius
+        assert group._elements is None and group._built is None
+        gens = [_parse_cycles(cycles, 0, 100) for cycles in witness["generators"]]
+        assert all(g.images in group for g in gens) and gens[0].order() == LARGE_ORDER
+        if witness["type"] == "dihedral":  # as assert_witness_rechecks, without listing <x>
+            x, t = gens
+            assert (x * t) ** 2 == t * t == Permutation.identity(100) and x * t != t
+            assert t * x * t == x.inverse() and t != x ** (LARGE_ORDER // 2)  # <x> has one involution
+
+
 WHOLE_POOL_GROUPS = [f"PSL2:{p}" for p in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)] + [
     "A:5", "A:6", "A:7", "A:8", "S:5", "perm:7:(0 1 2 3 4 5 6),(0 1)(2 4)"]  # the last is PSL(3,2)
 
 
 def test_whole_pool_word_search_is_pinned():
-    # a bound no subgroup reaches runs every cyclic, dihedral and exceptional
-    # loop to its end, so every word, power and pair the search visits, and
-    # the order it visits them in, can move the digest
+    # no bound runs every cyclic, dihedral and exceptional loop to its end,
+    # so every word, power and pair the search visits, and the order it
+    # visits them in, can move the digest
     lines = []
     for text in WHOLE_POOL_GROUPS:
         group = build(parse_group_spec(text))
-        best, witness = _search_words(group, group.order + 1)
+        best, witness = _search_words(group, None)
         lines.append(json.dumps([text, best, witness]))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "d5207c12326676e99e26d1e094fa574e3b3219098f22fdc98b28a8a9278461c2"
@@ -390,7 +461,7 @@ def test_both_kernels_search_words_alike(group_of, text, largest):
     group = group_of(text)
     padded = PermGroup([g + tuple(range(group.degree, 300)) for g in group.generators], degree=300)
     assert type(kernel(group.degree).identity) is bytes and type(kernel(300).identity) is tuple
-    for bound in (largest, group.order + 1):
+    for bound in (largest, None):
         assert _search_words(padded, bound) == _search_words(group, bound)
         assert _search_words(group, bound)[0] == largest
 
@@ -434,7 +505,7 @@ def test_witness_search_never_beats_the_exhaustive_maximum(gens):
     degree = len(gens[0])
     text = f"perm:{degree}:" + ",".join(cycle_string(tuple(g)) for g in gens)
     group = build(parse_group_spec(text))
-    best, witness = _search_words(group, group.order + 1)  # a bound no subgroup reaches: the whole pool runs
+    best, witness = _search_words(group, None)  # no bound: the whole pool runs
     assert best <= cond2_mobius_subgroup(group, None, COMPUTED).detail["best_order"]
     assert witness == {} or witness["order"] == best
 
