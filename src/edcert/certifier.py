@@ -366,10 +366,11 @@ def _search_words(group: PermGroup, bound: int | None) -> tuple[int, dict]:
     (`permgroup.kernel`) and builds no chain.  A word's walk over its
     powers (`Kernel.powers`) gives its order m, w^(m/2) and w^(m/3); past
     `permgroup.WALK` powers, or on image tuples, m is the lcm of the cycle
-    lengths and the two powers come by repeated squaring, so neither time
-    nor memory grows with m.  A dihedral candidate st is one product
-    against t's table, and its order `Kernel.order`.  Only the witness's
-    generators are written out, as cycle strings.
+    lengths (`tuple_order`) and the two powers come by repeated squaring,
+    so neither time nor memory grows with m.  A dihedral candidate st is
+    one product against t's table, and its order `Kernel.order`, the same
+    walk with no list kept.  Only the witness's generators are written
+    out, as cycle strings.
     """
     kern = kernel(group.degree)
     best, best_word, involutions, threes = 1, None, {}, {}  # the dicts are ordered sets

@@ -87,7 +87,7 @@ class EdcertInternalError(AssertionError):
 Element = Union[bytes, tuple[int, ...]]
 # the largest degree whose elements are bytes: a byte holds a point only below 256
 BYTES_DEGREE = 256
-# the most powers `Kernel.powers` walks; past it an order comes from the cycles
+# the most powers `Kernel.powers` walks; past it an order comes from the cycle lengths
 WALK = 256
 
 
@@ -117,10 +117,15 @@ class Kernel(NamedTuple):
         return walk
 
     def order(self, x: Element) -> int:
-        """Order of x: the length of its walk, else the lcm of its cycle
-        lengths (``tuple_order``), one Python step per point."""
-        walk = self.powers(x)
-        return len(walk) if walk else tuple_order(x)
+        """Order of x, by the same walk with no list kept, else the lcm of
+        its cycle lengths (``tuple_order``), one Python step per point."""
+        if type(x) is bytes:
+            mul, identity, x_table, y = self.mul, self.identity, self.table(x), x
+            for m in range(1, WALK + 1):
+                if y == identity:
+                    return m
+                y = mul(y, x_table)
+        return tuple_order(x)
 
     def power(self, x: Element, k: int) -> Element:
         """x^k for k >= 0, by repeated squaring: about 2 log2(k) products."""
