@@ -40,7 +40,7 @@ from .permgroup import (
     inverting_involution,
     kernel,
 )
-from .permutation import cycle_string, invert, tuple_order
+from .permutation import cycle_string, invert
 from . import permgroup, rhoracle
 
 COMPUTED = "computed"
@@ -363,32 +363,30 @@ def _search_words(group: PermGroup, bound: int | None) -> tuple[int, dict]:
     search.
 
     The search runs in the chain's kernel for the group's degree
-    (`permgroup.kernel`) and builds no chain.  A word's walk over its
-    powers (`Kernel.powers`) gives its order m, w^(m/2) and w^(m/3); past
-    `permgroup.WALK` powers, or on image tuples, m is the lcm of the cycle
-    lengths (`tuple_order`) and the two powers come by repeated squaring,
-    so neither time nor memory grows with m.  A dihedral candidate st is
-    one product against t's table, and its order `Kernel.order`, the same
-    walk with no list kept.  Only the witness's generators are written
+    (`permgroup.kernel`) and builds no chain.  Each word's order m, and
+    each dihedral candidate's, comes from `Kernel.order`: a walk over at
+    most `permgroup.WALK` powers, else the lcm of the cycle lengths; and
+    w^(m/2) and w^(m/3) from `Kernel.power`, by repeated squaring.  So
+    neither time nor memory grows with m.  A dihedral candidate st is one
+    product against t's table.  Only the witness's generators are written
     out, as cycle strings.
     """
     kern = kernel(group.degree)
     best, best_word, involutions, threes = 1, None, {}, {}  # the dicts are ordered sets
-    powers, power = kern.powers, kern.power
+    order_of, power = kern.order, kern.power
     for w in _word_pool(kern, group.generators):
-        walk = powers(w)
-        m = len(walk) if walk else tuple_order(w)
+        m = order_of(w)
         if m > best:
             best, best_word = m, w
         if m % 2 == 0:
-            involutions.setdefault(walk[m // 2 - 1] if walk else power(w, m // 2))
+            involutions.setdefault(power(w, m // 2))
         if m % 3 == 0:
-            threes.setdefault(walk[m // 3 - 1] if walk else power(w, m // 3))
+            threes.setdefault(power(w, m // 3))
     witness = {} if best_word is None else _witness("cyclic", best, best_word)
     involutions = list(involutions)
 
     def dihedral():
-        mul, order_of, tables = kern.mul, kern.order, [kern.table(t) for t in involutions]
+        mul, tables = kern.mul, [kern.table(t) for t in involutions]
         for i, s in enumerate(involutions):
             for t, t_table in zip(involutions[i + 1:], tables[i + 1:]):
                 x = mul(s, t_table)

@@ -24,8 +24,9 @@ holds a point only below 256, so larger degrees keep image tuples,
 ``permutation.compose`` and ``invert``.  One helper, ``kernel(degree)``,
 makes that choice; the chain takes its kernel from it, and so does the
 Moebius word search, which builds no chain.  There an element's order
-comes from a walk over at most `WALK` of its powers, and past that, or on
-image tuples, from its cycle lengths; a power comes by repeated squaring.
+comes from one walk, ``Kernel.order``, over at most `WALK` of its powers
+with no list kept, and past that, or on image tuples, from its cycle
+lengths; a power comes by repeated squaring, ``Kernel.power``.
 
 Each group carries its enumeration cap, the largest order it enumerates
 (`DEFAULT_CAP` unless given), and hands it on to every subgroup it makes;
@@ -47,9 +48,10 @@ subgroups (``element_orders``), and the classes rest on two facts:
 
 The genus oracle's generating-vector search works on kernel elements as
 well: ``vector_pool`` hands it, once per group and per (slot kind, order),
-the elements with their right-factor and inverse tables.  So do the
-certifier's Moebius searches: the word search on the generators' words,
-and the exceptional-pair test on ``kernel_elements_of_order(3)``.
+the elements with their right-factor and inverse tables, each pool with
+tables of its own.  So do the certifier's Moebius searches: the word
+search on the generators' words, and the exceptional-pair test on
+``kernel_elements_of_order(3)``.
 
 Simplicity is first tried from the chain alone, before any element is
 enumerated: the derived subgroup, the order of the alternating group, and
@@ -87,7 +89,7 @@ class EdcertInternalError(AssertionError):
 Element = Union[bytes, tuple[int, ...]]
 # the largest degree whose elements are bytes: a byte holds a point only below 256
 BYTES_DEGREE = 256
-# the most powers `Kernel.powers` walks; past it an order comes from the cycle lengths
+# the most powers `Kernel.order` walks; past it an order comes from the cycle lengths
 WALK = 256
 
 
@@ -100,25 +102,12 @@ class Kernel(NamedTuple):
     table: Callable[[Element], Element]
     inverse_table: Callable[[Element], Element]  # table(p^-1), made from p directly
 
-    def powers(self, x: Element) -> list[Element] | None:
-        """x, x^2, ..., x^m = 1 for x of order m <= `WALK`, on bytes, where
-        a step is one ``translate``; else None, after at most `WALK` steps,
-        so neither time nor memory grows with the order.  Image tuples are
-        not walked: a step there is a full ``compose``."""
-        if type(x) is not bytes:
-            return None
-        mul, identity, x_table = self.mul, self.identity, self.table(x)
-        walk = [x]
-        while x != identity:
-            if len(walk) == WALK:
-                return None
-            x = mul(x, x_table)
-            walk.append(x)
-        return walk
-
     def order(self, x: Element) -> int:
-        """Order of x, by the same walk with no list kept, else the lcm of
-        its cycle lengths (``tuple_order``), one Python step per point."""
+        """Order of x: on bytes, a walk over at most `WALK` of its powers,
+        one ``translate`` a step and no list kept; past that, or on image
+        tuples, where a step is a full ``compose``, the lcm of its cycle
+        lengths (``tuple_order``), one Python step per point.  So neither
+        time nor memory grows with the order."""
         if type(x) is bytes:
             mul, identity, x_table, y = self.mul, self.identity, self.table(x), x
             for m in range(1, WALK + 1):
@@ -398,11 +387,9 @@ class PermGroup:
         # order m -> (enumeration index of the representative, class) pairs
         self._partitions: dict[int, tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]] = {}
         self._classes: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-        # the generating-vector search's state, see vector_pool: enumeration
-        # index -> right-factor table, made when a pool first needs it;
-        # (first slot, order) -> pool; order -> the kernel elements of that
-        # order; the largest orbit's point and size
-        self._tables: dict[int, Element] = {}
+        # the generating-vector search's state, see vector_pool: (first slot,
+        # order) -> pool, with its tables; order -> the kernel elements of
+        # that order; the largest orbit's point and size
         self._pools: dict[tuple[bool, int | None], tuple[tuple[Element, Element, Element], ...]] = {}
         self._of_order: dict[int, dict[Element, None]] = {}
         self._largest_orbit: tuple[int, int] | None = None
@@ -589,28 +576,18 @@ class PermGroup:
         or of every order when m is None.
 
         Each pool is built once per group and per (first, m), and only when
-        a search asks for it.  An element's inverse table is the table of
-        its inverse, so each element has one table per group, shared by
-        every pool that holds the element or its inverse.
+        a search asks for it, with its own tables: ``_table(x)`` and
+        ``_inverse_table(x)``, the table of x^-1 made from x directly.
         """
         pool = self._pools.get((first, m))
         if pool is None:
-            chain, els, index, tables = self._chain, self._enumerate(), self._index, self._tables
-
-            def table(x: Element) -> Element:
-                i = index[x]
-                if i not in tables:
-                    tables[i] = chain._table(els[i])
-                return tables[i]
-
+            chain = self._chain
             if first:
                 classes = self.conjugacy_classes() if m is None else self.classes_of_order(m)
-                xs = [els[index[chain._encode(cls[0])]] for cls in classes]
+                xs = [chain._encode(cls[0]) for cls in classes]
             else:
-                xs = [x for x, o in zip(els, self.element_orders()) if m is None or o == m]
-            pool = self._pools[(first, m)] = tuple(
-                (x, table(x), table(chain._inverse_table(x)[:self.degree])) for x in xs
-            )
+                xs = [x for x, o in zip(self._enumerate(), self.element_orders()) if m is None or o == m]
+            pool = self._pools[(first, m)] = tuple((x, chain._table(x), chain._inverse_table(x)) for x in xs)
         return pool
 
     def largest_orbit(self) -> tuple[int, int]:
@@ -787,10 +764,11 @@ def inverting_involution(
     """The first involution t outside <x> with t x t = x^-1, or None.
 
     Such a t and the element x of the given order generate a dihedral
-    group of order 2 * order."""
-    powers = {power(x, k) for k in range(order)}
+    group of order 2 * order.  The cyclic group <x> holds one involution,
+    x^(order/2), when the order is even, and none when it is odd."""
+    inside = power(x, order // 2) if order % 2 == 0 else None
     x_inv = invert(x)
-    return next((t for t in involutions if t not in powers and compose(compose(t, x), t) == x_inv), None)
+    return next((t for t in involutions if t != inside and compose(compose(t, x), t) == x_inv), None)
 
 
 def _classify_p_group(sub: PermGroup, p: int, exponent: int) -> tuple[str, int | None]:

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 from collections import Counter
+from itertools import product
 from math import factorial, isqrt
 from pathlib import Path
 
@@ -394,11 +395,34 @@ def test_kernel_order_and_powers_do_not_grow_with_the_order():
     (g,) = build(parse_group_spec(cyclic)).generators
     for kern in (kernel(100), kernel(300)):
         x = kern.encode(g + tuple(range(100, len(kern.identity))))
-        assert kern.powers(x) is None and kern.order(x) == LARGE_ORDER
+        assert kern.order(x) == LARGE_ORDER
         for k in (0, 1, 2, LARGE_ORDER // 2, LARGE_ORDER // 3, LARGE_ORDER - 1, LARGE_ORDER):
             assert tuple(kern.power(x, k)[:100]) == permutation.power(g, k)
     small = kernel(7).encode((1, 2, 3, 4, 5, 6, 0))
-    assert kernel(7).powers(small) == [kernel(7).power(small, k) for k in range(1, 8)]
+    assert kernel(7).order(small) == 7 and kernel(7).power(small, 7) == kernel(7).identity
+
+
+def test_inverting_involution_lists_no_powers_of_a_large_order():
+    # <st> has 223,092,870 elements and one involution: the test for t
+    # outside <st> must not list them, so the call answers within 300 MB of
+    # address space
+    root = Path(__file__).resolve().parents[1]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    _, dihedral = large_order_specs()
+    code = "\n".join([
+        "import sys",
+        "from edcert.catalogue import build, parse_group_spec",
+        "from edcert.permgroup import inverting_involution",
+        "from edcert.permutation import compose",
+        "s, t = build(parse_group_spec(sys.argv[1])).generators",
+        f"assert inverting_involution(compose(s, t), {LARGE_ORDER}, [s, t]) == s",
+    ])
+    run = subprocess.run([sys.executable, "-c", code, dihedral], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")}, preexec_fn=limit, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("mode", [COMPUTED, HYBRID])
@@ -1000,3 +1024,45 @@ def test_psl2_8_built_from_its_definition():
             assert verdicts[0] == UNKNOWN, n
             note = cert.condition("no_small_index").detail["note"]
             assert note == "divisibility inconclusive and group exceeds the subgroup-search cap"
+
+
+def m11():
+    """M11 on 11 points, from its standard generators."""
+    cycles = ("(0 1 2 3 4 5 6 7 8 9 10)", "(2 6 10 7)(3 9 4 5)")
+    return PermGroup([_parse_cycles(text, 0, 11).images for text in cycles])
+
+
+def psl3_3():
+    """PSL(3,3) = SL(3,3) on the 13 points of PG(2,3), each a nonzero vector
+    of GF(3)^3 whose first nonzero entry is 1, generated by the six
+    elementary matrices I + E_ij, i != j, acting on column vectors."""
+    points = [v for v in product(range(3), repeat=3) if any(v) and next(x for x in v if x) == 1]
+    index = {v: i for i, v in enumerate(points)}
+
+    def point(v):
+        lead = next(x for x in v if x)  # its own inverse mod 3
+        return index[tuple(x * lead % 3 for x in v)]
+
+    return PermGroup([
+        [point(tuple((v[k] + v[j] * (k == i)) % 3 for k in range(3))) for v in points]
+        for i in range(3) for j in range(3) if i != j
+    ])
+
+
+@pytest.mark.parametrize("make, order, largest, kind, cond1_max", [
+    (m11, 7920, 60, "A5", 10),  # d(M11) = 11
+    (psl3_3, 5616, 24, "S4", 12),  # d(PSL(3,3)) = 13
+])
+def test_simple_groups_outside_the_families_reach_their_atlas_moebius_order(make, order, largest, kind, cond1_max):
+    # the largest Moebius subgroup, as the ATLAS of Finite Groups (1985)
+    # lists the maximal subgroups: A5 in M11, S4 in PSL(3,3)
+    group = make()
+    assert group.order == order
+    report = cond2_mobius_subgroup(group, None, COMPUTED)
+    witness = report.detail["witness"]
+    assert (report.detail["best_order"], witness["type"], witness["order"]) == (largest, kind, largest)
+    assert_witness_rechecks(group, witness)
+    best, word_witness = _search_words(group, None)
+    assert (best, word_witness["type"]) == (largest, kind)
+    assert_witness_rechecks(group, word_witness)
+    assert max_certified_n(group, COMPUTED).cond1_max == cond1_max

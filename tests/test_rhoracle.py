@@ -11,7 +11,7 @@ from edcert.catalogue import build, parse_group_spec
 from edcert.errors import CapExceeded, WidthExceeded
 from edcert import rhoracle
 from edcert.permgroup import StabilizerChain
-from edcert.permutation import Permutation, cycle_string
+from edcert.permutation import Permutation, cycle_string, invert
 from edcert.rhoracle import (
     CAPPED,
     NO,
@@ -400,6 +400,27 @@ def test_pools_and_tables_are_built_once_per_group(monkeypatch):
         find_generating_vector(a6, sig)
         assert calls.count("_table") == 0
         assert 0 < calls.count("_inverse_table") == calls.count("forced")
+
+
+def test_pool_entries_are_an_element_with_its_table_and_its_inverse_table(group_of):
+    # every (x, table of x, table of x^-1) entry the searches build, in both
+    # kernels: A:6 on bytes, and on 257 points on image tuples, where the
+    # pools are the same up to the fixed points 6..256
+    a6 = group_of("A:6")
+    padded = group_of("perm:257:" + ",".join(map(cycle_string, a6.generators)))
+    assert type(a6._chain._identity) is bytes and type(padded._chain._identity) is tuple
+    pools = []
+    for group in (a6, padded):
+        for _, sig in enumerate_signatures(group, 10):
+            find_generating_vector(group, sig)
+        d = group.degree
+        for pool in group._pools.values():
+            for x, xt, xit in pool:
+                assert tuple(xt[:d]) == tuple(x) and tuple(xit[:d]) == invert(x)
+        pools.append({key: [tuple(tuple(e[:6]) for e in entry) for entry in pool]
+                      for key, pool in group._pools.items()})
+    assert all(x[6:] == tuple(range(6, 257)) for pool in padded._pools.values() for x, _, _ in pool)
+    assert pools[0] == pools[1] and len(pools[0]) > 2
 
 
 @pytest.mark.parametrize(
