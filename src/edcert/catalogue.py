@@ -12,8 +12,8 @@ a cycle.  ``D:n`` denotes the dihedral group of order 2n.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ParseError, ValidationError
 from .permgroup import DEFAULT_CAP, PermGroup, _is_prime
@@ -30,8 +30,7 @@ _FAMILY_PREFIXES = {"A": ALTERNATING, "S": SYMMETRIC, "C": CYCLIC, "D": DIHEDRAL
 _FAMILY_LETTER = {v: k for k, v in _FAMILY_PREFIXES.items()}
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Parsed description of a group: a family with parameter, or explicit
     generators given as cycle strings of a fixed degree."""
 
@@ -194,8 +193,7 @@ def build(spec: GroupSpec, cap: int = DEFAULT_CAP) -> PermGroup:
     return group
 
 
-@dataclass(frozen=True)
-class FamilyConstants:
+class FamilyConstants(NamedTuple):
     """Family-level constants from the classical literature.
 
     Only hybrid and paper-formula certification modes consult these; the

@@ -24,9 +24,8 @@ Three modes separate what is being verified:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, inf, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, FamilyConstants, family_overrides
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
@@ -65,8 +64,7 @@ _TRIANGLE_GROUPS = {3: ("A4", 12), 4: ("S4", 24), 5: ("A5", 60)}
 _WITNESS_WORDS = 256
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """One decider's answer.  Asked at an n, `verdict` is the verdict there.
     Asked without one, the decider certifies every n in 2..certified_up_to
     (None: no range is known within caps) and `verdict` is its verdict at
@@ -87,8 +85,7 @@ class ConditionReport:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     group: str
     n: int
     mode: str
@@ -112,8 +109,7 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     group: str
     mode: str
     cond1_max: int | None

@@ -19,7 +19,7 @@ whole baseline; when a certificate for (G, n) exists and that baseline is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .certifier import CERTIFIED, COMPUTED, certify
 from .permgroup import PermGroup, SylowReport, prime_factors, sylow_report
@@ -31,8 +31,7 @@ RULE_RANK2 = "rank2_root_adjunction"
 RULE_NONE = "none"
 
 
-@dataclass(frozen=True)
-class PrimeEntry:
+class PrimeEntry(NamedTuple):
     prime: int
     regime: str  # "p>n" or "p<=n"
     sylow: SylowReport
@@ -49,8 +48,7 @@ class PrimeEntry:
         }
 
 
-@dataclass(frozen=True)
-class CompareReport:
+class CompareReport(NamedTuple):
     group: str
     n: int
     entries: tuple[PrimeEntry, ...]

@@ -6,8 +6,8 @@ any certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, ValidationError
 
@@ -20,22 +20,26 @@ ACTS = "yes"
 NO_ACTION = "no"
 
 
-@dataclass(frozen=True)
-class CastelnuovoInput:
-    """Degrees and genera of two maps out of one curve: f_i: C -> D_i of
-    degree n_i with g(D_i) = g_i, where (f_1, f_2) is birational onto its
-    image."""
-
+class _CastelnuovoFields(NamedTuple):
     n1: int
     g1: int
     n2: int
     g2: int
 
-    def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
+
+class CastelnuovoInput(_CastelnuovoFields):
+    """Degrees and genera of two maps out of one curve: f_i: C -> D_i of
+    degree n_i with g(D_i) = g_i, where (f_1, f_2) is birational onto its
+    image."""
+
+    __slots__ = ()
+
+    def __new__(cls, n1: int, g1: int, n2: int, g2: int) -> CastelnuovoInput:
+        if n1 < 1 or n2 < 1:
             raise ValidationError("map degrees must be at least 1")
-        if self.g1 < 0 or self.g2 < 0:
+        if g1 < 0 or g2 < 0:
             raise ValidationError("genera must be nonnegative")
+        return super().__new__(cls, n1, g1, n2, g2)
 
 
 def castelnuovo_bound(inp: CastelnuovoInput) -> int:

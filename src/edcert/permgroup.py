@@ -62,7 +62,6 @@ class-by-class test runs only when none of them applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -713,8 +712,7 @@ class PermGroup:
 # -- Sylow subgroups ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SylowReport:
+class SylowReport(NamedTuple):
     """A Sylow p-subgroup together with its isomorphism shape.
 
     shape is one of "cyclic", "elementary_abelian", "dihedral", "other";

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, WidthExceeded
 from .permgroup import Element, PermGroup, StabilizerChain
@@ -51,19 +50,22 @@ ORACLE_ENUMERATION = 10_000
 ORACLE_SEARCH = 1_000
 
 
-@dataclass(frozen=True)
-class Signature:
+class _SignatureFields(NamedTuple):
+    orbit_genus: int
+    periods: tuple[int, ...]
+
+
+class Signature(_SignatureFields):
     """Orbifold branch datum: quotient genus and branching periods.
 
     Periods are normalized to ascending order, so equal multisets compare
     equal.
     """
 
-    orbit_genus: int
-    periods: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(sorted(self.periods)))
+    def __new__(cls, orbit_genus: int, periods: Sequence[int]) -> Signature:
+        return super().__new__(cls, orbit_genus, tuple(sorted(periods)))
 
     def label(self) -> str:
         inner = ",".join(map(str, self.periods)) if self.periods else "-"
@@ -73,8 +75,7 @@ class Signature:
         return {"orbit_genus": self.orbit_genus, "periods": list(self.periods)}
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(NamedTuple):
     hyperbolic: tuple[tuple[Permutation, Permutation], ...]
     elliptic: tuple[Permutation, ...]
 
@@ -85,8 +86,7 @@ class GeneratingVector:
         }
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     verdict: str  # yes / no / unknown
     genus: int | None = None
     signature: Signature | None = None

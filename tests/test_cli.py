@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -540,3 +544,14 @@ def test_bounds_take_no_cap(capsys, argv, cap):
     code, out, err = run(capsys, "bounds", *argv, f"--cap={cap}")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --cap" in err
+
+
+def test_cli_starts_without_dataclasses_or_inspect():
+    # a fresh interpreter, since pytest itself loads these modules; bytecode
+    # is not written, so the package compiles from source as on a first run
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, edcert, edcert.cli; print(' '.join(sorted(set(sys.argv[1:]) & set(sys.modules))))"
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+    run = subprocess.run([sys.executable, "-c", code, *heavy], capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(root / "src")})
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "\n")
