@@ -28,6 +28,9 @@ recorded before the chain multiplied against prepared right-factor tables
 and skipped identity Schreier generators: every one of their 43 rows builds
 a stabilizer chain, and the hybrid rows up to p = 53 enumerate it, so they
 pin what the chain's products feed into across the paper's whole range.
+`compare_psl2_11_n3.json` and `rh_a6_g10.json` were recorded while every
+record wrote its JSON by hand, and pin the JSON that records now derive
+from their fields.
 """
 
 from pathlib import Path
@@ -66,6 +69,9 @@ CASES = [
     ("certify_a6_n6.json", ["certify", "--group", "A:6", "--n", "6", *JSON], 1),
     ("oracle_min_index_psl2_7.json", ["oracle", "min-index", "--group", "PSL2:7", *JSON], 0),
     ("oracle_rh_a6_g10.json", ["oracle", "rh", "--group", "A:6", "--genus-max", "10", *JSON], 0),
+    # compare's CompareReport, PrimeEntry and SylowReport, and the rh table's Signature and GeneratingVector
+    ("compare_psl2_11_n3.json", ["compare", "--group", "PSL2:11", "--n", "3", *JSON], 0),
+    ("rh_a6_g10.json", ["rh", "--group", "A:6", "--genus-max", "10", "--no-timing"], 0),
 ]
 
 
