@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, FamilyConstants, family_overrides
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
-from .errors import CapExceeded, NotSimple, ValidationError
+from .errors import CapExceeded, ValidationError
 from .permgroup import (
     Element,
     Kernel,
@@ -649,7 +649,7 @@ def max_certified_n(group: PermGroup, mode: str = COMPUTED) -> BoundReport:
         raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps",
                           budget="enumeration", needed=group.order, cap=group.cap)
     if not simple:
-        raise NotSimple("max_certified_n requires a nonabelian simple group")
+        raise ValidationError("max_certified_n requires a nonabelian simple group")
 
     notes = [
         "strict mode requires every proper subgroup index to exceed n; the "

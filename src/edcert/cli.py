@@ -34,7 +34,7 @@ from .curvebounds import (
     riemann_genus_cap,
     tower_genus_bound,
 )
-from .errors import CapExceeded, EdcertError, ValidationError
+from .errors import CapExceeded, EdcertError, EdcertInternalError, ValidationError
 from .permgroup import DEFAULT_CAP, _is_prime, min_proper_subgroup_index
 from . import rhoracle
 
@@ -251,7 +251,7 @@ def _cmd_table(args, started) -> int:
     cap = _cap(args)
     mode = _MODE_FLAGS[args.mode]
     if args.pmin < 7:
-        raise EdcertError("the PSL2 table starts at p = 7")
+        raise ValidationError("the PSL2 table starts at p = 7")
     primes = [p for p in range(args.pmin, args.pmax + 1) if _is_prime(p)]
     rows = [_table_row(p, mode, cap) for p in primes]
 
@@ -296,10 +296,10 @@ def _cmd_rh(args, started) -> int:
         try:
             vec = rhoracle.find_generating_vector(group, sig)
             searched = True
-        except EdcertError:
+        except CapExceeded:
             vec, searched = None, False
         if vec is not None and not rhoracle.validate_vector(group, sig, vec):
-            raise AssertionError(f"search produced an invalid vector for {sig.label()}")
+            raise EdcertInternalError(f"search produced an invalid vector for {sig.label()}")
         entry = {
             "genus": g,
             "signature": sig.to_json(),
@@ -336,7 +336,7 @@ def _cmd_oracle(args, started) -> int:
         ]
         _emit(args, verdict.to_json(), lines, started)
         return 0
-    raise EdcertError(f"unknown oracle command {args.oracle_command!r}")
+    raise EdcertInternalError(f"unknown oracle command {args.oracle_command!r}")
 
 
 def _cmd_bounds(args, started) -> int:
@@ -372,7 +372,7 @@ def _cmd_bounds(args, started) -> int:
         payload = {"order": args.order, "n": args.n, "verdict": verdict}
         _emit(args, payload, [f"gonality obstruction: {verdict}"], started)
         return 0 if verdict == "obstructed" else 1
-    raise EdcertError(f"unknown bounds command {args.bound!r}")
+    raise EdcertInternalError(f"unknown bounds command {args.bound!r}")
 
 
 _DISPATCH = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 OBSTRUCTED = "obstructed"
 NOT_OBSTRUCTED = "not_obstructed"
@@ -55,9 +55,9 @@ def tower_genus_bound(n: int, m: int) -> Fraction:
     Fraction.  Its maximum over divisors is (n-1)^2, attained at m in {1, n}.
     """
     if n < 2:
-        raise DomainError(f"defined for n >= 2, got {n}")
+        raise ValidationError(f"defined for n >= 2, got {n}")
     if m < 1 or n % m != 0:
-        raise DomainError(f"{m} does not divide {n}")
+        raise ValidationError(f"{m} does not divide {n}")
     return Fraction(n * n, m) - 3 * n + n * m + 1
 
 

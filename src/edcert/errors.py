@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refusal raises exactly one of four types: `ParseError` and
+`ValidationError` for bad input (the CLI exits 2), `CapExceeded` for work
+past a budget (exit 1), and `EdcertInternalError` for a bug.
+"""
 
 
 class EdcertError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises on input or budgets."""
 
 
 class CapExceeded(EdcertError):
-    """An exhaustive computation was refused because the group is too large.
+    """A computation was refused because it exceeds a budget.
 
     `budget` names the budget that stopped it, one of the keys that
     certificates print under ``constants.caps``; `needed` is the work asked
@@ -18,25 +23,6 @@ class CapExceeded(EdcertError):
         self.budget = budget
         self.needed = needed
         self.cap = cap
-
-
-class NotDividing(EdcertError):
-    """The given prime does not divide the group order."""
-
-
-class NotSimple(EdcertError):
-    """`max_certified_n` got a group decided not nonabelian simple.
-
-    The condition deciders answer `unknown` for such a group instead.
-    """
-
-
-class DomainError(EdcertError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
-class WidthExceeded(EdcertError):
-    """A generating-vector search has more slots than the width cap allows."""
 
 
 class ParseError(EdcertError):
@@ -52,3 +38,7 @@ class ParseError(EdcertError):
 
 class ValidationError(EdcertError):
     """Structurally well-formed input with inadmissible values."""
+
+
+class EdcertInternalError(AssertionError):
+    """Invariant violation inside the engine; indicates a bug, not bad input."""

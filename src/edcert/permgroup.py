@@ -65,7 +65,7 @@ from __future__ import annotations
 from math import factorial, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import CapExceeded, NotDividing, ValidationError
+from .errors import CapExceeded, EdcertInternalError, ValidationError
 from .permutation import (
     Permutation,
     compose,
@@ -78,10 +78,6 @@ from .permutation import (
 
 if TYPE_CHECKING:
     from .catalogue import GroupSpec
-
-
-class EdcertInternalError(AssertionError):
-    """Invariant violation inside the engine; indicates a bug, not bad input."""
 
 
 # an element as the stabilizer chain stores it: images as bytes, or as a tuple above degree 256
@@ -158,7 +154,7 @@ def _first_moved(p: Sequence[int]) -> int:
     for i, pi in enumerate(p):
         if pi != i:
             return i
-    raise ValueError("identity permutation moves no point")
+    raise EdcertInternalError("identity permutation moves no point")
 
 
 class StabilizerChain:
@@ -795,7 +791,7 @@ def sylow_report(group: PermGroup, p: int) -> SylowReport:
     if not _is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if group.order % p:
-        raise NotDividing(f"{p} does not divide the group order {group.order}")
+        raise ValidationError(f"{p} does not divide the group order {group.order}")
     exponent = 0
     n = group.order
     while n % p == 0:

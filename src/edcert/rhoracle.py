@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceeded, WidthExceeded
+from .errors import CapExceeded, EdcertInternalError
 from .permgroup import Element, PermGroup, StabilizerChain
 from .permutation import Permutation
 
@@ -269,7 +269,12 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
     h = sig.orbit_genus
     slots = [None] * (2 * h) + sorted(sig.periods, reverse=True)
     if len(slots) > VECTOR_WIDTH:
-        raise WidthExceeded(f"signature needs {len(slots)} slots, width cap is {VECTOR_WIDTH}")
+        raise CapExceeded(
+            f"signature needs {len(slots)} slots, width cap is {VECTOR_WIDTH}",
+            budget="vector_width",
+            needed=len(slots),
+            cap=VECTOR_WIDTH,
+        )
     if rh_genus(group.order, sig).denominator != 1:
         return None
     if not slots:
@@ -373,10 +378,10 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
             continue
         try:
             vec = find_generating_vector(group, sig)
-        except WidthExceeded:  # unreachable for a simple group, see VECTOR_WIDTH
+        except CapExceeded:  # unreachable for a simple group, see VECTOR_WIDTH
             return OracleVerdict(UNKNOWN, reason=CAPPED)
         if vec is not None:
             if not validate_vector(group, sig, vec):
-                raise AssertionError(f"search produced an invalid vector for {sig.label()}")
+                raise EdcertInternalError(f"search produced an invalid vector for {sig.label()}")
             return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
     return OracleVerdict(NO, reason=f"all branch data up to genus {genus} exhausted")

@@ -34,7 +34,7 @@ from edcert.certifier import (
     _search_words,
 )
 from edcert import rhoracle
-from edcert.errors import CapExceeded, NotSimple, ValidationError
+from edcert.errors import CapExceeded, ValidationError
 from edcert.permgroup import DEFAULT_CAP, PermGroup, closed_subgroup, kernel, max_proper_subgroup
 from edcert.rhoracle import Signature, acts_on_genus_le
 from edcert.permutation import Permutation, cycle_string
@@ -797,7 +797,7 @@ def test_maxn_icosahedral_group_stops_at_one(group_of):
 
 
 def test_maxn_rejects_non_simple(group_of):
-    with pytest.raises(NotSimple):
+    with pytest.raises(ValidationError, match="requires a nonabelian simple group"):
         bound(group_of, "S:4")
 
 
@@ -876,8 +876,10 @@ def _over_the_data_budget(group_of, monkeypatch):
         ("oracle_enumeration", _over_the_data_budget),
         ("oracle_search", lambda group_of, _: rhoracle.find_generating_vector(group_of("PSL2:13"), Signature(0, (2, 7)))),
         ("enumeration", lambda group_of, _: max_certified_n(group_of("A:5", 10))),
+        ("vector_width", lambda group_of, _: rhoracle.find_generating_vector(group_of("A:5"), Signature(0, (2,) * 13))),
     ],
-    ids=["check_cap", "subgroup_search", "oracle_order", "oracle_data", "vector_search", "maxn_simplicity"],
+    ids=["check_cap", "subgroup_search", "oracle_order", "oracle_data", "vector_search", "maxn_simplicity",
+         "vector_width"],
 )
 def test_every_cap_overrun_names_its_budget(group_of, monkeypatch, budget, trip):
     with pytest.raises(CapExceeded) as raised:
@@ -932,7 +934,7 @@ def test_computed_mode_builds_the_chain_before_any_decider(monkeypatch, text):
     group = build(parse_group_spec(text))
     try:
         max_certified_n(group, COMPUTED)
-    except NotSimple:
+    except ValidationError:
         pass
     assert (group._built is not None) != abelian
     assert entered and all(entered) != abelian

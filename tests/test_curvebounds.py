@@ -15,7 +15,7 @@ from edcert.curvebounds import (
     riemann_genus_cap,
     tower_genus_bound,
 )
-from edcert.errors import DomainError, ValidationError
+from edcert.errors import ValidationError
 
 small = st.integers(min_value=1, max_value=40)
 genus = st.integers(min_value=0, max_value=40)
@@ -56,9 +56,9 @@ def test_tower_bound_values():
 
 
 def test_tower_bound_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="does not divide"):
         tower_genus_bound(6, 4)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="defined for n >= 2"):
         tower_genus_bound(1, 1)
 
 

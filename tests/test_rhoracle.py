@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edcert.catalogue import build, parse_group_spec
-from edcert.errors import CapExceeded, WidthExceeded
+from edcert.errors import CapExceeded
 from edcert import rhoracle
 from edcert.permgroup import StabilizerChain
 from edcert.permutation import Permutation, cycle_string, invert
@@ -183,7 +183,7 @@ def test_a6_minimal_genus_is_ten(group_of):
 
 def test_caps_degrade_to_unknown(group_of, monkeypatch):
     a5 = group_of("A:5")
-    with pytest.raises(WidthExceeded):  # 13 slots, one past rhoracle.VECTOR_WIDTH
+    with pytest.raises(CapExceeded, match="slots"):  # 13 slots, one past rhoracle.VECTOR_WIDTH
         find_generating_vector(a5, Signature(0, (2,) * 13))
     monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 50)
     monkeypatch.setattr(rhoracle, "ORACLE_SEARCH", 50)
@@ -196,7 +196,7 @@ def test_caps_degrade_to_unknown(group_of, monkeypatch):
 
 def test_a_width_overrun_answers_unknown(group_of, monkeypatch):
     def too_wide(group, signature):
-        raise WidthExceeded("too many slots")
+        raise CapExceeded("too many slots", budget="vector_width", needed=13, cap=rhoracle.VECTOR_WIDTH)
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", too_wide)
     verdict = acts_on_genus_le(group_of("PSL2:7"), 10)
@@ -323,7 +323,7 @@ def test_vector_search_order_is_pinned(group_of, monkeypatch):
             try:
                 vec = find_generating_vector(g, sig)
                 outcome = vec.to_json() if vec else None
-            except WidthExceeded:
+            except CapExceeded:
                 outcome = "too wide"
             outcomes.append(repr((text, genus, sig.label(), outcome, len(products))))
     assert len(outcomes) == 89
