@@ -39,7 +39,7 @@ from .permgroup import (
     inverting_involution,
     kernel,
 )
-from .permutation import cycle_string, invert
+from .permutation import cycle_string, invert, record_json
 from . import permgroup, rhoracle
 
 COMPUTED = "computed"
@@ -77,6 +77,7 @@ class ConditionReport(NamedTuple):
     certified_up_to: int | None = None  # set only when asked without an n
 
     def to_json(self) -> dict:
+        """Every field but `certified_up_to`, which `maxn` reports instead."""
         return {
             "condition": self.condition,
             "verdict": self.verdict,
@@ -97,16 +98,7 @@ class Certificate(NamedTuple):
     def condition(self, name: str) -> ConditionReport:
         return next(c for c in self.conditions if c.condition == name)
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "mode": self.mode,
-            "conditions": [c.to_json() for c in self.conditions],
-            "overall": self.overall,
-            "constants": self.constants,
-            "notes": list(self.notes),
-        }
+    to_json = record_json
 
 
 class BoundReport(NamedTuple):
@@ -122,6 +114,7 @@ class BoundReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        """The fields, with `certified_max_n` printed as `maxn`."""
         return {
             "group": self.group,
             "mode": self.mode,

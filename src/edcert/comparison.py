@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .certifier import CERTIFIED, COMPUTED, certify
 from .permgroup import PermGroup, SylowReport, prime_factors, sylow_report
+from .permutation import record_json
 
 RULE_CYCLIC = "cyclic_kummer"
 RULE_DIHEDRAL = "dihedral_mobius"
@@ -38,14 +39,7 @@ class PrimeEntry(NamedTuple):
     rule: str
     bound: int | None
 
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "regime": self.regime,
-            "sylow": self.sylow.to_json(),
-            "rule": self.rule,
-            "bound": self.bound,
-        }
+    to_json = record_json
 
 
 class CompareReport(NamedTuple):
@@ -57,16 +51,7 @@ class CompareReport(NamedTuple):
     certificate_overall: str
     notes: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "n": self.n,
-            "entries": [e.to_json() for e in self.entries],
-            "rhs_upper_bound": self.rhs_upper_bound,
-            "strict": self.strict,
-            "certificate_overall": self.certificate_overall,
-            "notes": list(self.notes),
-        }
+    to_json = record_json
 
 
 def _rule_for(sylow: SylowReport, p: int, n: int) -> tuple[str, int | None]:

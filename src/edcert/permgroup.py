@@ -723,6 +723,7 @@ class SylowReport(NamedTuple):
     generators: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
+        """The fields, with the raw image tuples written as cycle strings."""
         return {
             "prime": self.prime,
             "exponent": self.exponent,

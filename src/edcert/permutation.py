@@ -161,3 +161,22 @@ class Permutation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+
+def record_json(record) -> dict:
+    """A result record's JSON: its fields by name, each value converted by
+    `_json_value`.  The records whose JSON is their fields take this as
+    their ``to_json``."""
+    return {name: _json_value(value) for name, value in zip(record._fields, record)}
+
+
+def _json_value(value):
+    """A nested record as its own ``to_json()``, a tuple or list as a list, a
+    `Permutation` as its cycle string, and any other value unchanged."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, Permutation):
+        return value.cycle_string()
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    return value

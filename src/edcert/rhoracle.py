@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, EdcertInternalError
 from .permgroup import Element, PermGroup, StabilizerChain
-from .permutation import Permutation
+from .permutation import Permutation, record_json
 
 YES = "yes"
 NO = "no"
@@ -71,19 +71,14 @@ class Signature(_SignatureFields):
         inner = ",".join(map(str, self.periods)) if self.periods else "-"
         return f"({self.orbit_genus}; {inner})"
 
-    def to_json(self) -> dict:
-        return {"orbit_genus": self.orbit_genus, "periods": list(self.periods)}
+    to_json = record_json
 
 
 class GeneratingVector(NamedTuple):
     hyperbolic: tuple[tuple[Permutation, Permutation], ...]
     elliptic: tuple[Permutation, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "hyperbolic": [[a.cycle_string(), b.cycle_string()] for a, b in self.hyperbolic],
-            "elliptic": [c.cycle_string() for c in self.elliptic],
-        }
+    to_json = record_json
 
 
 class OracleVerdict(NamedTuple):
@@ -93,14 +88,7 @@ class OracleVerdict(NamedTuple):
     vector: GeneratingVector | None = None
     reason: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "genus": self.genus,
-            "signature": self.signature.to_json() if self.signature else None,
-            "vector": self.vector.to_json() if self.vector else None,
-            "reason": self.reason,
-        }
+    to_json = record_json
 
 
 def genus_le1_excluded(order: int) -> bool:
