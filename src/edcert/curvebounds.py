@@ -41,6 +41,11 @@ class CastelnuovoInput(_CastelnuovoFields):
             raise ValidationError("genera must be nonnegative")
         return super().__new__(cls, n1, g1, n2, g2)
 
+    @classmethod
+    def _make(cls, iterable) -> CastelnuovoInput:
+        """Validate, as the constructor does; `_replace` builds through here."""
+        return cls(*iterable)
+
 
 def castelnuovo_bound(inp: CastelnuovoInput) -> int:
     """Castelnuovo's inequality: g(C) <= n1*g1 + n2*g2 + (n1-1)(n2-1)."""

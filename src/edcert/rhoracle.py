@@ -67,6 +67,11 @@ class Signature(_SignatureFields):
     def __new__(cls, orbit_genus: int, periods: Sequence[int]) -> Signature:
         return super().__new__(cls, orbit_genus, tuple(sorted(periods)))
 
+    @classmethod
+    def _make(cls, iterable) -> Signature:
+        """Sort, as the constructor does; `_replace` builds through here."""
+        return cls(*iterable)
+
     def label(self) -> str:
         inner = ",".join(map(str, self.periods)) if self.periods else "-"
         return f"({self.orbit_genus}; {inner})"

@@ -7,6 +7,7 @@ from edcert.catalogue import FamilyConstants, GroupSpec
 from edcert.certifier import BoundReport, Certificate, ConditionReport
 from edcert.comparison import CompareReport, PrimeEntry
 from edcert.curvebounds import CastelnuovoInput
+from edcert.errors import ValidationError
 from edcert.permgroup import SylowReport
 from edcert.rhoracle import GeneratingVector, OracleVerdict, Signature
 
@@ -54,3 +55,21 @@ def test_signature_sorts_any_sequence_of_periods_into_a_tuple():
     assert type(sig.periods) is tuple and sig.periods == (2, 3, 7)
     assert sig == Signature(0, (2, 3, 7)) and hash(sig) == hash(Signature(0, (2, 3, 7)))
     assert Signature(orbit_genus=1, periods=[2, 2]) == Signature(1, (2, 2))
+
+
+def test_signature_replace_and_make_sort_the_periods():
+    assert Signature(0, (3, 2))._replace(periods=(5, 2)).periods == (2, 5)
+    assert Signature(0, (3, 2))._replace(orbit_genus=1) == Signature(1, (2, 3))
+    made = Signature._make([0, (7, 3, 2)])
+    assert type(made) is Signature and made.periods == (2, 3, 7)
+
+
+def test_castelnuovo_replace_and_make_validate():
+    with pytest.raises(ValidationError, match="map degrees"):
+        CastelnuovoInput(1, 0, 1, 0)._replace(n1=0)
+    with pytest.raises(ValidationError, match="map degrees"):
+        CastelnuovoInput._make([0, 0, 1, 0])
+    with pytest.raises(ValidationError, match="genera"):
+        CastelnuovoInput(1, 0, 1, 0)._replace(g2=-1)
+    assert CastelnuovoInput(1, 0, 1, 0)._replace(n2=3) == CastelnuovoInput(1, 0, 3, 0)
+    assert type(CastelnuovoInput._make([2, 0, 3, 1])) is CastelnuovoInput
