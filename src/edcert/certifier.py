@@ -511,7 +511,9 @@ def cond3_no_small_genus_action(group: PermGroup, n: int | None, mode: str) -> C
         (n-1)^2 < hurwitz_min_genus(|G|) (strict in computed/hybrid mode;
         the paper-formula mode certifies at equality, as printed); if the
         floor leaves a gap, the branch-data oracle decides it exactly when
-        the group is within its caps.
+        the group is within its caps.  Missing the floor refutes nothing:
+        past its reading, paper-formula mode refutes only with the
+        oracle's witness and otherwise answers `unknown`.
 
     Both rest on G being nonabelian simple, so a group that
     `decide_simplicity` does not decide simple gets `unknown`; the detail
@@ -520,7 +522,9 @@ def cond3_no_small_genus_action(group: PermGroup, n: int | None, mode: str) -> C
 
     Without an n the oracle is asked once, with no genus bound: its least
     genus g_min with an action gives the range, the largest n with
-    (n-1)^2 < g_min.  Where it cannot answer, the Hurwitz floor does.
+    (n-1)^2 < g_min.  Where it cannot answer, the Hurwitz floor does, and
+    in paper-formula mode its non-strict reading; both read `unknown` past
+    the range.
     """
     order = group.order
     detail: dict = {"n": n, "order": order}
@@ -543,7 +547,7 @@ def cond3_no_small_genus_action(group: PermGroup, n: int | None, mode: str) -> C
             return ConditionReport(COND_GENUS, REFUTED, "genus_le1_rule", {"note": icosahedral_note}, 1)
         if mode == PAPER_FORMULA:  # n <= 1 + floor(sqrt(1 + |G|/84)), non-strict as printed
             detail = {"reading": "non_strict", "hurwitz_floor": floor}
-            return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail, 1 + isqrt((84 + order) // 84))
+            return ConditionReport(COND_GENUS, UNKNOWN, "hurwitz", detail, 1 + isqrt((84 + order) // 84))
         verdict = rhoracle.acts_on_genus_le(group, None)
         if verdict.verdict == rhoracle.YES:
             detail = {"hurwitz_floor": floor, "min_genus": verdict.genus}
@@ -564,23 +568,27 @@ def cond3_no_small_genus_action(group: PermGroup, n: int | None, mode: str) -> C
     if cap_genus < 2:
         return ConditionReport(COND_GENUS, CERTIFIED, "genus_le1_rule", detail)
 
-    if mode == PAPER_FORMULA:
-        # non-strict reading: 84 * ((n-1)^2 - 1) <= |G| still certifies
-        if 84 * (cap_genus - 1) <= order:
-            detail["hurwitz_reading"] = "non_strict"
-            return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
-        return ConditionReport(COND_GENUS, REFUTED, "hurwitz", detail)
-    if cap_genus < floor:
+    # non-strict reading: 84 * ((n-1)^2 - 1) <= |G| still certifies
+    if mode == PAPER_FORMULA and 84 * (cap_genus - 1) <= order:
+        detail["hurwitz_reading"] = "non_strict"
+        return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
+    if mode != PAPER_FORMULA and cap_genus < floor:
         return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
 
     # Hurwitz leaves the genus range [floor, (n-1)^2] open; ask the oracle.
+    # Missing the floor refutes nothing, so only a witness refutes, and
+    # paper_formula mode certifies from the printed reading alone.
     verdict = rhoracle.acts_on_genus_le(group, cap_genus)
     detail["oracle"] = {"verdict": verdict.verdict, "reason": verdict.reason}
-    if verdict.verdict == rhoracle.NO:
-        return ConditionReport(COND_GENUS, CERTIFIED, "rh_oracle", detail)
     if verdict.verdict == rhoracle.YES:
         detail["witness"] = _genus_witness(verdict)
         return ConditionReport(COND_GENUS, REFUTED, "rh_oracle", detail)
+    if mode == PAPER_FORMULA:
+        detail["note"] = (f"the non-strict Hurwitz reading does not reach genus {cap_genus}, "
+                          f"and the branch-data oracle answers {verdict.verdict}")
+        return ConditionReport(COND_GENUS, UNKNOWN, None, detail)
+    if verdict.verdict == rhoracle.NO:
+        return ConditionReport(COND_GENUS, CERTIFIED, "rh_oracle", detail)
     detail["note"] = f"genera {floor}..{cap_genus} undecided within oracle caps"
     return ConditionReport(COND_GENUS, UNKNOWN, None, detail)
 

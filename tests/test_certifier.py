@@ -641,6 +641,31 @@ def test_cond3_oracle_refutes_klein_quartic_case(group_of):
     assert report.detail["witness"]["genus"] == 3
 
 
+def test_cond3_icosahedral_rule_refutes_where_the_oracle_cannot_answer(group_of):
+    # hybrid mode reads A5's simplicity from the literature; at cap 10 the
+    # oracle cannot decide it, so the genus <= 1 rule alone refutes
+    report = cond3_no_small_genus_action(group_of("A:5", 10), 3, HYBRID)
+    assert (report.verdict, report.method) == (REFUTED, "genus_le1_rule")
+    assert report.detail["note"] == "order-60 simple group is the icosahedral Moebius group"
+    assert "witness" not in report.detail
+
+
+def test_cond3_paper_formula_refutes_past_its_reading_only_with_a_witness(group_of):
+    report = cond3_no_small_genus_action(group_of("PSL2:7"), 3, PAPER_FORMULA)
+    assert (report.verdict, report.method) == (REFUTED, "rh_oracle")
+    assert report.detail["witness"]["signature"] == "(0; 2,3,7)"
+    # the Hurwitz bound only floors the least genus: PSL2(11) misses the
+    # non-strict reading at genus 16, but acts on no curve of genus <= 16
+    report = cond3_no_small_genus_action(group_of("PSL2:11"), 5, PAPER_FORMULA)
+    assert (report.verdict, report.method) == (UNKNOWN, None)
+    assert report.detail["oracle"]["verdict"] == "no"
+    assert report.detail["note"].endswith("the branch-data oracle answers no")
+    assert cond3_no_small_genus_action(group_of("PSL2:11"), 5, COMPUTED).verdict == CERTIFIED
+    # the range path reads unknown past the same range
+    report = cond3_no_small_genus_action(group_of("PSL2:7"), None, PAPER_FORMULA)
+    assert (report.verdict, report.method, report.certified_up_to) == (UNKNOWN, "hurwitz", 2)
+
+
 # -- certify ----------------------------------------------------------------------
 
 

@@ -30,7 +30,9 @@ a stabilizer chain, and the hybrid rows up to p = 53 enumerate it, so they
 pin what the chain's products feed into across the paper's whole range.
 `compare_psl2_11_n3.json` and `rh_a6_g10.json` were recorded while every
 record wrote its JSON by hand, and pin the JSON that records now derive
-from their fields.
+from their fields.  `certify_psl2_7_n3_paper_formula.json` and
+`certify_psl2_11_n5_paper_formula.json` were recorded once paper-formula
+condition 3 stopped refuting from the Hurwitz bound without a witness.
 """
 
 from pathlib import Path
@@ -72,6 +74,12 @@ CASES = [
     # compare's CompareReport, PrimeEntry and SylowReport, and the rh table's Signature and GeneratingVector
     ("compare_psl2_11_n3.json", ["compare", "--group", "PSL2:11", "--n", "3", *JSON], 0),
     ("rh_a6_g10.json", ["rh", "--group", "A:6", "--genus-max", "10", "--no-timing"], 0),
+] + [
+    # paper-formula condition 3 past its Hurwitz reading: the oracle's witness refutes (p = 7); its `no`
+    # leaves the condition unknown (p = 11, once a false refutation)
+    (f"certify_psl2_{p}_n{n}_paper_formula.json",
+     ["certify", "--group", f"PSL2:{p}", "--n", str(n), "--mode", "paper-formula", *JSON], 1)
+    for p, n in ((7, 3), (11, 5))
 ]
 
 
