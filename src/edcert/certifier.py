@@ -572,7 +572,7 @@ def cond3_no_small_genus_action(group: PermGroup, n: int | None, mode: str) -> C
     if mode == PAPER_FORMULA and 84 * (cap_genus - 1) <= order:
         detail["hurwitz_reading"] = "non_strict"
         return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
-    if mode != PAPER_FORMULA and cap_genus < floor:
+    if cap_genus < floor:
         return ConditionReport(COND_GENUS, CERTIFIED, "hurwitz", detail)
 
     # Hurwitz leaves the genus range [floor, (n-1)^2] open; ask the oracle.
