@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .catalogue import MOBIUS_BOUND_PROVENANCE, FamilyConstants, family_overrides
 from .curvebounds import hurwitz_min_genus, riemann_genus_cap
-from .errors import CapExceeded, ValidationError
+from .errors import BUDGETS, CapExceeded, ValidationError
 from .permgroup import (
     Element,
     Kernel,
@@ -134,13 +134,7 @@ def _constants(group: PermGroup, simple: bool | None, how: str) -> dict:
     return {
         "order": group.order,
         "degree": group.degree,
-        "caps": {
-            "enumeration": group.cap,
-            "subgroup_search": permgroup.SUBGROUP_SEARCH,
-            "oracle_enumeration": rhoracle.ORACLE_ENUMERATION,
-            "oracle_search": rhoracle.ORACLE_SEARCH,
-            "vector_width": rhoracle.VECTOR_WIDTH,
-        },
+        "caps": {"enumeration": group.cap, **BUDGETS},
         "simplicity": {"value": simple, "method": how},
     }
 

@@ -65,7 +65,7 @@ from __future__ import annotations
 from math import factorial, gcd
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import CapExceeded, EdcertInternalError, ValidationError
+from .errors import EdcertInternalError, ValidationError, check_budget
 from .permutation import (
     Permutation,
     compose,
@@ -429,13 +429,7 @@ class PermGroup:
         return PermGroup(tuple(generators), degree=self.degree, cap=self.cap)
 
     def _check_cap(self) -> None:
-        if self.order > self.cap:
-            raise CapExceeded(
-                f"group order {self.order} exceeds the enumeration cap {self.cap}",
-                budget="enumeration",
-                needed=self.order,
-                cap=self.cap,
-            )
+        check_budget("enumeration", self.order, "group order {needed} exceeds the enumeration cap {cap}", self.cap)
 
     # -- element-level queries (capped) -------------------------------------
 
@@ -836,10 +830,6 @@ def sylow_report(group: PermGroup, p: int) -> SylowReport:
 
 # -- brute-force subgroup search ----------------------------------------------
 
-# Largest |G| the pair search of `max_proper_subgroup` takes on.
-SUBGROUP_SEARCH = 400
-
-
 def closed_subgroup(degree: int, seeds: Sequence[tuple[int, ...]], limit: int) -> frozenset[tuple[int, ...]] | None:
     """Element set of ⟨seeds⟩, or None as soon as it exceeds `limit` elements."""
     elems = {identity_tuple(degree)}
@@ -869,14 +859,13 @@ def max_proper_subgroup(group: PermGroup, limit: int | None = None) -> tuple[int
     at the first subgroup of order `limit`, which no later pair can beat.
     The witness is always a proper subgroup, so |G| / order bounds d(G)
     from above; the search alone does not prove that bound exact.  Raises
-    CapExceeded past `SUBGROUP_SEARCH` or past the group's enumeration cap.
+    CapExceeded past ``BUDGETS["subgroup_search"]`` or past the group's
+    enumeration cap.
     """
     n = group.order
     if n == 1:
         raise ValidationError("the trivial group has no proper subgroup")
-    if n > SUBGROUP_SEARCH:
-        raise CapExceeded(f"order {n} exceeds the subgroup-search cap {SUBGROUP_SEARCH}",
-                          budget="subgroup_search", needed=n, cap=SUBGROUP_SEARCH)
+    check_budget("subgroup_search", n, "order {needed} exceeds the subgroup-search cap {cap}")
     if limit is None:
         limit = n // 2
 
@@ -941,7 +930,7 @@ def min_proper_subgroup_index(group: PermGroup) -> int | None:
     whenever p divides |G : G'|: then d(G) = p.  Otherwise, for G
     nonabelian simple only, d(G) is the index `embedding_degree_subgroup`
     finds, when it finds one.  The search raises CapExceeded past the
-    group's enumeration cap or past `SUBGROUP_SEARCH`.
+    group's enumeration cap or past ``BUDGETS["subgroup_search"]``.
     """
     n = group.order
     if n == 1:

@@ -26,10 +26,9 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceeded, EdcertInternalError
+from .errors import BUDGETS, CapExceeded, EdcertInternalError, check_budget
 from .permgroup import Element, PermGroup, StabilizerChain
 from .permutation import Permutation, record_json
 
@@ -37,17 +36,6 @@ YES = "yes"
 NO = "no"
 UNKNOWN = "unknown"
 CAPPED = "some branch data exceeded search caps"
-
-# Most slots r + 2h one vector search fills.  The oracle never reaches it: a
-# simple group is 2-generated, so some triangle datum of genus < 1 + |G|/2 has
-# a witness, and every datum searched up to the first witness has
-# 2h - 2 + sum(1 - 1/m_i) < 1, so r + 2h <= 5.
-VECTOR_WIDTH = 12
-
-# Largest |G| whose branch data are listed, and most data listed or walked.
-ORACLE_ENUMERATION = 10_000
-# Largest |G| a generating-vector search takes on.
-ORACLE_SEARCH = 1_000
 
 
 class _SignatureFields(NamedTuple):
@@ -135,8 +123,11 @@ def _branch_data(group: PermGroup, genus_max: int | None):
     2g - 2 = |G| * t / L.  A heap keyed on (t, h, periods) reaches each datum
     exactly once, by appending a copy of the last period or raising the last
     period to the next choice; (h; -) also leads to (h+1; -).  Every move
-    raises t, so data pop in genus order.
+    raises t, so data pop in genus order.  Yielding more data than
+    ``BUDGETS["oracle_enumeration"]`` raises CapExceeded.
     """
+    too_many = f"more than {{cap}} branch data up to genus {genus_max} (the oracle enumeration cap)"
+    count = 0
     order = group.order
     choices = _period_choices(group)
     lcm = math.lcm(*choices)
@@ -149,6 +140,8 @@ def _branch_data(group: PermGroup, genus_max: int | None):
             return
         g2, rest = divmod(order * t, lcm)  # 2g - 2, when rest is 0
         if rest == 0 and g2 % 2 == 0 and g2 >= -2:
+            count += 1
+            check_budget("oracle_enumeration", count, too_many)
             yield g2 // 2 + 1, Signature(h, periods)
         if not periods:
             heapq.heappush(heap, (t + 2 * lcm, h + 1, ()))
@@ -170,23 +163,8 @@ def enumerate_signatures(group: PermGroup, genus_max: int) -> list[tuple[int, Si
     periods are canonical ascending tuples.  The oracle enumeration cap
     bounds both |G| and the number of data listed.
     """
-    limit = ORACLE_ENUMERATION
-    if group.order > limit:
-        raise CapExceeded(
-            f"order {group.order} exceeds the oracle enumeration cap {limit}",
-            budget="oracle_enumeration",
-            needed=group.order,
-            cap=limit,
-        )
-    results = list(islice(_branch_data(group, genus_max), limit + 1))
-    if len(results) > limit:
-        raise CapExceeded(
-            f"more than {limit} branch data up to genus {genus_max} (the oracle enumeration cap)",
-            budget="oracle_enumeration",
-            needed=limit + 1,
-            cap=limit,
-        )
-    return results
+    check_budget("oracle_enumeration", group.order, "order {needed} exceeds the oracle enumeration cap {cap}")
+    return list(_branch_data(group, genus_max))
 
 
 def validate_vector(group: PermGroup, sig: Signature, vec: GeneratingVector) -> bool:
@@ -252,22 +230,10 @@ def find_generating_vector(group: PermGroup, sig: Signature) -> GeneratingVector
     over that whole orbit: a smaller orbit cannot be G's.  Image tuples
     are made only for that chain and for the witness.
     """
-    if group.order > ORACLE_SEARCH:
-        raise CapExceeded(
-            f"order {group.order} exceeds the vector-search cap {ORACLE_SEARCH}",
-            budget="oracle_search",
-            needed=group.order,
-            cap=ORACLE_SEARCH,
-        )
+    check_budget("oracle_search", group.order, "order {needed} exceeds the vector-search cap {cap}")
     h = sig.orbit_genus
     slots = [None] * (2 * h) + sorted(sig.periods, reverse=True)
-    if len(slots) > VECTOR_WIDTH:
-        raise CapExceeded(
-            f"signature needs {len(slots)} slots, width cap is {VECTOR_WIDTH}",
-            budget="vector_width",
-            needed=len(slots),
-            cap=VECTOR_WIDTH,
-        )
+    check_budget("vector_width", len(slots), "signature needs {needed} slots, width cap is {cap}")
     if rh_genus(group.order, sig).denominator != 1:
         return None
     if not slots:
@@ -349,9 +315,9 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
     """
     if genus is not None and genus < 0:
         return OracleVerdict(NO, reason=f"no admissible branch data up to genus {genus}")
-    if group.order > ORACLE_ENUMERATION:
+    if group.order > BUDGETS["oracle_enumeration"]:
         return OracleVerdict(UNKNOWN, reason="group exceeds the signature enumeration cap")
-    if (genus is None or genus >= 2) and group.order > ORACLE_SEARCH:
+    if (genus is None or genus >= 2) and group.order > BUDGETS["oracle_search"]:
         return OracleVerdict(UNKNOWN, reason=CAPPED)
     try:
         simple = group.is_simple_nonabelian()
@@ -362,19 +328,17 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
     excluded = genus_le1_excluded(group.order)
     if excluded and genus is not None and genus < 2:
         return OracleVerdict(NO, reason=f"the genus <= 1 rule excludes genus <= {genus}")
-    count = 0  # data walked so far, searched or excluded by the rule
-    for g, sig in _branch_data(group, genus):
-        count += 1
-        if count > ORACLE_ENUMERATION:
-            return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
-        if excluded and g < 2:
-            continue
-        try:
+    try:
+        for g, sig in _branch_data(group, genus):
+            if excluded and g < 2:
+                continue
             vec = find_generating_vector(group, sig)
-        except CapExceeded:  # unreachable for a simple group, see VECTOR_WIDTH
-            return OracleVerdict(UNKNOWN, reason=CAPPED)
-        if vec is not None:
-            if not validate_vector(group, sig, vec):
-                raise EdcertInternalError(f"search produced an invalid vector for {sig.label()}")
-            return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
+            if vec is not None:
+                if not validate_vector(group, sig, vec):
+                    raise EdcertInternalError(f"search produced an invalid vector for {sig.label()}")
+                return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
+    except CapExceeded as exc:  # a vector search past its budget is unreachable for a simple group
+        if exc.budget == "oracle_enumeration":
+            return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
+        return OracleVerdict(UNKNOWN, reason=CAPPED)
     return OracleVerdict(NO, reason=f"all branch data up to genus {genus} exhausted")

@@ -34,7 +34,7 @@ from edcert.certifier import (
     _search_words,
 )
 from edcert import rhoracle
-from edcert.errors import CapExceeded, ValidationError
+from edcert.errors import BUDGETS, CapExceeded, ValidationError
 from edcert.permgroup import DEFAULT_CAP, PermGroup, closed_subgroup, kernel, max_proper_subgroup
 from edcert.rhoracle import Signature, acts_on_genus_le
 from edcert.permutation import Permutation, cycle_string
@@ -74,7 +74,7 @@ def test_cond1_brute_force_refutes_a5_at_5(group_of):
 def test_cond1_search_index_needs_the_embedding_bound(group_of, monkeypatch):
     # PSL(2,8), order 504: the search finds index 9, but 504 already divides
     # 7!/2, so the k!/2 bound proves only d >= 7 and cannot confirm 9
-    monkeypatch.setattr(permgroup, "SUBGROUP_SEARCH", 600)
+    monkeypatch.setitem(BUDGETS, "subgroup_search", 600)
     text = "perm:9:(0 1)(2 3)(4 5)(6 7),(1 2 4 3 6 7 5),(0 8)(2 5)(3 6)(4 7)"
     report = cond1_no_small_index(group_of(text), 8, COMPUTED)
     assert report.verdict == UNKNOWN
@@ -888,7 +888,7 @@ def test_maxn_undecidable_simplicity_is_cap_exceeded(group_of):
 
 
 def _over_the_data_budget(group_of, monkeypatch):
-    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 443)  # C:6 has 444 data up to genus 20
+    monkeypatch.setitem(BUDGETS, "oracle_enumeration", 443)  # C:6 has 444 data up to genus 20
     rhoracle.enumerate_signatures(group_of("C:6"), 20)
 
 

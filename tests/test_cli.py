@@ -12,6 +12,7 @@ import pytest
 from edcert import cli, permgroup, rhoracle
 from edcert.catalogue import build, parse_group_spec
 from edcert.cli import main
+from edcert.errors import BUDGETS
 
 
 def run(capsys, *argv):
@@ -243,17 +244,17 @@ def _oracle_rh_by_genus(text, genus_max):
         ("C:6", 10, {}),
         ("C:6", -1, {}),  # no genus to search: "no" without asking the oracle
         # past the search cap: "no" below genus 2 by the rule, else "unknown" before the walk
-        ("PSL2:7", 10, {"ORACLE_SEARCH": 100}),
-        ("A:6", 10, {"ORACLE_SEARCH": 100}),
+        ("PSL2:7", 10, {"oracle_search": 100}),
+        ("A:6", 10, {"oracle_search": 100}),
         # bounds far above the minimal genus
         ("PSL2:7", 1000, {}),
         ("A:6", 1000, {}),
-        ("PSL2:7", 1000, {"ORACLE_SEARCH": 100}),
+        ("PSL2:7", 1000, {"oracle_search": 100}),
     ],
 )
 def test_oracle_rh_matches_per_genus_search(capsys, monkeypatch, text, genus_max, caps):
     for budget, value in caps.items():  # lowered for the command and the reference alike
-        monkeypatch.setattr(rhoracle, budget, value)
+        monkeypatch.setitem(BUDGETS, budget, value)
     code, envelope = run_json(capsys, "oracle", "rh", "--group", text, "--genus-max", str(genus_max))
     assert (code, envelope["payload"]) == _oracle_rh_by_genus(text, genus_max)
 

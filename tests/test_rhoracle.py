@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edcert.catalogue import build, parse_group_spec
-from edcert.errors import CapExceeded
+from edcert.errors import BUDGETS, CapExceeded
 from edcert import rhoracle
 from edcert.permgroup import StabilizerChain
 from edcert.permutation import Permutation, cycle_string, invert
@@ -183,10 +183,10 @@ def test_a6_minimal_genus_is_ten(group_of):
 
 def test_caps_degrade_to_unknown(group_of, monkeypatch):
     a5 = group_of("A:5")
-    with pytest.raises(CapExceeded, match="slots"):  # 13 slots, one past rhoracle.VECTOR_WIDTH
+    with pytest.raises(CapExceeded, match="slots"):  # 13 slots, one past the vector_width budget
         find_generating_vector(a5, Signature(0, (2,) * 13))
-    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 50)
-    monkeypatch.setattr(rhoracle, "ORACLE_SEARCH", 50)
+    monkeypatch.setitem(BUDGETS, "oracle_enumeration", 50)
+    monkeypatch.setitem(BUDGETS, "oracle_search", 50)
     assert acts_on_genus_le(a5, 0).verdict == UNKNOWN
     with pytest.raises(CapExceeded):
         enumerate_signatures(a5, 0)
@@ -196,7 +196,7 @@ def test_caps_degrade_to_unknown(group_of, monkeypatch):
 
 def test_a_width_overrun_answers_unknown(group_of, monkeypatch):
     def too_wide(group, signature):
-        raise CapExceeded("too many slots", budget="vector_width", needed=13, cap=rhoracle.VECTOR_WIDTH)
+        raise CapExceeded("too many slots", budget="vector_width", needed=13, cap=BUDGETS["vector_width"])
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", too_wide)
     verdict = acts_on_genus_le(group_of("PSL2:7"), 10)
@@ -209,7 +209,7 @@ def test_oracle_requires_simple_groups(group_of):
 
 
 def test_oracle_checks_the_enumeration_cap_before_simplicity(group_of, monkeypatch):
-    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 10)
+    monkeypatch.setitem(BUDGETS, "oracle_enumeration", 10)
     verdict = acts_on_genus_le(group_of("S:4"), 1)
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, "group exceeds the signature enumeration cap")
 
@@ -223,9 +223,9 @@ def test_unbounded_oracle_stops_at_the_search_cap_before_listing():
 
 def test_enumeration_cap_bounds_the_number_of_data(group_of, monkeypatch):
     c6 = group_of("C:6")
-    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 444)
+    monkeypatch.setitem(BUDGETS, "oracle_enumeration", 444)
     assert len(enumerate_signatures(c6, 20)) == 444
-    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 443)
+    monkeypatch.setitem(BUDGETS, "oracle_enumeration", 443)
     with pytest.raises(CapExceeded) as raised:
         enumerate_signatures(c6, 20)
     assert (raised.value.needed, raised.value.cap) == (444, 443)
@@ -242,7 +242,7 @@ def test_oracle_stops_after_searching_cap_many_data(group_of, monkeypatch, genus
         return None
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", record)
-    monkeypatch.setattr(rhoracle, "ORACLE_ENUMERATION", 60)
+    monkeypatch.setitem(BUDGETS, "oracle_enumeration", 60)
     verdict = acts_on_genus_le(group_of("A:5"), genus)
     assert (verdict.verdict, verdict.reason) == (UNKNOWN, "branch data exceed the signature enumeration cap")
     assert len(searched) == 60
@@ -304,7 +304,7 @@ def test_vector_search_order_is_pinned(group_of, monkeypatch):
     # products it forms per datum also pin how far it walks to get there.
     # It forms them with its group's chain product, counted once the group's
     # orders and classes, which use that product too, are cached.
-    monkeypatch.setattr(rhoracle, "VECTOR_WIDTH", 7)
+    monkeypatch.setitem(BUDGETS, "vector_width", 7)
     products = []
 
     def counting(mul):
