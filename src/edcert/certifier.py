@@ -635,15 +635,14 @@ def max_certified_n(group: PermGroup, mode: str = COMPUTED) -> BoundReport:
     condition 1: the published closed form
     min{d(G), maxcyc - 1, 1 + floor(sqrt(1 + |G|/84))} counts index exactly
     d(G) as allowed, where the strict reading, which `certify` implements
-    in every mode, stops at d(G) - 1.
+    in every mode, stops at d(G) - 1.  A group whose simplicity is
+    undecided within caps gets every maximum `unknown` from its decider; a
+    group decided not simple raises ValidationError.
     """
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}")
     simple, how = decide_simplicity(group, mode)
-    if simple is None:
-        raise CapExceeded(f"simplicity of order-{group.order} group undecided within caps",
-                          budget="enumeration", needed=group.order, cap=group.cap)
-    if not simple:
+    if simple is False:
         raise ValidationError("max_certified_n requires a nonabelian simple group")
 
     notes = [

@@ -231,10 +231,7 @@ _TABLE_HEADER = ["p", "order", "cond1_max", "cond2_max", "cond3_max", "maxn", "b
 
 def _table_row(p: int, mode: str, cap: int) -> dict:
     group = build(parse_group_spec(f"PSL2:{p}"), cap)
-    try:
-        report = max_certified_n(group, mode)
-    except CapExceeded:  # simplicity undecided within caps: this row only is unknown
-        return {"p": p, "order": group.order, **dict.fromkeys(_TABLE_HEADER[2:], "unknown")}
+    report = max_certified_n(group, mode)
     fmt = lambda v: v if v is not None else "unknown"
     return {
         "p": p,
@@ -327,8 +324,7 @@ def _cmd_oracle(args, started) -> int:
             _emit(args, verdict.to_json(), [f"undecided: {verdict.reason}"], started)
             return 1
         if verdict.verdict == rhoracle.NO:
-            payload = {"verdict": "no", "genus_max": args.genus_max}
-            _emit(args, payload, [f"no faithful action on genus <= {args.genus_max}"], started)
+            _emit(args, verdict.to_json(), [f"no faithful action on genus <= {args.genus_max}"], started)
             return 1
         lines = [
             f"minimal genus {verdict.genus} with witness {verdict.signature.label()}",

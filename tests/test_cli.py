@@ -231,7 +231,7 @@ def _oracle_rh_by_genus(text, genus_max):
             return 0, v.to_json()
         if v.verdict == rhoracle.UNKNOWN:
             return 1, v.to_json()
-    return 1, {"verdict": "no", "genus_max": genus_max}
+    return 1, rhoracle.acts_on_genus_le(group, genus_max).to_json()
 
 
 @pytest.mark.parametrize(
