@@ -3,7 +3,7 @@
 JSON is the machine contract (stable keys, sorted, byte-identical across
 runs when --no-timing is given); the human-readable text may evolve.
 Exit codes: 0 certified or success, 1 not certified / negative oracle /
-cap exceeded, 2 usage or validation error.
+cap exceeded, 2 usage or validation error, 3 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -400,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     except EdcertError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EdcertInternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

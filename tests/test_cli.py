@@ -141,9 +141,20 @@ def test_rh_prints_no_vector_that_fails_validation(capsys, monkeypatch):
         return vec and rhoracle.GeneratingVector(vec.hyperbolic, vec.elliptic[:-1])
 
     monkeypatch.setattr(rhoracle, "find_generating_vector", corrupted)
-    with pytest.raises(AssertionError, match="invalid vector"):
-        main(["rh", "--group", "PSL2:7", "--genus-max", "3"])
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "rh", "--group", "PSL2:7", "--genus-max", "3")
+    assert (code, out) == (3, "")
+    assert "invalid vector" in err
+
+
+def test_oracle_rh_exits_three_on_an_internal_error(capsys, monkeypatch):
+    # a witness that fails its re-check is a bug, not a negative answer; genus
+    # 3 is PSL2(7)'s least, so a bound of 2 finds no witness to re-check
+    monkeypatch.setattr(rhoracle, "validate_vector", lambda group, sig, vec: False)
+    code, out, err = run(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ") and "invalid vector" in err
+    code, envelope = run_json(capsys, "oracle", "rh", "--group", "PSL2:7", "--genus-max", "2")
+    assert (code, envelope["payload"]["verdict"]) == (1, "no")
 
 
 def test_rh_honours_the_cap_flag(capsys):
