@@ -337,7 +337,7 @@ def acts_on_genus_le(group: PermGroup, genus: int | None) -> OracleVerdict:
                 if not validate_vector(group, sig, vec):
                     raise EdcertInternalError(f"search produced an invalid vector for {sig.label()}")
                 return OracleVerdict(YES, genus=g, signature=sig, vector=vec)
-    except CapExceeded as exc:  # a vector search past its budget is unreachable for a simple group
+    except CapExceeded as exc:  # past the data count; no vector search passes its budgets on a simple group
         if exc.budget == "oracle_enumeration":
             return OracleVerdict(UNKNOWN, reason="branch data exceed the signature enumeration cap")
         return OracleVerdict(UNKNOWN, reason=CAPPED)
